@@ -32,16 +32,12 @@ from .diagrams import (
     identity_diagram,
     word_of,
 )
-from .pathalg import PathAlgebraElement, embed, enumerate_paths, gt_index, pa_mul
 from .reps import (
     DEFAULT_Q,
     AdaptedRep,
     adapted_rep,
-    gram_dual,
     local_blocks,
     oracle_irreps,
-    rep_of_diagram,
-    trace_tau,
     verify_semisimple,
 )
 from .transform import (

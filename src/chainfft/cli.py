@@ -25,7 +25,7 @@ from .combinat import (
     stage_quiver_shape,
 )
 from .diagrams import all_diagrams, check_relations, diagram_mul, evaluate, factor_map
-from .errors import ChainFFTError
+from .errors import ArgumentError, CapabilityError, ChainFFTError
 from .reps import DEFAULT_Q, adapted_rep
 from .transform import (
     element_from_json,
@@ -46,11 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chainfft")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_q=True):
+    def common(p):
         p.add_argument("--chain", required=True, choices=["sn", "brauer", "tl", "bmw"])
         p.add_argument("-n", type=int, required=True)
-        if with_q:
-            p.add_argument("--q", default=None, help="loop parameter as p/q")
+        p.add_argument("--q", default=None, help="loop parameter as p/q")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", default="json", choices=["json", "dot", "csv"])
 
@@ -85,11 +84,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_q(args) -> Fraction:
-    kind = ChainKind.parse(args.chain)
-    q_raw = getattr(args, "q", None)
-    if kind is ChainKind.SYMMETRIC_GROUP and q_raw is not None:
-        raise UsageError("--q is meaningless for the symmetric-group chain")
-    return Fraction(q_raw) if q_raw is not None else DEFAULT_Q
+    """The --q value, or DEFAULT_Q when it is not given."""
+    if args.q is None:
+        return DEFAULT_Q
+    try:
+        return Fraction(args.q)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--q {args.q!r} is not a rational number") from None
+
+
+def _load_coeffs(kind: ChainKind, n: int, args):
+    """The --coeffs element, checked against --chain/-n, and its q (--q wins)."""
+    try:
+        with open(args.coeffs) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ArgumentError(f"cannot read coefficient file {args.coeffs}: {exc}") from None
+    element, q_file = element_from_json(payload)
+    if element.kind != kind or element.n != n:
+        raise UsageError("coefficient file does not match --chain/-n")
+    return element, q_file if args.q is None else _parse_q(args)
 
 
 class UsageError(Exception):
@@ -117,7 +131,7 @@ def dispatch(args) -> int:
     n = args.n
     if n < 0:
         raise UsageError("-n must be nonnegative")
-    if kind is ChainKind.SYMMETRIC_GROUP and getattr(args, "q", None) is not None:
+    if kind is ChainKind.SYMMETRIC_GROUP and args.q is not None:
         raise UsageError("--q is meaningless for the symmetric-group chain")
     if args.command == "bratteli":
         B = cached_bratteli(kind, n)
@@ -200,32 +214,22 @@ def _reject_bmw(kind: ChainKind, what: str) -> None:
 
 def cmd_fft(kind: ChainKind, n: int, args) -> int:
     _reject_bmw(kind, "fft")
-    q = _parse_q(args)
-    with open(args.coeffs) as fh:
-        element, q_file = element_from_json(json.load(fh))
-    if element.kind != kind or element.n != n:
-        raise UsageError("coefficient file does not match --chain/-n")
-    if getattr(args, "q", None) is None:
-        q = q_file
+    element, q = _load_coeffs(kind, n, args)
     rep = adapted_rep(kind, n, q)
     plan = sov_plan(kind, n)
     if args.algo == "naive":
         img, ops = fft_naive(element, rep)
     else:
         img, ops = fft_sov(element, rep, plan)
-    print(json.dumps(image_to_json(img, rep.B, ops, plan), indent=2))
+    print(json.dumps(image_to_json(img, ops, plan), indent=2))
     return 0
 
 
 def cmd_invert(kind: ChainKind, n: int, args) -> int:
     _reject_bmw(kind, "invert")
-    q = _parse_q(args)
-    with open(args.coeffs) as fh:
-        element, q_file = element_from_json(json.load(fh))
-    if getattr(args, "q", None) is None:
-        q = q_file
+    element, q = _load_coeffs(kind, n, args)
     rep = adapted_rep(kind, n, q)
-    img, _ = fft_sov(element, rep, sov_plan(kind, n))
+    img, _ = fft_sov(element, rep)
     back = inverse_ft(img, rep)
     ok = back.coeffs == element.coeffs
     print(json.dumps({"roundtrip": "pass" if ok else "fail"}))
@@ -243,7 +247,7 @@ def cmd_verify(kind: ChainKind, n: int, args) -> int:
         try:
             ok, detail = run_suite(kind, n, suite, args)
         except ChainFFTError as exc:
-            ok, detail = False, str(exc)
+            ok, detail = False, f" ({exc})"
         print(f"{suite}: {'pass' if ok else 'FAIL'}{detail}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else VERIFY_ERROR
@@ -277,19 +281,16 @@ def run_suite(kind: ChainKind, n: int, suite: str, args) -> tuple[bool, str]:
     if suite == "roundtrip":
         if kind is ChainKind.BMW_STRUCTURAL:
             return True, " (skipped: structural)"
-        from .errors import CapabilityError
-
-        q = _parse_q(args)
-        rep = adapted_rep(kind, n, q)
+        rep = adapted_rep(kind, n, _parse_q(args))
         f = random_element(kind, n, args.seed)
-        img, _ = fft_sov(f, rep, sov_plan(kind, n))
+        img, _ = fft_sov(f, rep)
         try:
             back = inverse_ft(img, rep)
         except CapabilityError:
             return True, " (skipped: beyond the dual-basis size limit)"
         return back.coeffs == f.coeffs, ""
     if suite == "bounds":
-        if kind is ChainKind.SYMMETRIC_GROUP:
+        if kind is ChainKind.SYMMETRIC_GROUP or n < 1:
             return True, " (skipped: no headline bound)"
         plan = sov_plan(kind, n)
         ok = plan.predicted_total <= plan.paper.total

@@ -18,6 +18,7 @@ from math import factorial
 from .errors import ArgumentError, InvalidVertexError
 
 Partition = tuple[int, ...]
+Path = tuple[Partition, ...]  # vertex sequence from the root, length = level + 1
 
 
 class ChainKind(str, Enum):
@@ -154,6 +155,9 @@ class BratteliDiagram:
     _path_count_memo: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
+    _paths_memo: dict = field(
+        default_factory=dict, repr=False, compare=False, hash=False
+    )
 
     def vertices(self, level: int) -> tuple[Partition, ...]:
         self._check_level(level)
@@ -184,10 +188,27 @@ class BratteliDiagram:
         nxt = self.levels[level + 1]
         return [nxt[b] for (a, b) in self.edges[level + 1] if a == j]
 
-    def has_edge(self, level_from: int, src: Partition, dst: Partition) -> bool:
-        a = self.vertex_index(level_from, src)
-        b = self.vertex_index(level_from + 1, dst)
-        return (a, b) in self.edges[level_from + 1]
+    def paths(self, level: int, lam: Partition) -> tuple[tuple[Path, ...], dict[Path, int]]:
+        """Gel'fand-Tsetlin paths from the root to lam, and each path's position.
+
+        Paths are grouped by their level-(level-1) vertex in canonical order,
+        recursively, so every restriction block is a contiguous index range
+        and adapted matrices are block-diagonal in it.
+        """
+        key = (level, tuple(lam))
+        memo = self._paths_memo
+        if key not in memo:
+            if level == 0:
+                self.vertex_index(0, lam)
+                paths = (((),),)
+            else:
+                paths = tuple(
+                    p + (key[1],)
+                    for mu in self.in_neighbors(level, lam)
+                    for p in self.paths(level - 1, mu)[0]
+                )
+            memo[key] = (paths, {p: j for j, p in enumerate(paths)})
+        return memo[key]
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.n:

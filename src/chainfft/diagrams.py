@@ -476,10 +476,17 @@ def word_of(d: Diagram) -> GeneratorWord:
 
 
 def diagram_from_key(kind: ChainKind, n: int, key: str) -> Diagram:
-    if key.strip() == "":
+    """Parse "a-b,c-d,..."; the empty key names the only diagram at n = 0."""
+    if not isinstance(key, str):
+        raise ArgumentError(f"diagram key {key!r} is not a string")
+    parts = key.split(",") if key.strip() else []
+    if not parts and n != 0:
         raise ArgumentError("empty diagram key")
     pairs = []
-    for part in key.split(","):
+    for part in parts:
         a, _, b = part.partition("-")
-        pairs.append((int(a), int(b)))
+        try:
+            pairs.append((int(a), int(b)))
+        except ValueError:
+            raise ArgumentError(f"bad pair {part!r} in diagram key {key!r}") from None
     return Diagram(kind, n, canonical_pairs(pairs))

@@ -101,14 +101,6 @@ def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     return x
 
 
-def column_space_basis(m: Matrix) -> list[list[Fraction]]:
-    """Basis of the column space, as column vectors."""
-    if not m:
-        return []
-    _, pivots = rref(m)
-    return [[m[r][c] for r in range(len(m))] for c in pivots]
-
-
 def intersect_kernel(constraints: list[Matrix], dim: int) -> list[list[Fraction]]:
     """Common nullspace of several square operators on the same space.
 

@@ -3,17 +3,11 @@
 from .core import (
     DEFAULT_Q,
     AdaptedRep,
-    LocalBlock,
     SemisimplicityReport,
     adapted_rep,
     assemble_dense,
-    assemble_matrix,
-    gram_dual,
-    iter_local_blocks,
     local_blocks,
     naive_transform_matrix,
-    rep_of_diagram,
-    trace_tau,
     verify_semisimple,
 )
 from .oracle import OracleIrrep, OracleRep, oracle_irreps, oracle_matrix
@@ -22,17 +16,11 @@ from .seminormal import chebyshev_u, sn_block_table, tl_block_table
 __all__ = [
     "DEFAULT_Q",
     "AdaptedRep",
-    "LocalBlock",
     "SemisimplicityReport",
     "adapted_rep",
     "assemble_dense",
-    "assemble_matrix",
-    "iter_local_blocks",
-    "gram_dual",
     "local_blocks",
     "naive_transform_matrix",
-    "rep_of_diagram",
-    "trace_tau",
     "verify_semisimple",
     "OracleIrrep",
     "OracleRep",

@@ -17,7 +17,6 @@ from itertools import combinations
 from ..combinat import ChainKind, Partition, cached_bratteli, partition_key
 from ..diagrams import Diagram, GeneratorWord, evaluate
 from ..errors import ParameterError
-from ..pathalg import enumerate_paths
 from ..ratlinalg import identity, intersect_kernel, invert, mat_mul
 from .seminormal import sn_block_table
 
@@ -143,7 +142,7 @@ def _sn_generator_matrix(m: int, lam: Partition, i: int):
 @lru_cache(maxsize=None)
 def perm_matrix(m: int, lam: Partition, sigma: tuple[int, ...]):
     """Seminormal matrix of the permutation diagram sending rank j to slot sigma[j]."""
-    d = len(enumerate_paths(cached_bratteli(ChainKind.SYMMETRIC_GROUP, m), m, lam))
+    d = cached_bratteli(ChainKind.SYMMETRIC_GROUP, m).dim(m, lam)
     out = identity(d)
     f = list(sigma)
     word = []
@@ -169,8 +168,7 @@ def cell_basis(n: int, lam: Partition):
     k = (n - m) // 2
     halves = half_diagrams(n, k)
     B = cached_bratteli(ChainKind.SYMMETRIC_GROUP, m)
-    tabs = enumerate_paths(B, m, lam)
-    return [(h, t) for h in halves for t in range(len(tabs))]
+    return [(h, t) for h in halves for t in range(B.dim(m, lam))]
 
 
 @lru_cache(maxsize=None)
@@ -294,15 +292,14 @@ def brauer_block_table(n: int, q: Fraction):
         mats = brauer_gt_level(level, q)
         i = level - 1  # the top generator index visible at this level
         for nu, toks in mats.items():
-            paths = enumerate_paths(B, level, nu)
-            pos = {p: j for j, p in enumerate(paths)}
+            paths = B.paths(level, nu)[0]
             for sym in ("r", "e"):
                 M = toks[(sym, i)]
-                _extract_frame_blocks(table, (sym, i), M, paths, pos, i, B)
+                _extract_frame_blocks(table, (sym, i), M, paths, i, B)
     return table
 
 
-def _extract_frame_blocks(table, token, M, paths, pos, i, B):
+def _extract_frame_blocks(table, token, M, paths, i, B):
     from .seminormal import middles
 
     dim = len(paths)

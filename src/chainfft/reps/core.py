@@ -20,7 +20,6 @@ from ..diagrams import (
     word_of,
 )
 from ..errors import ArgumentError, CapabilityError, ParameterError
-from ..pathalg import enumerate_paths
 from ..ratlinalg import invert, rank
 from .seminormal import middles, sn_block_table, tl_block_table
 
@@ -35,29 +34,6 @@ GRAM_LIMITS = {
 }
 
 
-@dataclass(frozen=True)
-class LocalBlock:
-    """Block-local matrix of one generator on a two-step frame.
-
-    The matrix is indexed by the middle vertices between mu (level i-1) and
-    nu (level i+1), in canonical order; assembled full matrices touch only
-    the path coordinate at level i.
-    """
-
-    token: Token
-    level: int
-    mu: Partition
-    nu: Partition
-    matrix: tuple
-
-
-def iter_local_blocks(table) -> list[LocalBlock]:
-    return [
-        LocalBlock(token, token[1], mu, nu, matrix)
-        for (token, mu, nu), matrix in sorted(table.items())
-    ]
-
-
 def assemble_dense(B, table, level: int, lam: Partition, token: Token):
     """Full matrix of a generator on the level-`level` vertex lam, from blocks.
 
@@ -67,8 +43,7 @@ def assemble_dense(B, table, level: int, lam: Partition, token: Token):
     sym, i = token
     if not 1 <= i <= level - 1:
         raise ArgumentError(f"token {token} invalid at level {level}")
-    paths = enumerate_paths(B, level, lam)
-    pos = {p: j for j, p in enumerate(paths)}
+    paths, pos = B.paths(level, lam)
     d = len(paths)
     out = [[Fraction(0)] * d for _ in range(d)]
     for c, p in enumerate(paths):
@@ -188,15 +163,8 @@ class AdaptedRep:
         """tau(a) with tau = sum over irreducibles of the matrix trace."""
         return sum(Fraction(c) * self.character(k) for k, c in coeffs.items())
 
-    def gram_dual(self):
-        """Dual basis data: (basis diagrams, Gram inverse, dual coefficient table)."""
-        if self._gram is not None:
-            return self._gram
-        limit = GRAM_LIMITS.get(self.kind)
-        if limit is not None and self.n > limit:
-            raise CapabilityError(
-                f"dual basis limited to n <= {limit} for {self.kind.value}"
-            )
+    def gram_matrix(self):
+        """(basis diagrams, Gram matrix of the trace form tau(b_i b_j))."""
         basis = all_diagrams(self.kind, self.n)
         size = len(basis)
         gram = [[Fraction(0)] * size for _ in range(size)]
@@ -206,6 +174,19 @@ class AdaptedRep:
                 val = self.q ** prod.loops * self.character(prod.diagram.key())
                 gram[i][j] = val
                 gram[j][i] = val
+        return basis, gram
+
+    def gram_dual(self):
+        """Dual basis data: (basis diagrams, Gram inverse, dual coefficient table)."""
+        if self._gram is not None:
+            return self._gram
+        limit = GRAM_LIMITS.get(self.kind)
+        if limit is not None and self.n > limit:
+            raise CapabilityError(
+                f"dual basis limited to n <= {limit} for {self.kind.value}"
+            )
+        basis, gram = self.gram_matrix()
+        size = len(basis)
         try:
             ginv = invert(gram)
         except ValueError:
@@ -255,24 +236,6 @@ def adapted_rep(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q) -> AdaptedRep:
     return AdaptedRep(kind, n, q, B, local_blocks(kind, n, q))
 
 
-def assemble_matrix(rep: AdaptedRep, token: Token, lam: Partition, level: int | None = None):
-    """Full matrix of one generator on the vertex lam, from its local blocks."""
-    return rep.token_matrix(lam, token, level)
-
-
-def rep_of_diagram(rep: AdaptedRep, d: Diagram | str, lam: Partition):
-    return rep.rho(d, lam)
-
-
-def trace_tau(rep: AdaptedRep, coeffs) -> Fraction:
-    table = coeffs.coeffs if hasattr(coeffs, "coeffs") else coeffs
-    return rep.trace_tau(dict(table))
-
-
-def gram_dual(rep: AdaptedRep):
-    return rep.gram_dual()
-
-
 def naive_transform_matrix(rep: AdaptedRep):
     """dim x dim matrix of the naive transform: columns are basis diagrams."""
     basis = all_diagrams(rep.kind, rep.n)
@@ -287,15 +250,7 @@ def naive_transform_matrix(rep: AdaptedRep):
 
 def verify_semisimple(rep: AdaptedRep) -> SemisimplicityReport:
     """Certify the specialization: Gram nondegeneracy and transform bijectivity."""
-    basis = all_diagrams(rep.kind, rep.n)
-    size = len(basis)
-    gram = [[Fraction(0)] * size for _ in range(size)]
-    for i, di in enumerate(basis):
-        for j in range(i, size):
-            prod = diagram_mul(di, basis[j])
-            val = rep.q ** prod.loops * rep.character(prod.diagram.key())
-            gram[i][j] = val
-            gram[j][i] = val
+    basis, gram = rep.gram_matrix()
     g_rank = rank(gram)
     t_rank = rank(naive_transform_matrix(rep))
-    return SemisimplicityReport(rep.kind, rep.n, rep.q, size, g_rank, t_rank)
+    return SemisimplicityReport(rep.kind, rep.n, rep.q, len(basis), g_rank, t_rank)

@@ -3,9 +3,8 @@
 The regular module is cut into isotypic blocks by primitive central
 idempotents (found from rational eigenvalues of a random central element),
 one irreducible copy is extracted per block, and its basis is adapted level
-by level with the embedded subalgebra centers.  Only exact arithmetic enters
-the final data; floating point is used to locate candidate eigenvalues,
-which are then verified over the rationals.
+by level with the embedded subalgebra centers.  All arithmetic is exact:
+eigenvalues are isolated with Sturm sequences over the integers.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from math import lcm
 
 from ..combinat import ChainKind, cached_bratteli
 from ..diagrams import all_diagrams, diagram_mul, grow, identity_diagram
@@ -137,22 +135,70 @@ def _minimal_polynomial(alg: RegularAlgebra, z: list[Fraction]) -> list[Fraction
 
 
 def _rational_roots(poly: list[Fraction]) -> list[Fraction] | None:
-    """All roots when the polynomial splits into distinct rational factors."""
+    """All roots when the monic polynomial splits into distinct rational factors.
+
+    With s the lcm of the coefficient denominators, s^d poly(y / s) is monic
+    with integer coefficients, so its rational roots are integers.  Sturm
+    sequences count its distinct real roots between half-integers, which are
+    never roots; bisecting down to unit intervals isolates each root, and the
+    one integer inside is the candidate that is then checked exactly.
+    """
     deg = len(poly) - 1
-    approx = np.roots([float(c) for c in reversed(poly)])
-    roots = []
-    for a in approx:
-        if abs(a.imag) > 1e-6:
-            return None
-        cand = Fraction(a.real).limit_denominator(10**6)
-        if cand not in roots:
-            roots.append(cand)
+    s = lcm(*(c.denominator for c in poly))
+    scaled = [c * s ** (deg - k) for k, c in enumerate(poly)]
+    sturm = [scaled]
+    nxt = [k * c for k, c in enumerate(scaled)][1:]
+    while nxt:
+        sturm.append(nxt)
+        nxt = [-c for c in _poly_rem(sturm[-2], sturm[-1])]
+
+    def changes(x: Fraction) -> int:
+        signs = [v > 0 for v in (_poly_eval(p, x) for p in sturm) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + max((abs(c) for c in scaled[:-1]), default=0)
+    roots: list[Fraction] = []
+    stack = [(-bound - Fraction(1, 2), bound + Fraction(1, 2))]
+    while stack:
+        lo, hi = stack.pop()
+        count = changes(lo) - changes(hi)
+        if count == 0:
+            continue
+        if hi - lo == 1:
+            if count > 1:
+                return None
+            roots.append((lo + Fraction(1, 2)) / s)
+            continue
+        mid = lo + (hi - lo) // 2
+        stack += [(lo, mid), (mid, hi)]
     if len(roots) != deg:
         return None
     for r in roots:
-        if sum(c * r**k for k, c in enumerate(poly)) != 0:
+        if _poly_eval(poly, r) != 0:
             return None
     return roots
+
+
+def _poly_eval(poly: list[Fraction], x: Fraction) -> Fraction:
+    """Horner evaluation; coefficients low to high."""
+    out = Fraction(0)
+    for c in reversed(poly):
+        out = out * x + c
+    return out
+
+
+def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a modulo b (coefficients low to high, b nonzero lead)."""
+    a = list(a)
+    while len(a) >= len(b):
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for k, c in enumerate(b):
+            a[shift + k] -= factor * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 @lru_cache(maxsize=None)

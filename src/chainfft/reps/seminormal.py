@@ -125,12 +125,3 @@ def tl_block_table(n: int, q: Fraction) -> dict[BlockKey, tuple]:
             )
             table[(("e", i), mu, nu)] = block
     return table
-
-
-def young_lattice_paths(lam: Partition) -> list[tuple[Partition, ...]]:
-    """Root-to-lam paths of the Young lattice (standard tableaux of shape lam)."""
-    from ..pathalg import enumerate_paths
-
-    m = sum(lam)
-    B = cached_bratteli(ChainKind.SYMMETRIC_GROUP, m)
-    return enumerate_paths(B, m, lam)

@@ -25,7 +25,6 @@ from .combinat import (
 )
 from .diagrams import diagram_from_key, diagram_mul, factor_map, shrink
 from .errors import ArgumentError
-from .pathalg import enumerate_paths
 from .reps.core import AdaptedRep
 
 
@@ -155,10 +154,6 @@ class SovPlan:
     predicted_total: Fraction
     predicted_reduced: Fraction
     paper: BoundReport | None
-
-    def predicted_ceiling(self) -> int:
-        total = self.predicted_total
-        return int(total) if total.denominator == 1 else int(total) + 1
 
 
 def factor_family(kind: ChainKind, i: int) -> tuple[str, ...]:
@@ -328,22 +323,14 @@ def _merge_stream(streams: dict, key: tuple, data: dict, counter: OpCounter) -> 
                 dest[pos] = val
 
 
-def _path_lists(rep: AdaptedRep, level: int, lam: Partition):
-    key = ("paths", level, lam)
-    cache = rep._dense
-    if key not in cache:
-        paths = enumerate_paths(rep.B, level, lam)
-        cache[key] = (paths, {p: i for i, p in enumerate(paths)})
-    return cache[key]
-
-
 def _embed_blocks(rep: AdaptedRep, level: int, sub: dict) -> dict:
     """Reindex level-(L-1) blocks into level L along shared extension edges."""
+    B = rep.B
     out: dict[Partition, dict] = {}
     for mu, entries in sub.items():
-        paths, _ = _path_lists(rep, level - 1, mu)
-        for lam in rep.B.out_neighbors(level - 1, mu):
-            _, pos = _path_lists(rep, level, lam)
+        paths = B.paths(level - 1, mu)[0]
+        for lam in B.out_neighbors(level - 1, mu):
+            pos = B.paths(level, lam)[1]
             dest = out.setdefault(lam, {})
             for (r, c), val in entries.items():
                 rr = pos[paths[r] + (lam,)]
@@ -466,16 +453,18 @@ def element_to_json(f: AlgebraElement, q: Fraction) -> dict:
 
 
 def element_from_json(payload: dict) -> tuple[AlgebraElement, Fraction]:
-    kind = ChainKind.parse(payload["chain"])
-    n = int(payload["n"])
-    q = Fraction(payload["q"])
-    table = {row["diagram"]: Fraction(row["value"]) for row in payload["coeffs"]}
-    return AlgebraElement.from_dict(kind, n, table), q
+    try:
+        chain, n, q = payload["chain"], int(payload["n"]), Fraction(payload["q"])
+        table = {row["diagram"]: Fraction(row["value"]) for row in payload["coeffs"]}
+    except KeyError as exc:
+        raise ArgumentError(f"coefficient payload lacks the field {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ArgumentError(f"malformed coefficient payload: {exc}") from None
+    return AlgebraElement.from_dict(ChainKind.parse(chain), n, table), q
 
 
 def image_to_json(
     img: FourierImage,
-    B: BratteliDiagram,
     ops: OpCounter | None = None,
     plan: SovPlan | None = None,
 ) -> dict:

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, exact tolerances, pass/fail lines.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-Criterion 6's ratio-identity clause is a documented expected failure; see
-the analysis in the repository notes.
+Criterion 6's ratio-identity clause is a documented expected failure: the
+identity holds only at the first and last stage of these chains.
 """
 
 import time
@@ -157,7 +157,7 @@ def test_criterion_6_hom_equality_and_corollaries():
     strict=True,
     reason="the dimension-ratio identity transplants a group-algebra lemma whose "
     "Frobenius step fails for these chains; holds only at the first and last "
-    "stage (see the decisions ledger)",
+    "stage",
 )
 def test_criterion_6_ratio_identity():
     failures = []

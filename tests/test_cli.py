@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import chainfft
 from chainfft.cli import main
 from chainfft.combinat import ChainKind
 from chainfft.transform import element_to_json, random_element
@@ -115,3 +120,55 @@ def test_bench_columns(capsys):
         assert int(sov_mul) <= int(paper)
         assert int(sov_add) <= int(sov_mul)
         assert Fraction(int(sov_mul), int(dim)) == Fraction(reduced)
+
+
+def _write_coeffs(tmp_path, kind, n, seed):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(element_to_json(random_element(kind, n, seed), Fraction(10, 3))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["fft", "invert"])
+def test_coeff_file_errors(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, command, "--chain", "tl", "-n", "3", "--coeffs", missing)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    code, _, err = run(capsys, command, "--chain", "tl", "-n", "3", "--coeffs", str(tmp_path))
+    assert code == 2 and err.startswith("error: ")
+    bad = tmp_path / "bad.json"
+    head = '{"chain": "tl", "n": 3, "q": '
+    for text in (
+        "{not json",
+        "[]",
+        head + '"10/3"}',
+        head + '"x", "coeffs": []}',
+        head + '"1", "coeffs": [{"diagram": "1-x", "value": "1"}]}',
+        head + '"1", "coeffs": [{"diagram": 5, "value": "1"}]}',
+    ):
+        bad.write_text(text)
+        code, out, err = run(capsys, command, "--chain", "tl", "-n", "3", "--coeffs", str(bad))
+        assert code == 2 and out == "" and err.startswith("error: "), text
+    path = _write_coeffs(tmp_path, ChainKind.TEMPERLEY_LIEB, 3, 1)
+    code, _, err = run(capsys, command, "--chain", "tl", "-n", "4", "--coeffs", path)
+    assert code == 2 and "does not match" in err
+    code, _, err = run(capsys, command, "--chain", "tl", "-n", "3", "--q", "1/0", "--coeffs", path)
+    assert code == 2 and "--q" in err
+
+
+@pytest.mark.parametrize("chain", ["sn", "tl", "brauer"])
+def test_verify_n0(capsys, chain):
+    code, out, _ = run(capsys, "verify", "--chain", chain, "-n", "0")
+    assert code == 0 and "FAIL" not in out
+
+
+def test_verify_failure_detail(capsys):
+    code, out, _ = run(capsys, "verify", "--chain", "tl", "-n", "3", "--q", "1",
+                       "--suite", "roundtrip")
+    assert code == 1
+    assert out.startswith("roundtrip: FAIL (") and out.endswith(")\n")
+
+
+def test_cli_import_without_numpy():
+    code = 'import sys, chainfft.cli; sys.exit("numpy" in sys.modules)'
+    env = dict(os.environ, PYTHONPATH=str(Path(chainfft.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,36 +1,57 @@
+"""The Fourier space as the path algebra of the Bratteli diagram.
+
+Gel'fand-Tsetlin paths index the blocks of a FourierImage; the level
+embedding is the SOV engine's _embed_blocks, and the product is the
+blockwise matrix product that convolution_check compares against.
+"""
+
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from chainfft.combinat import ChainKind, cached_bratteli
+from chainfft.combinat import ChainKind, build_bratteli, cached_bratteli
+from chainfft.diagrams import all_diagrams, grow, identity_diagram
 from chainfft.errors import ArgumentError
-from chainfft.pathalg import (
-    PathAlgebraElement,
-    embed,
-    enumerate_paths,
-    from_blocks,
-    gt_index,
-    pa_add,
-    pa_dim,
-    pa_identity,
-    pa_mul,
-    pa_scale,
-    to_blocks,
+from chainfft.transform import (
+    AlgebraElement,
+    FourierImage,
+    _embed_blocks,
+    convolution_check,
+    fft_naive,
+    image_to_json,
+    random_element,
 )
 
 BR = ChainKind.BRAUER
 TL = ChainKind.TEMPERLEY_LIEB
+SN = ChainKind.SYMMETRIC_GROUP
+
+
+def sparse_blocks(img: FourierImage) -> dict:
+    """{vertex: {(row, col): value}} of the nonzero entries, as _embed_blocks takes."""
+    out = {}
+    for lam, m in img.blocks:
+        entries = {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+        if entries:
+            out[lam] = entries
+    return out
+
+
+def identity_image(rep) -> FourierImage:
+    key = identity_diagram(rep.kind, rep.n).key()
+    return fft_naive(AlgebraElement.from_dict(rep.kind, rep.n, {key: 1}), rep)[0]
 
 
 def test_enumerate_counts():
     B = cached_bratteli(BR, 3)
-    paths = enumerate_paths(B, 3, (1,))
+    paths, _ = B.paths(3, (1,))
     assert len(paths) == 3
     assert {p[2] for p in paths} == {(2,), (1, 1), ()}
-    assert enumerate_paths(B, 0, ()) == [((),)]
+    assert B.paths(0, ())[0] == (((),),)
     Bt = cached_bratteli(TL, 4)
-    assert len(enumerate_paths(Bt, 4, (2, 2))) == 2
+    assert len(Bt.paths(4, (2, 2))[0]) == 2
 
 
 def test_enumerate_matches_dims():
@@ -38,140 +59,95 @@ def test_enumerate_matches_dims():
         B = cached_bratteli(kind, 5)
         for level in range(6):
             for v in B.vertices(level):
-                assert len(enumerate_paths(B, level, v)) == B.dim(level, v)
+                paths, pos = B.paths(level, v)
+                assert len(paths) == B.dim(level, v)
+                assert all(len(p) == level + 1 and p[-1] == v for p in paths)
 
 
 def test_gt_index_deterministic():
     B = cached_bratteli(BR, 3)
-    a = gt_index(B, 3, (1,))
-    b = gt_index(B, 3, (1,))
-    assert a == b and sorted(a.values()) == [0, 1, 2]
-    assert gt_index(B, 0, ()) == {((),): 0}
+    paths, pos = B.paths(3, (1,))
+    assert B.paths(3, [1]) is B.paths(3, (1,))
+    assert pos == {p: k for k, p in enumerate(paths)}
+    assert sorted(pos.values()) == [0, 1, 2]
+    assert B.paths(0, ())[1] == {((),): 0}
+    assert build_bratteli(BR, 3).paths(3, (1,)) == (paths, pos)
 
 
-def test_pa_dim_matches_algebra():
+def test_pa_dim_matches_algebra(rep_cache):
     for kind, n, dims in [(BR, 3, 15), (TL, 4, 14)]:
-        B = cached_bratteli(kind, n)
-        assert pa_dim(B, n) == dims
+        rep = rep_cache(kind, n)
+        assert sum(len(rep.B.paths(n, v)[0]) ** 2 for v in rep.vertices()) == dims
+        assert identity_image(rep).entry_count() == dims
 
 
-def test_pa_mul_delta_rule():
-    B = cached_bratteli(BR, 2)
-    paths = enumerate_paths(B, 2, (2,)) + enumerate_paths(B, 2, ())
-    p, q = paths[0], paths[0]
-    r = paths[1]
-    x = PathAlgebraElement.from_dict(2, {(p, q): Fraction(3)})
-    y = PathAlgebraElement.from_dict(2, {(q, q): Fraction(5)})
-    assert pa_mul(x, y).table() == {(p, q): Fraction(15)}
-    z = PathAlgebraElement.from_dict(2, {(r, r): Fraction(5)})
-    assert pa_mul(x, z).is_zero()
+def test_pa_identity_two_sided(rep_cache):
+    rep = rep_cache(TL, 3)
+    one = AlgebraElement.from_dict(TL, 3, {identity_diagram(TL, 3).key(): 1})
+    a = random_element(TL, 3, 0)
+    assert convolution_check(one, a, rep).ok
+    assert convolution_check(a, one, rep).ok
 
 
-def test_pa_identity_two_sided():
-    B = cached_bratteli(TL, 3)
-    e = pa_identity(B, 3)
-    assert pa_mul(e, e).table() == e.table()
-    rng = random.Random(0)
-    a = _random_element(B, 3, rng)
-    assert pa_mul(e, a).table() == a.table()
-    assert pa_mul(a, e).table() == a.table()
-
-
-def _random_element(B, level, rng):
-    table = {}
-    for v in B.vertices(level):
-        ps = enumerate_paths(B, level, v)
-        for p in ps:
-            for q in ps:
-                table[(p, q)] = Fraction(rng.randint(-4, 4))
-    return PathAlgebraElement.from_dict(level, table)
-
-
-def test_pa_mul_associative_random():
-    B = cached_bratteli(BR, 3)
-    rng = random.Random(1)
-    for _ in range(10):
-        a, b, c = (_random_element(B, 3, rng) for _ in range(3))
-        left = pa_mul(pa_mul(a, b), c)
-        right = pa_mul(a, pa_mul(b, c))
-        assert left.table() == right.table()
-
-
-def test_pa_mul_level_mismatch():
-    B = cached_bratteli(BR, 3)
-    a = pa_identity(B, 2)
-    b = pa_identity(B, 3)
+def test_pa_mul_level_mismatch(rep_cache):
     with pytest.raises(ArgumentError):
-        pa_mul(a, b)
+        convolution_check(random_element(BR, 2, 0), random_element(BR, 3, 0), rep_cache(BR, 3))
 
 
-def test_embed_identity_to_identity():
-    B = cached_bratteli(BR, 3)
-    for level in (0, 1, 2):
-        assert embed(B, pa_identity(B, level)).table() == pa_identity(B, level + 1).table()
+def test_embed_identity_to_identity(rep_cache):
+    for level in (1, 2, 3):
+        rep = rep_cache(BR, level)
+        sub = sparse_blocks(identity_image(rep_cache(BR, level - 1)))
+        assert _embed_blocks(rep, level, sub) == sparse_blocks(identity_image(rep))
 
 
-def test_embed_level1_diagonal_fanout():
-    B = cached_bratteli(BR, 2)
-    p = enumerate_paths(B, 1, (1,))[0]
-    a = PathAlgebraElement.from_dict(1, {(p, p): Fraction(1)})
-    out = embed(B, a)
-    assert len(out.coeffs) == 3
-    assert all(k[0] == k[1] for k, _ in out.coeffs)
+def test_embed_level1_diagonal_fanout(rep_cache):
+    out = _embed_blocks(rep_cache(BR, 2), 2, {(1,): {(0, 0): Fraction(1)}})
+    assert set(out) == {(2,), (1, 1), ()}
+    assert all(entries == {(0, 0): 1} for entries in out.values())
 
 
-def test_embed_is_algebra_homomorphism():
-    B = cached_bratteli(TL, 4)
+def test_embed_is_algebra_homomorphism(rep_cache):
+    """embed(fft(f)) == fft(grow(f)) for random f at level n-1."""
     rng = random.Random(2)
-    for _ in range(8):
-        a, b = _random_element(B, 3, rng), _random_element(B, 3, rng)
-        lhs = embed(B, pa_mul(a, b))
-        rhs = pa_mul(embed(B, a), embed(B, b))
-        assert lhs.table() == rhs.table()
+    for kind, n in [(SN, 4), (TL, 5), (BR, 3), (BR, 4)]:
+        small, big = rep_cache(kind, n - 1), rep_cache(kind, n)
+        basis = all_diagrams(kind, n - 1)
+        for _ in range(4):
+            support = rng.sample(basis, min(8, len(basis)))
+            table = {d: Fraction(rng.randint(-9, 9)) for d in support}
+            f = AlgebraElement.from_dict(kind, n - 1, {d.key(): c for d, c in table.items()})
+            grown = AlgebraElement.from_dict(
+                kind, n, {grow(d, n).key(): c for d, c in table.items()}
+            )
+            embedded = _embed_blocks(big, n, sparse_blocks(fft_naive(f, small)[0]))
+            assert embedded == sparse_blocks(fft_naive(grown, big)[0])
 
 
-def test_embed_injective_on_random():
-    B = cached_bratteli(BR, 3)
-    rng = random.Random(3)
-    a = _random_element(B, 2, rng)
-    out = embed(B, a)
-    assert not out.is_zero()
+def test_embed_injective_on_random(rep_cache):
+    sub = sparse_blocks(fft_naive(random_element(BR, 2, 3), rep_cache(BR, 2))[0])
+    B = rep_cache(BR, 3).B
+    out = _embed_blocks(rep_cache(BR, 3), 3, sub)
+    assert out
+    for lam, entries in out.items():
+        # distinct level-2 entries land on distinct level-3 positions
+        assert len(entries) == sum(len(sub.get(mu, {})) for mu in B.in_neighbors(3, lam))
 
 
-def test_block_structure_matches_matrix_mult():
-    B = cached_bratteli(TL, 3)
-    rng = random.Random(4)
-    a, b = _random_element(B, 3, rng), _random_element(B, 3, rng)
-    prod = pa_mul(a, b)
-    for v in B.vertices(3):
-        idx = gt_index(B, 3, v)
-        d = len(idx)
-
-        def block(elem):
-            m = [[Fraction(0)] * d for _ in range(d)]
-            for (p, q), c in elem.coeffs:
-                if p[-1] == v:
-                    m[idx[p]][idx[q]] = c
-            return m
-
-        ma, mb, mp = block(a), block(b), block(prod)
-        for r in range(d):
-            for c in range(d):
-                assert mp[r][c] == sum(ma[r][k] * mb[k][c] for k in range(d))
+def test_block_structure_matches_matrix_mult(rep_cache):
+    rep = rep_cache(TL, 3)
+    for seed in range(4):
+        f, g = random_element(TL, 3, seed), random_element(TL, 3, 10 + seed)
+        assert convolution_check(f, g, rep).ok
 
 
-def test_blocks_json_roundtrip():
-    B = cached_bratteli(BR, 3)
-    rng = random.Random(5)
-    a = _random_element(B, 3, rng)
-    payload = to_blocks(B, a)
+def test_blocks_json_roundtrip(rep_cache):
+    rep = rep_cache(BR, 3)
+    img, _ = fft_naive(random_element(BR, 3, 5), rep)
+    payload = json.loads(json.dumps(image_to_json(img)))
     assert payload["level"] == 3
-    back = from_blocks(B, payload)
-    assert back.table() == a.table()
-
-
-def test_pa_add_scale():
-    B = cached_bratteli(BR, 2)
-    e = pa_identity(B, 2)
-    two = pa_add(e, e)
-    assert two.table() == pa_scale(e, 2).table()
+    back = tuple(
+        (tuple(b["vertex"]), tuple(tuple(Fraction(x) for x in row) for row in b["matrix"]))
+        for b in payload["blocks"]
+    )
+    assert FourierImage(BR, 3, back) == img

@@ -15,7 +15,6 @@ from chainfft.diagrams import (
     word_of,
 )
 from chainfft.errors import CapabilityError, ParameterError
-from chainfft.pathalg import enumerate_paths
 from chainfft.ratlinalg import identity, mat_mul
 from chainfft.reps import (
     DEFAULT_Q,
@@ -84,7 +83,7 @@ def test_adaptedness_block_local(rep_cache):
         B = rep.B
         syms = ("e",) if kind is TL else ("r", "e")
         for lam in rep.vertices():
-            paths = enumerate_paths(B, n, lam)
+            paths = B.paths(n, lam)[0]
             for i in range(1, n):
                 for sym in syms:
                     m = rep.token_matrix(lam, (sym, i))
@@ -101,8 +100,7 @@ def test_restriction_block_sizes(rep_cache):
     rep = rep_cache(BR, 3)
     B = rep.B
     for lam in rep.vertices():
-        paths = enumerate_paths(B, 3, lam)
-        groups = [p[2] for p in paths]
+        groups = [p[2] for p in B.paths(3, lam)[0]]
         # contiguous grouping by the level-(n-1) vertex
         seen = []
         for g in groups:
@@ -239,15 +237,14 @@ def test_chebyshev_values():
 
 
 def test_local_block_sizes_match_middles():
-    from chainfft.reps import iter_local_blocks
     from chainfft.reps.seminormal import middles
 
     for kind, n in [(BR, 4), (TL, 5), (SN, 4)]:
         B = cached_bratteli(kind, n)
-        for block in iter_local_blocks(local_blocks(kind, n, Q)):
-            mids = middles(B, block.level, block.mu, block.nu)
-            assert len(block.matrix) == len(mids)
-            assert all(len(row) == len(mids) for row in block.matrix)
+        for ((_, level), mu, nu), matrix in local_blocks(kind, n, Q).items():
+            mids = middles(B, level, mu, nu)
+            assert len(matrix) == len(mids)
+            assert all(len(row) == len(mids) for row in matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +296,32 @@ def test_oracle_relations():
             for t in rhs:
                 right = mat_mul(right, oirr.matrices[t])
             assert left == [[Q**extra * x for x in row] for row in right]
+
+
+def _poly_with_roots(roots):
+    poly = [Fraction(1)]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+    return poly
+
+
+def test_rational_roots_exact():
+    from chainfft.reps.oracle import _rational_roots
+
+    # a minimal polynomial met at TL n=6: large roots, denominators up to 3^8
+    roots = [
+        Fraction(4),
+        Fraction(214496476, 2187),
+        Fraction(402733604, 6561),
+        Fraction(200139976, 6561),
+    ]
+    assert sorted(_rational_roots(_poly_with_roots(roots))) == sorted(roots)
+    assert sorted(_rational_roots(_poly_with_roots([Fraction(-7, 3), 0, 5]))) == [
+        Fraction(-7, 3), 0, 5
+    ]
+    assert _rational_roots([Fraction(-2), Fraction(0), Fraction(1)]) is None  # x^2 - 2
+    assert _rational_roots([Fraction(1), Fraction(0), Fraction(1)]) is None  # x^2 + 1
+    assert _rational_roots(_poly_with_roots([Fraction(1), Fraction(1)])) is None
 
 
 def test_oracle_capability_limit():

@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainfft.combinat import ChainKind, cached_bratteli, paper_bounds
-from chainfft.diagrams import generator, identity_diagram
+from chainfft.diagrams import all_diagrams, generator, identity_diagram
 from chainfft.errors import ArgumentError
 from chainfft.reps import DEFAULT_Q
 from chainfft.transform import (
@@ -95,8 +97,6 @@ def test_sov_equals_naive(kind, n, seeds, rep_cache):
 
 def test_sov_single_diagram_matches_rho(rep_cache):
     """fft_sov on a point mass must reproduce the representation matrix."""
-    from chainfft.diagrams import all_diagrams
-
     for kind, n in ((BR, 3), (TL, 4)):
         rep = rep_cache(kind, n)
         plan = sov_plan(kind, n)
@@ -107,6 +107,44 @@ def test_sov_single_diagram_matches_rho(rep_cache):
                 assert img.block(lam) == tuple(
                     tuple(row) for row in rep.rho(d, lam)
                 )
+
+
+SCALARS = st.fractions(-5, 5, max_denominator=4)
+
+
+def _combine(a, img_f, b, img_g):
+    """Blocks of a * img_f + b * img_g."""
+    return tuple(
+        (lam, tuple(tuple(a * x + b * y for x, y in zip(rf, rg)) for rf, rg in zip(mf, mg)))
+        for (lam, mf), (_, mg) in zip(img_f.blocks, img_g.blocks)
+    )
+
+
+@pytest.mark.parametrize("kind,n", [(SN, 4), (TL, 5), (BR, 3)])
+def test_property_sov_equals_naive_and_linear(kind, n, rep_cache):
+    """On random sparse supports, explicit zero coefficients included, both
+    engines agree and are linear."""
+    rep = rep_cache(kind, n)
+    keys = [d.key() for d in all_diagrams(kind, n)]
+    tables = st.dictionaries(st.sampled_from(keys), SCALARS, max_size=8)
+
+    @settings(max_examples=50, deadline=None)
+    @given(f_tab=tables, g_tab=tables, a=SCALARS, b=SCALARS, zero=st.sampled_from(keys))
+    def check(f_tab, g_tab, a, b, zero):
+        f_tab.setdefault(zero, Fraction(0))
+        h_tab = {
+            k: a * f_tab.get(k, 0) + b * g_tab.get(k, 0) for k in f_tab.keys() | g_tab.keys()
+        }
+        images = []
+        for table in (f_tab, g_tab, h_tab):
+            elem = AlgebraElement.from_dict(kind, n, table)
+            img, _ = fft_naive(elem, rep)
+            assert fft_sov(elem, rep)[0] == img
+            images.append(img)
+        img_f, img_g, img_h = images
+        assert img_h.blocks == _combine(a, img_f, b, img_g)
+
+    check()
 
 
 def test_sov_scaling_equivariance(rep_cache):
@@ -280,7 +318,7 @@ def test_image_json_fields(rep_cache):
     plan = sov_plan(TL, 3)
     f = random_element(TL, 3, 0)
     img, ops = fft_sov(f, rep, plan)
-    payload = image_to_json(img, rep.B, ops, plan)
+    payload = image_to_json(img, ops, plan)
     assert payload["ops"]["mul"] == ops.mul
     assert payload["bound"]["paper"] == str(plan.paper.total)
     assert {tuple(b["vertex"]) for b in payload["blocks"]} == set(
