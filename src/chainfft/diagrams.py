@@ -41,22 +41,11 @@ class Diagram:
     def key(self) -> str:
         return ",".join(f"{a}-{b}" for a, b in self.pairs)
 
-    def is_identity(self) -> bool:
-        return all(b == a + self.n for a, b in self.pairs)
-
     def has_vertical_last_strand(self) -> bool:
         return (self.n, 2 * self.n) in self.pairs
 
     def top_arcs(self) -> list[tuple[int, int]]:
         return [(a, b) for a, b in self.pairs if b <= self.n]
-
-    def transpose(self) -> "Diagram":
-        def flip(p: int) -> int:
-            return p + self.n if p <= self.n else p - self.n
-
-        return Diagram(self.kind, self.n, canonical_pairs(
-            (flip(a), flip(b)) for a, b in self.pairs
-        ))
 
 
 @dataclass(frozen=True)
@@ -121,64 +110,42 @@ def generator(kind: ChainKind, token: Token, n: int) -> Diagram:
 
 
 def diagram_mul(x: Diagram, y: Diagram) -> LoopProduct:
-    """Concatenate with x on top of y; returns the canonical result and loop count."""
+    """Concatenate with x on top of y; returns the canonical result and loop count.
+
+    The stack has 3n points: x's top 1..n, the glued middle row n+1..2n and
+    y's bottom 2n+1..3n.  `up` and `down` are the partner maps of x's and y's
+    strands on it; every strand alternates between them, so one walk follows
+    both the strands with two outer ends and the closed loops of the middle row.
+    """
     if x.n != y.n:
         raise ArgumentError("size mismatch in diagram product")
     n = x.n
     kind = join_kind(x.kind, y.kind)
-    # nodes: ("T", i) final top, ("B", i) final bottom, ("M", i) glued middle row
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-
-    def link(u, v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
+    up = [0] * (3 * n + 1)
+    down = [0] * (3 * n + 1)
     for a, b in x.pairs:
-        ua = ("T", a) if a <= n else ("M", a - n)
-        ub = ("T", b) if b <= n else ("M", b - n)
-        link(ua, ub)
+        up[a], up[b] = b, a
     for a, b in y.pairs:
-        ua = ("M", a) if a <= n else ("B", a - n)
-        ub = ("M", b) if b <= n else ("B", b - n)
-        link(ua, ub)
-
-    visited: set[tuple[str, int]] = set()
+        down[a + n], down[b + n] = b + n, a + n
+    seen = [False] * (3 * n + 1)
     pairs = []
-    for start_i in range(1, n + 1):
-        for side in ("T", "B"):
-            start = (side, start_i)
-            if start in visited:
-                continue
-            # walk to the other endpoint
-            prev, cur = None, start
-            visited.add(cur)
-            while True:
-                nbrs = adj[cur]
-                nxt = nbrs[0] if nbrs[0] != prev or len(nbrs) == 1 else nbrs[1]
-                # at degree-2 middle nodes pick the edge we did not come in by
-                if cur[0] == "M" and prev is not None:
-                    nxt = nbrs[1] if nbrs[0] == prev else nbrs[0]
-                visited.add(nxt)
-                if nxt[0] != "M":
-                    end = nxt
-                    break
-                prev, cur = cur, nxt
-            a = start_i if side == "T" else start_i + n
-            b = end[1] if end[0] == "T" else end[1] + n
-            pairs.append((a, b))
     loops = 0
-    for i in range(1, n + 1):
-        node = ("M", i)
-        if node in adj and node not in visited:
+    # outer points first, so a middle point still unseen lies on a closed loop
+    outer = (*range(1, n + 1), *range(2 * n + 1, 3 * n + 1))
+    for start in (*outer, *range(n + 1, 2 * n + 1)):
+        if seen[start]:
+            continue
+        step, p = (down if start > 2 * n else up), start
+        while True:
+            p = step[p]
+            seen[p] = True
+            if p <= n or p > 2 * n or p == start:
+                break
+            step = down if step is up else up
+        if p == start:
             loops += 1
-            prev, cur = None, node
-            while cur not in visited:
-                visited.add(cur)
-                nbrs = adj[cur]
-                nxt = nbrs[0] if (prev is None or nbrs[0] != prev) else nbrs[1]
-                if prev is not None and nbrs[0] == prev:
-                    nxt = nbrs[1]
-                prev, cur = cur, nxt
+        else:
+            pairs.append((start if start <= n else start - n, p if p <= n else p - n))
     return LoopProduct(Diagram(kind, n, canonical_pairs(pairs)), loops)
 
 

@@ -15,10 +15,10 @@ from functools import lru_cache
 from itertools import combinations
 
 from ..combinat import ChainKind, Partition, cached_bratteli, partition_key
-from ..diagrams import Diagram, GeneratorWord, evaluate
+from ..diagrams import Diagram, Token, _pairings, canonical_pairs, diagram_mul, generator
 from ..errors import ParameterError
-from ..ratlinalg import identity, intersect_kernel, invert, mat_mul
-from .seminormal import sn_block_table
+from ..ratlinalg import intersect_kernel, invert, mat_mul
+from .core import adapted_rep
 
 HalfDiagram = tuple[tuple[int, int], ...]  # sorted arcs on {1..n}
 
@@ -33,16 +33,6 @@ def half_diagrams(n: int, k: int) -> list[HalfDiagram]:
     return sorted(set(out))
 
 
-def _pairings(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for j, other in enumerate(rest):
-        for tail in _pairings(rest[:j] + rest[j + 1 :]):
-            yield [(first, other)] + tail
-
-
 def through_points(half: HalfDiagram, n: int) -> list[int]:
     used = {p for arc in half for p in arc}
     return [p for p in range(1, n + 1) if p not in used]
@@ -51,110 +41,29 @@ def through_points(half: HalfDiagram, n: int) -> list[int]:
 def act_on_half(d: Diagram, half: HalfDiagram):
     """Compose the diagram d on top of the half diagram.
 
-    Returns (new_half, slot map sigma, loops) or None when through strands drop.
-    sigma[j] is the slot reached by the j-th (ascending) new through point.
+    The half diagram is encoded as the Brauer diagram H with its arcs on top,
+    the s-th through point joined to bottom point n+s (slot s) and the unused
+    bottom points paired off.  The top arcs of d*H form the new half and its
+    top-to-bottom strands give sigma: sigma[j] is the slot reached by the j-th
+    (ascending) new through point.  Returns (new_half, sigma, loops), or None
+    when a strand joins two slots.
     """
     n = d.n
     thru = through_points(half, n)
-    adj: dict[tuple, list] = {}
-
-    def link(u, v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for a, b in d.pairs:
-        ua = ("T", a) if a <= n else ("M", a - n)
-        ub = ("T", b) if b <= n else ("M", b - n)
-        link(ua, ub)
-    for a, b in half:
-        link(("M", a), ("M", b))
-    for s, t in enumerate(thru, start=1):
-        link(("M", t), ("S", s))
-
-    visited: set = set()
-    arcs = []
-    reached: dict[int, int] = {}
-
-    def walk(start):
-        prev, cur = None, start
-        visited.add(cur)
-        while True:
-            nbrs = adj[cur]
-            if cur[0] == "M":
-                nxt = nbrs[1] if nbrs[0] == prev else nbrs[0]
-                if prev is not None and nbrs[0] == prev and nbrs[1] == prev:
-                    nxt = prev
-            else:
-                nxt = nbrs[0]
-            visited.add(nxt)
-            if nxt[0] != "M":
-                return nxt
-            prev, cur = cur, nxt
-
-    for i in range(1, n + 1):
-        start = ("T", i)
-        if start in visited:
-            continue
-        end = walk(start)
-        if end[0] == "T":
-            arcs.append((i, end[1]))
-        else:
-            reached[i] = end[1]
-    # a strand between two slots would have to start at a slot
-    for s in range(1, len(thru) + 1):
-        start = ("S", s)
-        if start not in visited:
-            end = walk(start)
-            if end[0] == "S":
-                return None
-    loops = 0
-    for i in range(1, n + 1):
-        node = ("M", i)
-        if node in adj and node not in visited:
-            loops += 1
-            prev, cur = None, node
-            while cur not in visited:
-                visited.add(cur)
-                nbrs = adj[cur]
-                nxt = nbrs[0]
-                if prev is not None and nbrs[0] == prev:
-                    nxt = nbrs[1]
-                prev, cur = cur, nxt
-    new_half = tuple(sorted(tuple(sorted(a)) for a in arcs))
-    new_thru = sorted(reached)
-    sigma = tuple(reached[t] for t in new_thru)
-    return new_half, sigma, loops
-
-
-# ---------------------------------------------------------------------------
-# Seminormal S_m matrices for through-strand permutations
-
-
-@lru_cache(maxsize=None)
-def _sn_generator_matrix(m: int, lam: Partition, i: int):
-    from .core import assemble_dense
-
-    B = cached_bratteli(ChainKind.SYMMETRIC_GROUP, m)
-    table = sn_block_table(m)
-    return assemble_dense(B, table, m, lam, ("r", i))
-
-
-@lru_cache(maxsize=None)
-def perm_matrix(m: int, lam: Partition, sigma: tuple[int, ...]):
-    """Seminormal matrix of the permutation diagram sending rank j to slot sigma[j]."""
-    d = cached_bratteli(ChainKind.SYMMETRIC_GROUP, m).dim(m, lam)
-    out = identity(d)
-    f = list(sigma)
-    word = []
-    while True:
-        desc = next((i for i in range(len(f) - 1) if f[i] > f[i + 1]), None)
-        if desc is None:
-            break
-        word.append(desc + 1)
-        f[desc], f[desc + 1] = f[desc + 1], f[desc]
-    for i in word:
-        out = mat_mul(out, _sn_generator_matrix(m, lam, i))
-    return out
+    m = len(thru)
+    free = range(n + m + 1, 2 * n + 1)
+    pairs = [*half, *((t, n + s) for s, t in enumerate(thru, start=1))]
+    pairs += zip(free[::2], free[1::2])
+    prod = diagram_mul(d, Diagram(ChainKind.BRAUER, n, canonical_pairs(pairs)))
+    arcs, sigma = [], []
+    for a, b in prod.diagram.pairs:  # sorted, so through points come ascending
+        if b <= n:
+            arcs.append((a, b))
+        elif a <= n:
+            sigma.append(b - n)
+        elif a <= n + m:
+            return None
+    return tuple(arcs), tuple(sigma), prod.loops
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +81,28 @@ def cell_basis(n: int, lam: Partition):
 
 
 @lru_cache(maxsize=None)
-def cell_matrix(n: int, lam: Partition, word: GeneratorWord, q: Fraction):
-    """Matrix of the word's diagram on the standard module of lam."""
-    prod = evaluate(word, ChainKind.BRAUER, n)
-    return _cell_matrix_of_diagram(n, lam, prod.diagram, q, extra_loops=prod.loops)
+def cell_matrix(n: int, lam: Partition, token: Token, q: Fraction):
+    """Matrix of the generator token on the standard module of lam."""
+    return _cell_matrix_of_diagram(n, lam, generator(ChainKind.BRAUER, token, n), q)
 
 
-def _cell_matrix_of_diagram(n: int, lam: Partition, d: Diagram, q: Fraction, extra_loops: int = 0):
+def _cell_matrix_of_diagram(n: int, lam: Partition, d: Diagram, q: Fraction):
     basis = cell_basis(n, lam)
     index = {b: j for j, b in enumerate(basis)}
     m = sum(lam)
     dim = len(basis)
     halves = sorted({h for h, _ in basis})
     tab_count = dim // len(halves) if halves else 0
+    sn_rep = adapted_rep(ChainKind.SYMMETRIC_GROUP, m)
     out = [[Fraction(0)] * dim for _ in range(dim)]
     for h in halves:
         res = act_on_half(d, h)
         if res is None:
             continue
         new_half, sigma, loops = res
-        scale = Fraction(q) ** (loops + extra_loops)
-        pm = perm_matrix(m, lam, sigma)
+        scale = Fraction(q) ** loops
+        perm = canonical_pairs((j, m + s) for j, s in enumerate(sigma, start=1))
+        pm = sn_rep.rho(Diagram(ChainKind.SYMMETRIC_GROUP, m, perm), lam)
         for t_in in range(tab_count):
             col = index[(h, t_in)]
             for t_out in range(tab_count):
@@ -223,9 +133,7 @@ def brauer_gt_level(level: int, q: Fraction):
     own_tokens = [(s, i) for i in range(1, level) for s in ("r", "e")]
     out = {}
     for nu in B.vertices(level):
-        cell_mats = {
-            tok: cell_matrix(level, nu, GeneratorWord((tok,)), q) for tok in own_tokens
-        }
+        cell_mats = {tok: cell_matrix(level, nu, tok, q) for tok in own_tokens}
         dim_nu = len(cell_basis(level, nu))
         columns = []
         for mu in sorted(set(B.in_neighbors(level, nu)), key=partition_key):
@@ -238,7 +146,12 @@ def brauer_gt_level(level: int, q: Fraction):
                 f"adapted basis of {nu!r} at level {level} has wrong size at q={q}"
             )
         G = [[columns[c][r] for c in range(dim_nu)] for r in range(dim_nu)]
-        Ginv = invert(G)
+        try:
+            Ginv = invert(G)
+        except ValueError:
+            raise ParameterError(
+                f"adapted basis of {nu!r} at level {level} is singular at q={q}"
+            ) from None
         out[nu] = {
             tok: mat_mul(Ginv, mat_mul(cell_mats[tok], G)) for tok in own_tokens
         }
@@ -247,7 +160,7 @@ def brauer_gt_level(level: int, q: Fraction):
 
 def _embedding_columns(cell_mats, mu_mats, dim_nu, sub_tokens, nu, mu, q):
     """Columns of the unique intertwiner from the mu module into the nu module."""
-    d_mu = len(next(iter(mu_mats.values()))) if mu_mats else _gt_dim(mu)
+    d_mu = len(next(iter(mu_mats.values()))) if mu_mats else 1  # levels 0 and 1
     unknowns = dim_nu * d_mu
     ops = []
     for tok in sub_tokens:
@@ -277,10 +190,6 @@ def _embedding_columns(cell_mats, mu_mats, dim_nu, sub_tokens, nu, mu, q):
     return [
         [vec[r * d_mu + c] for r in range(dim_nu)] for c in range(d_mu)
     ]
-
-
-def _gt_dim(mu: Partition) -> int:
-    return 1  # only used for levels 0 and 1 where every module is a line
 
 
 def brauer_block_table(n: int, q: Fraction):

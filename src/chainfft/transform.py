@@ -49,14 +49,12 @@ class AlgebraElement:
 
     @staticmethod
     def from_dict(kind: ChainKind, n: int, table: dict) -> "AlgebraElement":
-        items = []
+        """Canonicalise each key, summing every spelling of one diagram."""
+        sums: dict[str, Fraction] = {}
         for key, value in table.items():
-            value = Fraction(value)
-            if value == 0:
-                continue
-            diagram_from_key(kind, n, key)  # validates the key
-            items.append((key, value))
-        return AlgebraElement(kind, n, tuple(sorted(items)))
+            key = diagram_from_key(kind, n, key).key()
+            sums[key] = sums.get(key, Fraction(0)) + Fraction(value)
+        return AlgebraElement(kind, n, tuple(sorted((k, v) for k, v in sums.items() if v)))
 
     def table(self) -> dict[str, Fraction]:
         return dict(self.coeffs)
@@ -195,8 +193,10 @@ def sov_plan(kind: ChainKind, n: int, B: BratteliDiagram | None = None) -> SovPl
     realized remaining factor tuples.  The level schedule telescopes the
     per-level combines with dimension ratios.
     """
-    if n < 1:
-        raise ArgumentError("sov_plan needs n >= 1")
+    if n < 0:
+        raise ArgumentError("sov_plan needs n >= 0")
+    if n == 0:
+        return SovPlan(kind, 0, (), (), Fraction(0), Fraction(0), None)
     if B is None:
         B = cached_bratteli(kind, n)
     top_w = w_set_sizes(kind, n)
@@ -455,7 +455,9 @@ def element_to_json(f: AlgebraElement, q: Fraction) -> dict:
 def element_from_json(payload: dict) -> tuple[AlgebraElement, Fraction]:
     try:
         chain, n, q = payload["chain"], int(payload["n"]), Fraction(payload["q"])
-        table = {row["diagram"]: Fraction(row["value"]) for row in payload["coeffs"]}
+        table: dict = {}
+        for row in payload["coeffs"]:
+            table[row["diagram"]] = table.get(row["diagram"], 0) + Fraction(row["value"])
     except KeyError as exc:
         raise ArgumentError(f"coefficient payload lacks the field {exc}") from None
     except (TypeError, ValueError, ZeroDivisionError) as exc:

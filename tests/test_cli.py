@@ -143,6 +143,7 @@ def test_coeff_file_errors(tmp_path, capsys, command):
         head + '"10/3"}',
         head + '"x", "coeffs": []}',
         head + '"1", "coeffs": [{"diagram": "1-x", "value": "1"}]}',
+        head + '"1", "coeffs": [{"diagram": "1-x", "value": "0"}]}',
         head + '"1", "coeffs": [{"diagram": 5, "value": "1"}]}',
     ):
         bad.write_text(text)
@@ -156,9 +157,56 @@ def test_coeff_file_errors(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("chain", ["sn", "tl", "brauer"])
-def test_verify_n0(capsys, chain):
+def test_verify_n0(tmp_path, capsys, chain):
     code, out, _ = run(capsys, "verify", "--chain", chain, "-n", "0")
     assert code == 0 and "FAIL" not in out
+    code, out, _ = run(capsys, "plan", "--chain", chain, "-n", "0")
+    assert code == 0
+    plan = json.loads(out)
+    assert plan["stages"] == plan["levels"] == [] and plan["predicted_total"] == "0"
+    path = _write_coeffs(tmp_path, ChainKind.parse(chain), 0, 1)
+    for algo in ("naive", "sov"):
+        code, out, _ = run(capsys, "fft", "--chain", chain, "-n", "0",
+                           "--algo", algo, "--coeffs", path)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound"] == {"predicted": "0", "paper": None}
+        assert payload["blocks"] == [{"vertex": [], "matrix": [["-5"]]}]
+
+
+def _write_rows(tmp_path, chain, n, rows):
+    path = tmp_path / "rows.json"
+    coeffs = [{"diagram": key, "value": value} for key, value in rows]
+    path.write_text(json.dumps({"chain": chain, "n": n, "q": "10/3", "coeffs": coeffs}))
+    return str(path)
+
+
+def test_coeff_file_repeated_diagrams(tmp_path, capsys):
+    # two spellings of r1, or one row given twice, sum to 2 r1
+    for rows in (
+        [("1-4,2-3", "1"), ("2-3,1-4", "1"), ("1-2,3-4", "1")],
+        [("1-4,2-3", "1"), ("1-4,2-3", "1"), ("1-2,3-4", "1")],
+    ):
+        path = _write_rows(tmp_path, "brauer", 2, rows)
+        for algo in ("naive", "sov"):
+            code, out, _ = run(capsys, "fft", "--chain", "brauer", "-n", "2",
+                               "--algo", algo, "--coeffs", path)
+            assert code == 0
+            blocks = [b["matrix"] for b in json.loads(out)["blocks"]]
+            assert blocks == [[["2"]], [["-2"]], [["16/3"]]], (rows, algo)
+    path = _write_rows(tmp_path, "brauer", 2, [("2-3,1-4", "1")])
+    code, out, _ = run(capsys, "invert", "--chain", "brauer", "-n", "2", "--coeffs", path)
+    assert code == 0 and json.loads(out)["roundtrip"] == "pass"
+
+
+def test_brauer_singular_q_is_an_error(tmp_path, capsys):
+    path = _write_coeffs(tmp_path, ChainKind.BRAUER, 3, 1)
+    code, out, err = run(capsys, "fft", "--chain", "brauer", "-n", "3", "--q", "0",
+                         "--coeffs", path)
+    assert code == 2 and out == "" and err.startswith("error: ") and "singular" in err
+    code, out, _ = run(capsys, "verify", "--chain", "brauer", "-n", "3", "--q", "0",
+                       "--suite", "roundtrip")
+    assert code == 1 and out.startswith("roundtrip: FAIL (") and "singular" in out
 
 
 def test_verify_failure_detail(capsys):

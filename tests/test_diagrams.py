@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainfft.combinat import ChainKind, algebra_dim
 from chainfft.diagrams import (
@@ -107,6 +109,25 @@ def test_associativity_random(n, kind):
         right = diagram_mul(a, bc.diagram)
         assert left.diagram == right.diagram
         assert ab.loops + left.loops == bc.loops + right.loops
+
+
+def brauer_diagrams(n):
+    """Random Brauer diagrams on 2n points: consecutive pairs of a shuffle."""
+    return st.permutations(range(1, 2 * n + 1)).map(
+        lambda p: Diagram(BR, n, canonical_pairs(zip(p[::2], p[1::2])))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(*[brauer_diagrams(n)] * 3)))
+def test_associativity_property(triple):
+    a, b, c = triple
+    ab = diagram_mul(a, b)
+    bc = diagram_mul(b, c)
+    left = diagram_mul(ab.diagram, c)
+    right = diagram_mul(a, bc.diagram)
+    assert left.diagram == right.diagram
+    assert ab.loops + left.loops == bc.loops + right.loops
 
 
 def test_tl_closure_under_product():

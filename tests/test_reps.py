@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainfft.combinat import ChainKind, cached_bratteli
 from chainfft.diagrams import (
@@ -26,6 +28,7 @@ from chainfft.reps import (
     tl_block_table,
     verify_semisimple,
 )
+from chainfft.reps.cells import _cell_matrix_of_diagram, cell_matrix
 
 BR = ChainKind.BRAUER
 TL = ChainKind.TEMPERLEY_LIEB
@@ -219,6 +222,42 @@ def test_gram_capability_limit(rep_cache):
 def test_verify_semisimple(kind, n, rep_cache):
     report = verify_semisimple(rep_cache(kind, n))
     assert report.ok
+
+
+@pytest.mark.parametrize("n,q", [(3, 0), (4, 1)])
+def test_brauer_singular_q_refused(n, q):
+    with pytest.raises(ParameterError, match="singular"):
+        adapted_rep(BR, n, Fraction(q))
+
+
+def _cell_product_ok(n, lam, x, y, mx, my):
+    prod = diagram_mul(x, y)
+    mxy = _cell_matrix_of_diagram(n, lam, prod.diagram, Q)
+    return mat_mul(mx, my) == [[Q**prod.loops * v for v in row] for row in mxy]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cell_module_homomorphism_generators(n):
+    B = cached_bratteli(BR, n)
+    tokens = [(s, i) for i in range(1, n) for s in ("r", "e")]
+    for lam in B.vertices(n):
+        for tx in tokens:
+            for ty in tokens:
+                x, y = generator(BR, tx, n), generator(BR, ty, n)
+                mx, my = cell_matrix(n, lam, tx, Q), cell_matrix(n, lam, ty, Q)
+                assert _cell_product_ok(n, lam, x, y, mx, my), (lam, tx, ty)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), *[st.sampled_from(all_diagrams(BR, n))] * 2)
+))
+def test_cell_module_homomorphism_property(case):
+    n, x, y = case
+    for lam in cached_bratteli(BR, n).vertices(n):
+        mx = _cell_matrix_of_diagram(n, lam, x, Q)
+        my = _cell_matrix_of_diagram(n, lam, y, Q)
+        assert _cell_product_ok(n, lam, x, y, mx, my), lam
 
 
 def test_degenerate_q_flagged():

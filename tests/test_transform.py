@@ -306,6 +306,16 @@ def test_convolution_examples(rep_cache):
             assert convolution_check(a, b, r).ok
 
 
+def test_from_dict_canonicalises_keys():
+    f = AlgebraElement.from_dict(BR, 2, {"2-3,1-4": 1, "1-4,2-3": 2, "4-3,2-1": 5, "1-2,3-4": -5})
+    assert f.coeffs == (("1-4,2-3", Fraction(3)),)
+    payload = {"chain": "brauer", "n": 2, "q": "1", "coeffs": [
+        {"diagram": "1-3,2-4", "value": "1/2"}, {"diagram": "2-4,1-3", "value": "1/2"},
+        {"diagram": "1-3,2-4", "value": "1"},
+    ]}
+    assert element_from_json(payload)[0].coeffs == (("1-3,2-4", Fraction(2)),)
+
+
 def test_element_json_roundtrip():
     f = random_element(TL, 3, 0)
     payload = element_to_json(f, Q)
