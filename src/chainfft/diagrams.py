@@ -429,17 +429,27 @@ def grow(b: Diagram, n: int) -> Diagram:
 
 
 @lru_cache(maxsize=None)
-def _word_of_key(kind: ChainKind, n: int, key: str) -> tuple[Token, ...]:
-    d = diagram_from_key(kind, n, key)
-    if n <= 1:
-        return ()
-    y, b = factor_map(d)
-    return y.tokens + _word_of_key(kind, n - 1, shrink(b).key())
+def route_table(kind: ChainKind, n: int) -> dict[str, tuple[tuple[Token, ...], str]]:
+    """Basis key -> (factor tokens, level-(n-1) key) for every diagram of size n >= 1.
+
+    Each entry is `factor_map` followed by `shrink`, made once per (kind, n)
+    and in canonical key order.  The SOV routing and `word_of` both read it.
+    """
+    table = {}
+    for d in all_diagrams(kind, n):
+        y, b = factor_map(d)
+        table[d.key()] = (y.tokens, shrink(b).key())
+    return table
 
 
 def word_of(d: Diagram) -> GeneratorWord:
     """A generator word reproducing d with zero loops (recursive factorization)."""
-    return GeneratorWord(_word_of_key(d.kind, d.n, d.key()))
+    tokens: list[Token] = []
+    key = d.key()
+    for level in range(d.n, 1, -1):
+        head, key = route_table(d.kind, level)[key]
+        tokens.extend(head)
+    return GeneratorWord(tuple(tokens))
 
 
 def diagram_from_key(kind: ChainKind, n: int, key: str) -> Diagram:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Matrix = list[list[Fraction]]
 
@@ -57,7 +58,28 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    """Rank by fraction-free (Bareiss) elimination on rows scaled to integers.
+
+    After each pivot step every entry below is a minor of the scaled matrix,
+    so the division by the previous pivot is exact.
+    """
+    rows = []
+    for row in m:
+        scale = lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    r, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i in range(r + 1, len(rows)):
+            a = rows[i][c]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev, r = p, r + 1
+    return r
 
 
 def nullspace(m: Matrix, cols: int | None = None) -> list[list[Fraction]]:

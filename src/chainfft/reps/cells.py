@@ -192,9 +192,32 @@ def _embedding_columns(cell_mats, mu_mats, dim_nu, sub_tokens, nu, mu, q):
     ]
 
 
+def brauer_semisimple(n: int, q: Fraction) -> bool:
+    """Rui's criterion (JCTA 111, 2005) for the Brauer algebra B_n(q) over Q.
+
+    For q != 0, B_n(q) is semisimple unless q is an integer in
+    Z(n) = {i : 4-2n <= i <= n-2} minus the odd i with 4-2n < i <= 3-n.
+    B_n(0) is semisimple only for n in {1, 3, 5}.
+    """
+    if n < 2:
+        return True
+    if q == 0:
+        return n in (3, 5)
+    if q.denominator != 1 or not 4 - 2 * n <= q <= n - 2:
+        return True
+    return q.numerator % 2 == 1 and 4 - 2 * n < q <= 3 - n
+
+
 def brauer_block_table(n: int, q: Fraction):
     """Local blocks for all Brauer generators up to index n-1, extracted per level."""
     q = Fraction(q)
+    # Z(k) grows with k, so for q != 0 the top size decides for every level;
+    # at q = 0 and odd n the level-3 basis change is singular and fails below.
+    if not brauer_semisimple(n, q):
+        raise ParameterError(
+            f"q={q} is a singular value of the Brauer algebra B_{n}: "
+            "it is not semisimple there (Rui's criterion)"
+        )
     B = cached_bratteli(ChainKind.BRAUER, max(n, 1))
     table = {}
     for level in range(2, n + 1):

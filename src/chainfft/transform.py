@@ -1,16 +1,24 @@
 """Fourier transforms on diagram-algebra chains: naive and SOV-scheduled engines.
 
-The SOV engine recurses through the chain: coefficients are routed into
-factor-set fibers, subproblems are transformed one level down, embedded, and
-each factor word is applied token by token as block-local sparse products.
-Operation counters track scalar multiplications and additions of the
-transform proper; representation data is precomputed and free.
+The SOV engine recurses through the chain.  Its routing depends only on the
+chain kind and level, so it is compiled once per (kind, level), on first use,
+from the factorization table `diagrams.route_table`: basis keys become
+integer positions, each position routes to a (stream, position one level
+down) pair, streams merge in a fixed order, and the level embedding is a
+path offset per Bratteli edge.  A call then only moves coefficients along
+these integer routes: each fiber is transformed one level down and embedded,
+and each factor word is applied token by token as block-local sparse
+products.  Operation counters track scalar multiplications and additions of
+the transform proper; representation data and routing are precomputed and
+free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .combinat import (
     BoundReport,
@@ -23,8 +31,8 @@ from .combinat import (
     paper_bounds,
     stage_quiver_shape,
 )
-from .diagrams import diagram_from_key, diagram_mul, factor_map, shrink
-from .errors import ArgumentError
+from .diagrams import diagram_from_key, diagram_mul, route_table
+from .errors import ArgumentError, FactorizationError
 from .reps.core import AdaptedRep
 
 
@@ -237,6 +245,68 @@ def sov_plan(kind: ChainKind, n: int, B: BratteliDiagram | None = None) -> SovPl
 # SOV engine
 
 
+class _Routing(NamedTuple):
+    """The SOV routing of one (kind, level), compiled to integer indices.
+
+    Streams are named by their pending token-per-index tuples (None for the
+    identity) and numbered in one fixed order.  Stage k applies index
+    level-1-k: stream s applies `stages[k][s][0]` (if any) and merges into
+    stream `stages[k][s][1]` of the next stage.
+    """
+
+    index: dict[str, int]  # basis key -> position in canonical key order
+    routes: tuple[tuple[int, int], ...]  # position -> (stream, position one level down)
+    stages: tuple[tuple[tuple[str | None, int], ...], ...]
+    widths: tuple[int, ...]  # number of streams after each stage
+    # level-1 vertex -> ((level vertex, path offset), ...) along its extension edges
+    embedding: dict[Partition, tuple[tuple[Partition, int], ...]]
+
+
+def _stream_order(pending: tuple) -> tuple:
+    return tuple(sym or "" for sym in pending)
+
+
+@lru_cache(maxsize=None)
+def _routing(kind: ChainKind, level: int) -> _Routing:
+    """Compile the routing of every level-`level` basis diagram (level >= 1)."""
+    table = route_table(kind, level)
+    below = _routing(kind, level - 1).index if level > 1 else {"": 0}
+    pendings = {}
+    for key, (tokens, _) in table.items():
+        pending = [None] * (level - 1)
+        for sym, i in tokens:
+            pending[i - 1] = sym
+        pendings[key] = tuple(pending)
+    current = sorted(set(pendings.values()), key=_stream_order)
+    start = {p: s for s, p in enumerate(current)}
+    routes = tuple((start[pendings[key]], below[sub]) for key, (_, sub) in table.items())
+    if len(set(routes)) != len(routes):
+        raise FactorizationError(f"{kind.value} level {level}: two diagrams share a route")
+    stages, widths = [], []
+    for i in range(level - 1, 0, -1):
+        merged = sorted({p[: i - 1] for p in current}, key=_stream_order)
+        target = {p: s for s, p in enumerate(merged)}
+        stages.append(tuple((p[i - 1], target[p[: i - 1]]) for p in current))
+        widths.append(len(merged))
+        current = merged
+    # GT paths are grouped by their level-(level-1) vertex, so the paths
+    # through mu occupy one contiguous range of lam's basis.
+    B = cached_bratteli(kind, level)
+    embedding: dict[Partition, list] = {}
+    for lam in B.vertices(level):
+        offset = 0
+        for mu in B.in_neighbors(level, lam):
+            embedding.setdefault(mu, []).append((lam, offset))
+            offset += B.dim(level - 1, mu)
+    return _Routing(
+        {key: j for j, key in enumerate(table)},
+        routes,
+        tuple(stages),
+        tuple(widths),
+        {mu: tuple(edges) for mu, edges in embedding.items()},
+    )
+
+
 def fft_sov(
     f: AlgebraElement, rep: AdaptedRep, plan: SovPlan | None = None
 ) -> tuple[FourierImage, OpCounter]:
@@ -245,124 +315,135 @@ def fft_sov(
     if plan is not None and (plan.kind != f.kind or plan.n != f.n):
         raise ArgumentError("plan does not match the input element")
     counter = OpCounter()
-    coeffs = {
-        diagram_from_key(f.kind, f.n, key): c for key, c in f.coeffs
-    }
-    sparse = _sov_level(rep, f.n, coeffs, counter)
+    index = _routing(f.kind, f.n).index if f.n else {"": 0}
+    sparse = _sov_level(rep, f.n, {index[key]: c for key, c in f.coeffs}, counter)
     dense = {}
     for lam in rep.vertices():
         d = rep.dim(lam)
         mat = [[Fraction(0)] * d for _ in range(d)]
-        for (r, c), v in sparse.get(lam, {}).items():
-            mat[r][c] = v
+        for c, col in sparse.get(lam, {}).items():
+            for r, v in col.items():
+                mat[r][c] = v
         dense[lam] = mat
     return _blocks_from_dense(f.kind, f.n, dense), counter
 
 
+# Block data maps each vertex to its nonzero columns: {lam: {col: {row: value}}}.
+
+
 def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
-    """Transform a coefficient table at the given level into sparse blocks.
+    """Transform {basis position: coefficient} at the given level into block data.
 
     Factor words are applied suffix-first (highest generator index down);
     streams whose remaining prefixes coincide are merged before the shared
     token is applied, so common word prefixes cost one application.
     """
-    if level == 0:
+    if level <= 1:
         total = sum(coeffs.values(), Fraction(0))
-        return {(): {(0, 0): total}} if total else {}
-    if level == 1:
-        total = sum(coeffs.values(), Fraction(0))
-        return {(1,): {(0, 0): total}} if total else {}
-    fibers: dict[tuple, dict] = {}
-    for d, c in coeffs.items():
-        word, b = factor_map(d)
-        fibers.setdefault(word.tokens, {})[shrink(b)] = c
-    # streams keyed by the pending token-per-index tuple (None = identity)
-    streams: dict[tuple, dict] = {}
-    for tokens, fiber in sorted(fibers.items()):
-        sub = _sov_level(rep, level - 1, fiber, counter)
-        data = _embed_blocks(rep, level, sub)
-        pending = [None] * (level - 1)
-        for sym, idx in tokens:
-            pending[idx - 1] = sym
-        _merge_stream(streams, tuple(pending), data, counter)
-    for i in range(level - 1, 0, -1):
-        next_streams: dict[tuple, dict] = {}
-        for pending, data in sorted(
-            streams.items(),
-            key=lambda kv: (
-                kv[0][i - 1] is not None,
-                tuple(x or "" for x in kv[0]),
-            ),
-        ):
-            sym = pending[i - 1]
+        return {(1,) if level else (): {0: {0: total}}} if total else {}
+    routing = _routing(rep.kind, level)
+    fibers: list = [None] * len(routing.stages[0])
+    for j, c in coeffs.items():
+        stream, sub = routing.routes[j]
+        if fibers[stream] is None:
+            fibers[stream] = {}
+        fibers[stream][sub] = c
+    streams: list = [None] * len(fibers)
+    for stream, fiber in enumerate(fibers):
+        if fiber is not None:
+            sub = _sov_level(rep, level - 1, fiber, counter)
+            streams[stream] = _embed_blocks(rep, level, sub)
+    for i, moves, width in zip(range(level - 1, 0, -1), routing.stages, routing.widths):
+        merged: list = [None] * width
+        for data, (sym, dest) in zip(streams, moves):
+            if data is None:
+                continue
             if sym is not None:
                 data = _apply_token(rep, level, (sym, i), data, counter)
-            _merge_stream(next_streams, pending[: i - 1], data, counter)
-        streams = next_streams
-    out = streams.get((), {})
+            _merge_stream(merged, dest, data, counter)
+        streams = merged
     result: dict[Partition, dict] = {}
-    for lam, entries in out.items():
-        cleaned = {p: v for p, v in entries.items() if v != 0}
+    for lam, block in (streams[0] or {}).items():
+        cleaned = {}
+        for c, col in block.items():
+            col = {r: v for r, v in col.items() if v}
+            if col:
+                cleaned[c] = col
         if cleaned:
             result[lam] = cleaned
     return result
 
 
-def _merge_stream(streams: dict, key: tuple, data: dict, counter: OpCounter) -> None:
-    if key not in streams:
-        streams[key] = data
+def _merge_stream(streams: list, s: int, data: dict, counter: OpCounter) -> None:
+    """Add block data into stream s; each sum onto a present entry is one add.
+
+    `data` is consumed: its block and column dicts move into the stream.
+    """
+    dest_blocks = streams[s]
+    if dest_blocks is None:
+        streams[s] = data
         return
-    dest_blocks = streams[key]
-    for lam, entries in data.items():
-        dest = dest_blocks.setdefault(lam, {})
-        for pos, val in entries.items():
-            if pos in dest:
-                dest[pos] += val
-                counter.add += 1
-            else:
-                dest[pos] = val
+    adds = 0
+    for lam, block in data.items():
+        dest = dest_blocks.get(lam)
+        if dest is None:
+            dest_blocks[lam] = block
+            continue
+        for c, col in block.items():
+            dest_col = dest.get(c)
+            if dest_col is None:
+                dest[c] = col
+                continue
+            for r, v in col.items():
+                if r in dest_col:
+                    dest_col[r] += v
+                    adds += 1
+                else:
+                    dest_col[r] = v
+    counter.add += adds
 
 
 def _embed_blocks(rep: AdaptedRep, level: int, sub: dict) -> dict:
     """Reindex level-(L-1) blocks into level L along shared extension edges."""
-    B = rep.B
+    embedding = _routing(rep.kind, level).embedding
     out: dict[Partition, dict] = {}
-    for mu, entries in sub.items():
-        paths = B.paths(level - 1, mu)[0]
-        for lam in B.out_neighbors(level - 1, mu):
-            pos = B.paths(level, lam)[1]
+    for mu, block in sub.items():
+        for lam, offset in embedding[mu]:
             dest = out.setdefault(lam, {})
-            for (r, c), val in entries.items():
-                rr = pos[paths[r] + (lam,)]
-                cc = pos[paths[c] + (lam,)]
-                dest[(rr, cc)] = val
+            for c, col in block.items():
+                dest[c + offset] = {r + offset: v for r, v in col.items()}
     return out
 
 
 def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCounter):
-    """Left-multiply sparse block data by one generator, block-locally.
+    """Left-multiply block data by one generator, block-locally.
 
     Every scalar product of the straight-line program is counted, and each
     accumulation beyond a first assignment counts as one addition.
     """
     out: dict[Partition, dict] = {}
-    for lam, entries in data.items():
+    muls = adds = 0
+    for lam, block in data.items():
         cols = rep.token_columns(lam, token, level)
         dest: dict = {}
-        for (r, c), val in entries.items():
-            for rr, s_val in cols[r]:
-                counter.mul += 1
-                term = s_val * val
-                key = (rr, c)
-                if key in dest:
-                    dest[key] += term
-                    counter.add += 1
-                else:
-                    dest[key] = term
+        for c, col in block.items():
+            acc: dict = {}
+            for r, val in col.items():
+                images = cols[r]
+                muls += len(images)
+                for rr, s_val in images:
+                    if rr in acc:
+                        acc[rr] += s_val * val
+                        adds += 1
+                    else:
+                        acc[rr] = s_val * val
+            acc = {r: v for r, v in acc.items() if v}
+            if acc:
+                dest[c] = acc
         if dest:
-            out[lam] = {k: v for k, v in dest.items() if v != 0}
-            if not out[lam]:
-                del out[lam]
+            out[lam] = dest
+    counter.mul += muls
+    counter.add += adds
     return out
 
 

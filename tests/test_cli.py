@@ -209,6 +209,14 @@ def test_brauer_singular_q_is_an_error(tmp_path, capsys):
     assert code == 1 and out.startswith("roundtrip: FAIL (") and "singular" in out
 
 
+def test_brauer_non_semisimple_q_is_an_error(tmp_path, capsys):
+    path = _write_coeffs(tmp_path, ChainKind.BRAUER, 3, 1)
+    for command in ("fft", "invert"):
+        code, out, err = run(capsys, command, "--chain", "brauer", "-n", "3", "--q", "1",
+                             "--coeffs", path)
+        assert code == 2 and out == "" and "not semisimple" in err, command
+
+
 def test_verify_failure_detail(capsys):
     code, out, _ = run(capsys, "verify", "--chain", "tl", "-n", "3", "--q", "1",
                        "--suite", "roundtrip")

@@ -20,6 +20,7 @@ from chainfft.diagrams import (
     grow,
     identity_diagram,
     is_planar,
+    route_table,
     shrink,
     word_of,
 )
@@ -168,16 +169,39 @@ def test_factor_set_contents():
     assert [str(w) for w in factor_set(SN, 3)] == ["id", "r1r2", "r2"]
 
 
+def check_factorization(d):
+    """factor_map(d) = (y, b) with y in the factor set, b fixing the last
+    strand, and evaluate(y) * b == d without closed loops."""
+    y, b = factor_map(d)
+    assert y in set(factor_set(d.kind, d.n))
+    assert b.has_vertical_last_strand()
+    ev = evaluate(y, d.kind, d.n)
+    prod = diagram_mul(ev.diagram, b)
+    assert ev.loops == 0 and prod.loops == 0 and prod.diagram == d
+
+
 @pytest.mark.parametrize("kind,n", [(BR, 4), (BR, 5), (TL, 7), (TL, 8), (SN, 5)])
 def test_factor_map_total_and_loop_free(kind, n):
-    words = set(factor_set(kind, n))
     for d in all_diagrams(kind, n):
-        y, b = factor_map(d)
-        assert y in words
-        assert b.has_vertical_last_strand()
-        ev = evaluate(y, kind, n)
-        prod = diagram_mul(ev.diagram, b)
-        assert ev.loops == 0 and prod.loops == 0 and prod.diagram == d
+        check_factorization(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(brauer_diagrams))
+def test_factor_map_property(d):
+    check_factorization(d)
+
+
+@pytest.mark.parametrize("kind,n_max", [(TL, 8), (BR, 5), (SN, 5)])
+def test_route_table_matches_factor_map(kind, n_max):
+    """Every cached route is factor_map + shrink, in canonical key order."""
+    for n in range(1, n_max + 1):
+        table = route_table(kind, n)
+        basis = all_diagrams(kind, n)
+        assert list(table) == [d.key() for d in basis]
+        for d in basis:
+            y, b = factor_map(d)
+            assert table[d.key()] == (y.tokens, shrink(b).key())
 
 
 def test_factor_map_identity_case():

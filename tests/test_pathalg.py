@@ -30,13 +30,21 @@ SN = ChainKind.SYMMETRIC_GROUP
 
 
 def sparse_blocks(img: FourierImage) -> dict:
-    """{vertex: {(row, col): value}} of the nonzero entries, as _embed_blocks takes."""
+    """{vertex: {col: {row: value}}} of the nonzero entries, as _embed_blocks takes."""
     out = {}
     for lam, m in img.blocks:
-        entries = {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
-        if entries:
-            out[lam] = entries
+        cols = {}
+        for r, row in enumerate(m):
+            for c, v in enumerate(row):
+                if v:
+                    cols.setdefault(c, {})[r] = v
+        if cols:
+            out[lam] = cols
     return out
+
+
+def entry_count(block: dict) -> int:
+    return sum(len(col) for col in block.values())
 
 
 def identity_image(rep) -> FourierImage:
@@ -102,9 +110,9 @@ def test_embed_identity_to_identity(rep_cache):
 
 
 def test_embed_level1_diagonal_fanout(rep_cache):
-    out = _embed_blocks(rep_cache(BR, 2), 2, {(1,): {(0, 0): Fraction(1)}})
+    out = _embed_blocks(rep_cache(BR, 2), 2, {(1,): {0: {0: Fraction(1)}}})
     assert set(out) == {(2,), (1, 1), ()}
-    assert all(entries == {(0, 0): 1} for entries in out.values())
+    assert all(block == {0: {0: 1}} for block in out.values())
 
 
 def test_embed_is_algebra_homomorphism(rep_cache):
@@ -129,9 +137,11 @@ def test_embed_injective_on_random(rep_cache):
     B = rep_cache(BR, 3).B
     out = _embed_blocks(rep_cache(BR, 3), 3, sub)
     assert out
-    for lam, entries in out.items():
+    for lam, block in out.items():
         # distinct level-2 entries land on distinct level-3 positions
-        assert len(entries) == sum(len(sub.get(mu, {})) for mu in B.in_neighbors(3, lam))
+        assert entry_count(block) == sum(
+            entry_count(sub.get(mu, {})) for mu in B.in_neighbors(3, lam)
+        )
 
 
 def test_block_structure_matches_matrix_mult(rep_cache):

@@ -17,7 +17,7 @@ from chainfft.diagrams import (
     word_of,
 )
 from chainfft.errors import CapabilityError, ParameterError
-from chainfft.ratlinalg import identity, mat_mul
+from chainfft.ratlinalg import identity, mat_mul, rank, rref
 from chainfft.reps import (
     DEFAULT_Q,
     adapted_rep,
@@ -28,7 +28,7 @@ from chainfft.reps import (
     tl_block_table,
     verify_semisimple,
 )
-from chainfft.reps.cells import _cell_matrix_of_diagram, cell_matrix
+from chainfft.reps.cells import _cell_matrix_of_diagram, brauer_semisimple, cell_matrix
 
 BR = ChainKind.BRAUER
 TL = ChainKind.TEMPERLEY_LIEB
@@ -230,6 +230,36 @@ def test_brauer_singular_q_refused(n, q):
         adapted_rep(BR, n, Fraction(q))
 
 
+def rui_z(n):
+    """Z(n): the integer q != 0 at which B_n(q) is not semisimple (Rui 2005)."""
+    return {i for i in range(4 - 2 * n, n - 1) if not (i % 2 and 4 - 2 * n < i <= 3 - n)} - {0}
+
+
+def test_brauer_semisimple_examples():
+    for n, q in [(3, 1), (3, -2), (4, 2), (2, 0), (4, 0), (6, 0)]:
+        assert not brauer_semisimple(n, Fraction(q))
+    for n, q in [(3, 2), (3, -1), (4, -3), (2, 1), (3, 0), (5, 0), (1, 0), (4, Fraction(1, 2))]:
+        assert brauer_semisimple(n, Fraction(q))
+    assert rui_z(3) == {-2, 1} and rui_z(4) == {-4, -2, 1, 2}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_brauer_semisimple_grid(n):
+    """Refused exactly on Z(n) (and q = 0 for n = 2, 4); every accepted q
+    either passes verify_semisimple or has a singular adapted basis."""
+    for q in map(Fraction, range(-6, 7)):
+        if q in rui_z(n) or (q == 0 and n in (2, 4)):
+            with pytest.raises(ParameterError, match="Rui"):
+                adapted_rep(BR, n, q)
+            continue
+        try:
+            rep = adapted_rep(BR, n, q)
+        except ParameterError as exc:
+            assert "adapted basis" in str(exc) and "singular" in str(exc), (n, q)
+            continue
+        assert verify_semisimple(rep).ok, (n, q)
+
+
 def _cell_product_ok(n, lam, x, y, mx, my):
     prod = diagram_mul(x, y)
     mxy = _cell_matrix_of_diagram(n, lam, prod.diagram, Q)
@@ -377,3 +407,20 @@ def test_oracle_brauer4():
 @pytest.mark.slow
 def test_matrix_relations_brauer5(rep_cache):
     assert matrix_relations_ok(rep_cache(BR, 5))
+
+
+FRACTIONS = st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 6), st.data())
+def test_rank_matches_rref(rows, cols, inner, data):
+    """Fraction-free rank equals the pivot count of the exact row reduction,
+    on products of random factors (so rank-deficient matrices are common)."""
+    a = data.draw(st.lists(st.lists(FRACTIONS, min_size=inner, max_size=inner),
+                           min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(FRACTIONS, min_size=cols, max_size=cols),
+                           min_size=inner, max_size=inner))
+    m = [[sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+         for row in a]
+    assert rank(m) == len(rref(m)[1])

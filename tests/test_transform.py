@@ -95,6 +95,50 @@ def test_sov_equals_naive(kind, n, seeds, rep_cache):
         assert ops.add <= ops.mul or ops.mul == 0
 
 
+SOV_COUNTS = {
+    (TL, 2): (1, 1), (TL, 3): (12, 6), (TL, 4): (59, 24), (TL, 5): (297, 120),
+    (TL, 6): (1745, 563), (TL, 7): (8537, 2439), (TL, 8): (40822, 10586),
+    (SN, 3): (24, 16), (SN, 4): (246, 139), (SN, 5): (2648, 1378),
+    (BR, 2): (4, 4), (BR, 3): (93, 58), (BR, 4): (1859, 1083),
+}
+
+
+@pytest.mark.parametrize("kind,n", list(SOV_COUNTS), ids=lambda x: getattr(x, "value", x))
+def test_sov_op_counts_pinned(kind, n, rep_cache):
+    """The counted straight-line program: (mul, add) of `chainfft bench` at seed 0."""
+    _, ops = fft_sov(random_element(kind, n, 0), rep_cache(kind, n))
+    assert (ops.mul, ops.add) == SOV_COUNTS[(kind, n)]
+
+
+def test_warm_sov_builds_no_routing(rep_cache, monkeypatch):
+    """Once the routing of a (kind, n) is compiled, fft_sov factors no diagram."""
+    import chainfft.diagrams as D
+
+    rep = rep_cache(TL, 6)
+    fft_sov(random_element(TL, 6, 0), rep)
+    f = random_element(TL, 6, 1)
+    calls = {"factor_map": 0, "shrink": 0, "__post_init__": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(D, "factor_map")
+    counting(D, "shrink")
+    counting(D.Diagram, "__post_init__")
+    img, _ = fft_sov(f, rep)
+    assert calls == {"factor_map": 0, "shrink": 0, "__post_init__": 0}
+    assert img == fft_naive(f, rep)[0]
+    # the counters see a routing build
+    D.route_table.__wrapped__(TL, 3)
+    assert calls["factor_map"] == calls["shrink"] == 5 and calls["__post_init__"] > 0
+
+
 def test_sov_single_diagram_matches_rho(rep_cache):
     """fft_sov on a point mass must reproduce the representation matrix."""
     for kind, n in ((BR, 3), (TL, 4)):
