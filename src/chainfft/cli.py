@@ -100,9 +100,7 @@ def _load_coeffs(kind: ChainKind, n: int, args):
             payload = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ArgumentError(f"cannot read coefficient file {args.coeffs}: {exc}") from None
-    element, q_file = element_from_json(payload)
-    if element.kind != kind or element.n != n:
-        raise UsageError("coefficient file does not match --chain/-n")
+    element, q_file = element_from_json(payload, (kind, n))
     return element, q_file if args.q is None else _parse_q(args)
 
 
@@ -300,6 +298,8 @@ def run_suite(kind: ChainKind, n: int, suite: str, args) -> tuple[bool, str]:
 
 def cmd_bench(kind: ChainKind, n: int, args) -> int:
     _reject_bmw(kind, "bench")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     q = _parse_q(args)
     n_max = args.n_max if args.n_max is not None else n
     print("n,dim,naive_mul,sov_mul,sov_add,predicted,paper_bound,reduced_t")

@@ -41,13 +41,6 @@ def is_partition(parts: tuple[int, ...]) -> bool:
     )
 
 
-def check_partition(parts: tuple[int, ...]) -> Partition:
-    parts = tuple(int(p) for p in parts)
-    if not is_partition(parts):
-        raise ArgumentError(f"{parts!r} is not weakly decreasing positive")
-    return parts
-
-
 def partition_key(lam: Partition):
     """Sort key realising the canonical order: |λ| descending, reverse lex."""
     return (-sum(lam), tuple(-p for p in lam))

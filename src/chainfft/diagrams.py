@@ -79,13 +79,17 @@ def circular_position(p: int, n: int) -> int:
 
 
 def is_planar(pairs, n: int) -> bool:
-    pos = [tuple(sorted((circular_position(a, n), circular_position(b, n)))) for a, b in pairs]
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            a, b = pos[i]
-            c, d = pos[j]
-            if a < c < b < d or c < a < d < b:
-                return False
+    """One pass: read clockwise, every strand must close the last one still open."""
+    partner = [0] * (2 * n + 1)
+    for a, b in pairs:
+        a, b = circular_position(a, n), circular_position(b, n)
+        partner[a], partner[b] = b, a
+    opened = []
+    for p in range(1, 2 * n + 1):
+        if partner[p] > p:
+            opened.append(p)
+        elif not opened or opened.pop() != partner[p]:
+            return False
     return True
 
 
@@ -433,7 +437,8 @@ def route_table(kind: ChainKind, n: int) -> dict[str, tuple[tuple[Token, ...], s
     """Basis key -> (factor tokens, level-(n-1) key) for every diagram of size n >= 1.
 
     Each entry is `factor_map` followed by `shrink`, made once per (kind, n)
-    and in canonical key order.  The SOV routing and `word_of` both read it.
+    and in canonical key order.  The SOV routing, the level recursion of
+    `AdaptedRep` and `word_of` read it.
     """
     table = {}
     for d in all_diagrams(kind, n):
@@ -450,6 +455,13 @@ def word_of(d: Diagram) -> GeneratorWord:
         head, key = route_table(d.kind, level)[key]
         tokens.extend(head)
     return GeneratorWord(tuple(tokens))
+
+
+def basis_key(kind: ChainKind, n: int, key: str) -> str:
+    """The canonical key of a diagram; a basis key is taken without parsing."""
+    if n >= 1 and key in route_table(kind, n):
+        return key
+    return diagram_from_key(kind, n, key).key()
 
 
 def diagram_from_key(kind: ChainKind, n: int, key: str) -> Diagram:

@@ -101,8 +101,8 @@ def nullspace(m: Matrix, cols: int | None = None) -> list[list[Fraction]]:
 
 def invert(m: Matrix) -> Matrix:
     """Exact inverse; raises ValueError when singular."""
-    n = len(m)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(m)]
+    n, zero, one = len(m), Fraction(0), Fraction(1)
+    aug = [row[:] + [one if j == i else zero for j in range(n)] for i, row in enumerate(m)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -3,6 +3,11 @@
 The scalar field is exact rationals with the loop parameter specialized to a
 configured rational (default 10/3); every construction validates its
 denominators at that value.
+
+A level-(L-1) diagram acts block-diagonally at level L of the Gel'fand-Tsetlin
+basis, so rho_L(d) = rho_L(head tokens) . embed(rho_{L-1}(shrunk d)) along the
+route of d in `diagrams.route_table`.  Every rho is built by this recursion with
+the SOV engine's kernel on a throwaway counter; levels below n are shared.
 """
 
 from __future__ import annotations
@@ -12,13 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..combinat import ChainKind, Partition, cached_bratteli
-from ..diagrams import (
-    Diagram,
-    all_diagrams,
-    diagram_from_key,
-    diagram_mul,
-    word_of,
-)
+from ..diagrams import Diagram, all_diagrams, basis_key, diagram_mul, route_table
 from ..errors import ArgumentError, CapabilityError, ParameterError
 from ..ratlinalg import invert, rank
 from .seminormal import middles, sn_block_table, tl_block_table
@@ -72,6 +71,8 @@ class AdaptedRep:
     _dense: dict = field(default_factory=dict, repr=False)
     _cols: dict = field(default_factory=dict, repr=False)
     _rho: dict = field(default_factory=dict, repr=False)
+    _levels: dict = field(default_factory=dict, repr=False)
+    _entries: dict = field(default_factory=dict, repr=False)
     _char: dict = field(default_factory=dict, repr=False)
     _gram: object = None
 
@@ -98,63 +99,62 @@ class AdaptedRep:
         key = (level, tuple(lam), token)
         if key not in self._cols:
             m = self.token_matrix(lam, token, level)
-            d = len(m)
-            cols = []
-            for c in range(d):
-                cols.append(
-                    tuple((r, m[r][c]) for r in range(d) if m[r][c] != 0)
-                )
-            self._cols[key] = tuple(cols)
+            self._cols[key] = tuple(
+                tuple((r, row[c]) for r, row in enumerate(m) if row[c]) for c in range(len(m))
+            )
         return self._cols[key]
 
     # -- representation of basis diagrams --------------------------------
+    def _block_data(self, key: str, level: int) -> dict:
+        """Block data {lam: {col: {row: value}}} of a basis key; levels < n are memoised."""
+        if level <= 1:
+            return {(1,) if level else (): {0: {0: Fraction(1)}}}
+        if (level, key) in self._levels:
+            return self._levels[(level, key)]
+        from ..transform import OpCounter, _apply_token, _embed_blocks
+
+        tokens, sub = route_table(self.kind, level)[key]
+        data = _embed_blocks(self, level, self._block_data(sub, level - 1))
+        for token in reversed(tokens):
+            data = _apply_token(self, level, token, data, OpCounter())
+        if level < self.n:
+            self._levels[(level, key)] = data
+        return data
+
     def rho(self, d: Diagram | str, lam: Partition):
-        """Matrix of a basis diagram, built by sparse token application."""
+        """Dense matrix of a basis diagram on lam; every vertex is cached at once."""
         lam = tuple(lam)
         key = d if isinstance(d, str) else d.key()
-        if (key, lam) in self._rho:
-            return self._rho[(key, lam)]
-        diag = diagram_from_key(self.kind, self.n, key) if isinstance(d, str) else d
-        word = word_of(diag)
-        size = self.dim(lam)
-        cols: list[dict[int, Fraction]] = [{c: Fraction(1)} for c in range(size)]
-        for token in reversed(word.tokens):
-            sparse = self.token_columns(lam, token, self.n)
-            new_cols = []
-            for col in cols:
-                dest: dict[int, Fraction] = {}
-                for r_mid, v in col.items():
-                    for r_out, s_val in sparse[r_mid]:
-                        dest[r_out] = dest.get(r_out, Fraction(0)) + s_val * v
-                new_cols.append({r: v for r, v in dest.items() if v})
-            cols = new_cols
-        out = [[Fraction(0)] * size for _ in range(size)]
-        for c, col in enumerate(cols):
-            for r, v in col.items():
-                out[r][c] = v
-        self._rho[(key, lam)] = out
+        if (key, lam) not in self._rho:
+            key = basis_key(self.kind, self.n, key)
+            for mu, mat in self.dense_blocks(self._block_data(key, self.n)).items():
+                self._rho[(key, mu)] = mat
+        return self._rho[(key, lam)]
+
+    def dense_blocks(self, blocks: dict) -> dict:
+        """{lam: dense matrix} of block data, for every vertex at level n."""
+        out = {}
+        for lam in self.vertices():
+            out[lam] = mat = [[Fraction(0)] * self.dim(lam) for _ in range(self.dim(lam))]
+            for c, col in blocks.get(lam, {}).items():
+                for r, v in col.items():
+                    mat[r][c] = v
         return out
 
     def rho_entries(self, key: str):
-        """Flattened nonzero entries of every block of rho(key)."""
-        cache_key = ("entries", key)
-        if cache_key not in self._dense:
-            entries = []
-            for lam in self.vertices():
-                m = self.rho(key, lam)
-                for r, row in enumerate(m):
-                    for c, v in enumerate(row):
-                        if v:
-                            entries.append((lam, r, c, v))
-            self._dense[cache_key] = tuple(entries)
-        return self._dense[cache_key]
+        """Nonzero entries (lam, row, col, value) of rho(key), with no dense matrix."""
+        if key not in self._entries:
+            blocks = self._block_data(basis_key(self.kind, self.n, key), self.n)
+            self._entries[key] = tuple(
+                (lam, r, c, v) for lam, block in blocks.items()
+                for c, col in block.items() for r, v in col.items()
+            )
+        return self._entries[key]
 
     def character(self, key: str) -> Fraction:
         if key not in self._char:
             self._char[key] = sum(
-                self.rho(key, lam)[i][i]
-                for lam in self.vertices()
-                for i in range(self.dim(lam))
+                self.rho(key, lam)[i][i] for lam in self.vertices() for i in range(self.dim(lam))
             )
         return self._char[key]
 

@@ -31,7 +31,7 @@ from .combinat import (
     paper_bounds,
     stage_quiver_shape,
 )
-from .diagrams import diagram_from_key, diagram_mul, route_table
+from .diagrams import basis_key, diagram_from_key, diagram_mul, route_table
 from .errors import ArgumentError, FactorizationError
 from .reps.core import AdaptedRep
 
@@ -60,7 +60,7 @@ class AlgebraElement:
         """Canonicalise each key, summing every spelling of one diagram."""
         sums: dict[str, Fraction] = {}
         for key, value in table.items():
-            key = diagram_from_key(kind, n, key).key()
+            key = basis_key(kind, n, key)
             sums[key] = sums.get(key, Fraction(0)) + Fraction(value)
         return AlgebraElement(kind, n, tuple(sorted((k, v) for k, v in sums.items() if v)))
 
@@ -106,10 +106,7 @@ def fft_naive(f: AlgebraElement, rep: AdaptedRep) -> tuple[FourierImage, OpCount
     one multiplication per (support key, matrix entry) and the matching adds."""
     _check_inputs(f, rep)
     counter = OpCounter()
-    dense = {
-        lam: [[Fraction(0)] * rep.dim(lam) for _ in range(rep.dim(lam))]
-        for lam in rep.vertices()
-    }
+    dense = rep.dense_blocks({})
     dim_a = rep.algebra_dim()
     support = 0
     for key, c in f.coeffs:
@@ -317,15 +314,7 @@ def fft_sov(
     counter = OpCounter()
     index = _routing(f.kind, f.n).index if f.n else {"": 0}
     sparse = _sov_level(rep, f.n, {index[key]: c for key, c in f.coeffs}, counter)
-    dense = {}
-    for lam in rep.vertices():
-        d = rep.dim(lam)
-        mat = [[Fraction(0)] * d for _ in range(d)]
-        for c, col in sparse.get(lam, {}).items():
-            for r, v in col.items():
-                mat[r][c] = v
-        dense[lam] = mat
-    return _blocks_from_dense(f.kind, f.n, dense), counter
+    return _blocks_from_dense(f.kind, f.n, rep.dense_blocks(sparse)), counter
 
 
 # Block data maps each vertex to its nonzero columns: {lam: {col: {row: value}}}.
@@ -533,7 +522,8 @@ def element_to_json(f: AlgebraElement, q: Fraction) -> dict:
     }
 
 
-def element_from_json(payload: dict) -> tuple[AlgebraElement, Fraction]:
+def element_from_json(payload: dict, expect=None) -> tuple[AlgebraElement, Fraction]:
+    """The element and q of a payload; an `expect` (kind, n) is checked before any key."""
     try:
         chain, n, q = payload["chain"], int(payload["n"]), Fraction(payload["q"])
         table: dict = {}
@@ -541,9 +531,13 @@ def element_from_json(payload: dict) -> tuple[AlgebraElement, Fraction]:
             table[row["diagram"]] = table.get(row["diagram"], 0) + Fraction(row["value"])
     except KeyError as exc:
         raise ArgumentError(f"coefficient payload lacks the field {exc}") from None
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ArgumentError(f"malformed coefficient payload: {exc}") from None
-    return AlgebraElement.from_dict(ChainKind.parse(chain), n, table), q
+    kind = ChainKind.parse(chain)
+    if expect is not None and (kind, n) != tuple(expect):
+        want = f"{expect[0].value} n={expect[1]}"
+        raise ArgumentError(f"coefficient payload ({chain} n={n}) does not match {want}")
+    return AlgebraElement.from_dict(kind, n, table), q
 
 
 def image_to_json(

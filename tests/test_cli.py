@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainfft
 from chainfft.cli import main
 from chainfft.combinat import ChainKind
+from chainfft.diagrams import all_diagrams
 from chainfft.transform import element_to_json, random_element
 
 
@@ -228,3 +233,109 @@ def test_cli_import_without_numpy():
     code = 'import sys, chainfft.cli; sys.exit("numpy" in sys.modules)'
     env = dict(os.environ, PYTHONPATH=str(Path(chainfft.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+
+# Hypothesis favours the first choice and small integers, so the well-formed
+# choices come first and each mangling step is drawn as a nonzero number.
+CHAINS = ["tl", "sn", "brauer", "bmw", "x", ""]
+SIZES = ["2", "3", "1", "0", "-1", "x", ""]
+COMMANDS = ["fft", "invert", "bench", "verify", "plan", "dims", "bratteli", "nope"]
+FLAG_VALUES = {
+    "--chain": CHAINS,
+    "-n": SIZES,
+    "--q": ["10/3", "1/0", "0", "1", "-2", "x"],
+    "--seed": ["0", "-1", "3", "x"],
+    "--format": ["json", "dot", "csv", "x"],
+    "--algo": ["naive", "sov", "x"],
+    "--coeffs": ["@file", "@missing", "@dir"],
+    "--suite": ["all", "relations", "factor-set", "hom-counts", "roundtrip", "bounds", "x"],
+    "--n-max": ["-1", "0", "3", "x"],
+    "--trials": ["-1", "0", "1", "3", "x"],
+    "--": [], "-h": [],
+}
+COMMON = ["--q", "--seed", "--format", "--chain", "-n"]
+ACCEPTS = {
+    "fft": ["--algo", *COMMON], "invert": COMMON, "verify": ["--suite", *COMMON],
+    "bench": ["--trials", "--n-max", *COMMON],
+}
+# no decimal digits, so no drawn size exceeds the ones listed above
+GARBAGE = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+TOKENS = st.one_of(
+    st.sampled_from(
+        COMMANDS + sorted(FLAG_VALUES) + sorted({v for vs in FLAG_VALUES.values() for v in vs})
+    ),
+    GARBAGE,
+)
+DIAGRAM_KEYS = {
+    (kind.value, size): [d.key() for d in all_diagrams(kind, size)]
+    for kind in (ChainKind.SYMMETRIC_GROUP, ChainKind.TEMPERLEY_LIEB, ChainKind.BRAUER)
+    for size in range(4)
+}
+JSON_ATOMS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=6)
+)
+# json reads and writes Infinity and NaN
+SCALARS = st.one_of(
+    st.sampled_from(["1/2", "-3", "10/3", "1/0", "x", "", "2.5"]),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e300]),
+    JSON_ATOMS,
+)
+
+
+def _rows(keys):
+    """Coefficient rows: mostly basis keys of the flags' algebra, some malformed."""
+    diagram = st.one_of(
+        st.sampled_from(keys or [""]), st.sampled_from(["4-1,3-2", "1-x", "1-2-3", ","]), JSON_ATOMS
+    )
+    row = st.fixed_dictionaries({"diagram": diagram, "value": SCALARS})
+    no_value = st.fixed_dictionaries({}, optional={"diagram": diagram})
+    return st.lists(st.one_of(row, no_value), max_size=4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_cli_exit_codes_under_fuzz(data, fuzz_dir):
+    """Malformed argv and coefficient files end in exit code 0, 1 or 2, never a traceback."""
+    draw = data.draw
+    chain, n = draw(st.sampled_from(CHAINS)), draw(st.sampled_from(SIZES))
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, "--chain", chain, "-n", n]
+    if command in ("fft", "invert") and draw(st.integers(0, 3)) < 3:
+        argv += ["--coeffs", "@file"]
+    flags = st.one_of(
+        st.sampled_from(ACCEPTS.get(command, COMMON)), st.sampled_from(sorted(FLAG_VALUES))
+    )
+    for flag in draw(st.lists(flags, max_size=3)):
+        values = st.sampled_from(FLAG_VALUES[flag] or ["x"])
+        argv += [flag, draw(TOKENS if draw(st.integers(0, 3)) == 3 else values)]
+    if draw(st.integers(0, 3)) == 3:
+        argv = draw(st.permutations(argv))
+    if draw(st.integers(0, 3)) == 3:
+        argv += draw(st.lists(TOKENS, min_size=1, max_size=2))
+    size = int(n) if n.lstrip("-").isdigit() else n
+    payload = {"chain": chain, "n": size, "q": draw(SCALARS),
+               "coeffs": draw(_rows(DIAGRAM_KEYS.get((chain, size))))}
+    mangle = draw(st.integers(0, 5))
+    if mangle == 4:
+        payload = draw(st.one_of(JSON_ATOMS, st.lists(JSON_ATOMS, max_size=3)))
+    elif mangle == 1:
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif mangle == 2:
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(JSON_ATOMS)
+    text = draw(st.text(max_size=12)) if mangle == 3 else json.dumps(payload)
+    (fuzz_dir / "f.json").write_text(text, errors="surrogatepass")
+    paths = {"@file": fuzz_dir / "f.json", "@missing": fuzz_dir / "none.json", "@dir": fuzz_dir}
+    argv = [str(paths.get(token, token)) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv

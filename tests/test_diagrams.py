@@ -77,6 +77,26 @@ def test_planarity():
         Diagram(TL, 2, canonical_pairs([(1, 4), (2, 3)]))
 
 
+def crosses_pairwise(pairs, n):
+    """The definition: two strands cross when their boundary intervals interleave."""
+    spans = [sorted((p if p <= n else 3 * n + 1 - p) for p in pair) for pair in pairs]
+    return any(
+        a < c < b < d or c < a < d < b
+        for i, (a, b) in enumerate(spans)
+        for c, d in spans[i + 1 :]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.permutations(range(1, 2 * n + 1)))
+))
+def test_is_planar_matches_pairwise_definition(case):
+    n, points = case
+    pairs = canonical_pairs(zip(points[::2], points[1::2]))
+    assert is_planar(pairs, n) == (not crosses_pairwise(pairs, n))
+
+
 @pytest.mark.parametrize(
     "kind,n", [(BR, 2), (BR, 3), (BR, 4), (BR, 5), (BR, 6), (TL, 6), (TL, 10), (SN, 5)]
 )

@@ -16,7 +16,7 @@ from chainfft.diagrams import (
     relation_instances,
     word_of,
 )
-from chainfft.errors import CapabilityError, ParameterError
+from chainfft.errors import ArgumentError, CapabilityError, ParameterError
 from chainfft.ratlinalg import identity, mat_mul, rank, rref
 from chainfft.reps import (
     DEFAULT_Q,
@@ -157,6 +157,56 @@ def test_identity_diagram_maps_to_identity(rep_cache):
         rep = rep_cache(kind, n)
         for lam in rep.vertices():
             assert rep.rho(identity_diagram(kind, n), lam) == identity(rep.dim(lam))
+
+
+@pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 3), (BR, 4)])
+def test_rho_is_the_product_of_its_word(kind, n, rep_cache):
+    """The level recursion gives the product of the generator matrices of word_of."""
+    rep = rep_cache(kind, n)
+    for d in all_diagrams(kind, n):
+        for lam in rep.vertices():
+            want = identity(rep.dim(lam))
+            for token in word_of(d).tokens:
+                want = mat_mul(want, rep.token_matrix(lam, token))
+            assert rep.rho(d, lam) == want, (d.key(), lam)
+
+
+@pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 4)])
+def test_rho_entries_are_the_nonzero_entries_of_rho(kind, n, rep_cache):
+    rep = rep_cache(kind, n)
+    for d in all_diagrams(kind, n):
+        dense = {
+            (lam, r, c, v)
+            for lam in rep.vertices()
+            for r, row in enumerate(rep.rho(d, lam))
+            for c, v in enumerate(row)
+            if v
+        }
+        entries = rep.rho_entries(d.key())
+        assert len(entries) == len(dense) and set(entries) == dense
+
+
+@pytest.mark.parametrize("kind", [SN, TL, BR])
+def test_rho_at_n0_and_n1(kind):
+    for n, key, lam in ((0, "", ()), (1, "1-2", (1,))):
+        rep = adapted_rep(kind, n)
+        assert rep.rho(key, lam) == [[Fraction(1)]]
+        assert rep.rho_entries(key) == ((lam, 0, 0, Fraction(1)),)
+        assert rep.character(key) == 1
+        with pytest.raises(ArgumentError):
+            rep.rho("1-3", lam)
+
+
+def test_rho_reads_other_spellings_and_refuses_bad_keys(rep_cache):
+    rep = rep_cache(TL, 4)
+    d = all_diagrams(TL, 4)[3]
+    spelled = ",".join(f"{b}-{a}" for a, b in reversed(d.pairs))
+    for lam in rep.vertices():
+        assert rep.rho(spelled, lam) == rep.rho(d, lam)
+    assert rep.rho_entries(spelled) == rep.rho_entries(d.key())
+    for bad in ("1-x", "1-3,2-4,5-7,6-8", "1-2"):
+        with pytest.raises(ArgumentError):
+            rep.rho_entries(bad)
 
 
 def test_irrep_dims_match_path_counts(rep_cache):

@@ -139,6 +139,49 @@ def test_warm_sov_builds_no_routing(rep_cache, monkeypatch):
     assert calls["factor_map"] == calls["shrink"] == 5 and calls["__post_init__"] > 0
 
 
+def test_warm_naive_applies_no_token(rep_cache, monkeypatch):
+    """After one warm-up, fft_naive reads cached entries and runs no kernel."""
+    import chainfft.transform as T
+    from chainfft.reps.core import adapted_rep
+
+    rep = rep_cache(TL, 6)
+    fft_naive(random_element(TL, 6, 0), rep)
+    f = random_element(TL, 6, 1)
+    calls = []
+    original = T._apply_token
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(T, "_apply_token", counted)
+    img, _ = fft_naive(f, rep)
+    assert calls == []
+    assert img == fft_sov(f, rep)[0]
+    # the counter sees the level recursion of a fresh representation
+    fft_naive(random_element(TL, 3, 0), adapted_rep.__wrapped__(TL, 3, Q))
+    assert calls
+
+
+def test_from_dict_takes_basis_keys_without_parsing(monkeypatch):
+    import chainfft.diagrams as D
+
+    table = random_element(TL, 5, 0).table()
+    calls = []
+    original = D.Diagram.__post_init__
+    monkeypatch.setattr(D.Diagram, "__post_init__", lambda d: calls.append(d) or original(d))
+    assert AlgebraElement.from_dict(TL, 5, table).table() == table
+    assert calls == []
+    # other spellings are parsed and summed onto the canonical key
+    key = next(iter(table))
+    spelled = ",".join(f"{b}-{a}" for a, b in reversed(D.diagram_from_key(TL, 5, key).pairs))
+    calls.clear()
+    summed = AlgebraElement.from_dict(TL, 5, {key: 1, spelled: 2}).table()
+    assert summed == {key: Fraction(3)} and calls
+    with pytest.raises(ArgumentError):
+        AlgebraElement.from_dict(TL, 5, {"1-3,2-4,5-6,7-9,8-10": 1})
+
+
 def test_sov_single_diagram_matches_rho(rep_cache):
     """fft_sov on a point mass must reproduce the representation matrix."""
     for kind, n in ((BR, 3), (TL, 4)):
