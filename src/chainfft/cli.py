@@ -100,7 +100,7 @@ def _load_coeffs(kind: ChainKind, n: int, args):
             payload = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ArgumentError(f"cannot read coefficient file {args.coeffs}: {exc}") from None
-    element, q_file = element_from_json(payload, (kind, n))
+    element, q_file = element_from_json(payload, kind, n)
     return element, q_file if args.q is None else _parse_q(args)
 
 

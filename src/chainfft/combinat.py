@@ -334,92 +334,6 @@ def symdiff(q1: QuiverShape, q2: QuiverShape) -> QuiverShape:
     return QuiverShape.make({v: g for v, g in grades.items() if v in keep}, arrows)
 
 
-def quiver_union(q1: QuiverShape, q2: QuiverShape) -> QuiverShape:
-    g1, g2 = q1.grade_map(), q2.grade_map()
-    for v in set(g1) & set(g2):
-        if g1[v] != g2[v]:
-            raise ArgumentError(f"incompatible gradings at vertex {v!r}")
-    return QuiverShape.make({**g1, **g2}, q1.arrows | q2.arrows)
-
-
-def glued_component_quivers(n: int) -> list[QuiverShape]:
-    """Component subquivers of the per-level factorization inside the glued quiver.
-
-    Vertices: "root", "b<k>" (bottom chain, grade k) and "t<k>" (top chain,
-    grade k).  Entry j < n is the factor-family component at index j (double
-    two-step leg from grade j-1 to j+1); entry n-1 is the subproblem
-    component (double leg from grade 0 to n-1, one side the long arrow).
-    Returned in sigma order: subproblem first, then indices 1..n-1.
-    """
-    if n < 2:
-        raise ArgumentError("glued components need n >= 2")
-
-    def bot(k: int) -> str:
-        return "root" if k == 0 else f"b{k}"
-
-    grades = {"root": 0}
-    for k in range(1, n):
-        grades[f"b{k}"] = k
-    for k in range(1, n + 1):
-        grades[f"t{k}"] = k
-
-    def chain_bot(a: int, b: int):
-        return [(bot(k), bot(k + 1), 0) for k in range(a, b)]
-
-    def chain_top(a: int, b: int):
-        return [(f"t{k}", f"t{k+1}", 0) for k in range(a, b)]
-
-    components = []
-    sub_arrows = set(chain_bot(0, n - 1))
-    sub_arrows.add(("root", bot(n - 1), 1))  # the long arrow
-    sub_arrows.add((bot(n - 1), f"t{n}", 0))
-    used = {v for a in sub_arrows for v in (a[0], a[1])}
-    components.append(
-        QuiverShape.make({v: grades[v] for v in used}, sub_arrows)
-    )
-    for j in range(1, n):
-        arrows = set(chain_bot(0, j - 1))
-        arrows.add((bot(j - 1), bot(j), 0))
-        arrows.add((bot(j - 1), f"t{j}", 0))
-        if j + 1 <= n:
-            arrows.add((bot(j), f"t{j+1}", 0))
-            arrows.add((f"t{j}", f"t{j+1}", 0))
-        arrows.update(chain_top(j + 1, n))
-        used = {v for a in arrows for v in (a[0], a[1])}
-        components.append(QuiverShape.make({v: grades[v] for v in used}, arrows))
-    return components
-
-
-def contract_unit_vertices(q: QuiverShape) -> QuiverShape:
-    """Collapse pass-through vertices (one in, one out) into composite arrows."""
-    arrows = set(q.arrows)
-    grades = q.grade_map()
-    changed = True
-    while changed:
-        changed = False
-        incidence: dict[str, list] = {}
-        for a in arrows:
-            incidence.setdefault(a[0], []).append(a)
-            incidence.setdefault(a[1], []).append(a)
-        for v, inc in incidence.items():
-            ins = [a for a in arrows if a[1] == v]
-            outs = [a for a in arrows if a[0] == v]
-            if len(ins) == 1 and len(outs) == 1:
-                (s, _, tag1), (_, t, tag2) = ins[0], outs[0]
-                if s == t:
-                    continue
-                arrows.discard(ins[0])
-                arrows.discard(outs[0])
-                tag = 0
-                while (s, t, tag) in arrows:
-                    tag += 1
-                arrows.add((s, t, tag))
-                changed = True
-                break
-    keep = {v for a in arrows for v in (a[0], a[1])}
-    return QuiverShape.make({v: g for v, g in grades.items() if v in keep}, arrows)
-
-
 def hom_count_brute(B: BratteliDiagram, H: QuiverShape, n: int) -> int:
     """Count quiver morphisms H -> B by backtracking over grade-ordered vertices.
 

@@ -17,7 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..combinat import ChainKind, Partition, cached_bratteli
-from ..diagrams import Diagram, all_diagrams, basis_key, diagram_mul, route_table
+from ..diagrams import (
+    Diagram,
+    all_diagrams,
+    basis_key,
+    diagram_mul,
+    route_table,
+)
 from ..errors import ArgumentError, CapabilityError, ParameterError
 from ..ratlinalg import invert, rank
 from .seminormal import middles, sn_block_table, tl_block_table
@@ -99,9 +105,13 @@ class AdaptedRep:
         key = (level, tuple(lam), token)
         if key not in self._cols:
             m = self.token_matrix(lam, token, level)
-            self._cols[key] = tuple(
-                tuple((r, row[c]) for r, row in enumerate(m) if row[c]) for c in range(len(m))
-            )
+            d = len(m)
+            cols = []
+            for c in range(d):
+                cols.append(
+                    tuple((r, m[r][c]) for r in range(d) if m[r][c] != 0)
+                )
+            self._cols[key] = tuple(cols)
         return self._cols[key]
 
     # -- representation of basis diagrams --------------------------------
@@ -124,9 +134,8 @@ class AdaptedRep:
     def rho(self, d: Diagram | str, lam: Partition):
         """Dense matrix of a basis diagram on lam; every vertex is cached at once."""
         lam = tuple(lam)
-        key = d if isinstance(d, str) else d.key()
+        key = basis_key(self.kind, self.n, d if isinstance(d, str) else d.key())
         if (key, lam) not in self._rho:
-            key = basis_key(self.kind, self.n, key)
             for mu, mat in self.dense_blocks(self._block_data(key, self.n)).items():
                 self._rho[(key, mu)] = mat
         return self._rho[(key, lam)]
@@ -143,8 +152,9 @@ class AdaptedRep:
 
     def rho_entries(self, key: str):
         """Nonzero entries (lam, row, col, value) of rho(key), with no dense matrix."""
+        key = basis_key(self.kind, self.n, key)
         if key not in self._entries:
-            blocks = self._block_data(basis_key(self.kind, self.n, key), self.n)
+            blocks = self._block_data(key, self.n)
             self._entries[key] = tuple(
                 (lam, r, c, v) for lam, block in blocks.items()
                 for c, col in block.items() for r, v in col.items()
@@ -154,7 +164,9 @@ class AdaptedRep:
     def character(self, key: str) -> Fraction:
         if key not in self._char:
             self._char[key] = sum(
-                self.rho(key, lam)[i][i] for lam in self.vertices() for i in range(self.dim(lam))
+                self.rho(key, lam)[i][i]
+                for lam in self.vertices()
+                for i in range(self.dim(lam))
             )
         return self._char[key]
 

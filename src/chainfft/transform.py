@@ -57,7 +57,11 @@ class AlgebraElement:
 
     @staticmethod
     def from_dict(kind: ChainKind, n: int, table: dict) -> "AlgebraElement":
-        """Canonicalise each key, summing every spelling of one diagram."""
+        """Canonicalise each key, summing every spelling of one diagram.
+
+        A key is looked up in `route_table(kind, n)`, so this lists the whole
+        basis of size n once per (kind, n).
+        """
         sums: dict[str, Fraction] = {}
         for key, value in table.items():
             key = basis_key(kind, n, key)
@@ -522,10 +526,15 @@ def element_to_json(f: AlgebraElement, q: Fraction) -> dict:
     }
 
 
-def element_from_json(payload: dict, expect=None) -> tuple[AlgebraElement, Fraction]:
-    """The element and q of a payload; an `expect` (kind, n) is checked before any key."""
+def element_from_json(
+    payload: dict, kind: ChainKind, n: int
+) -> tuple[AlgebraElement, Fraction]:
+    """The element and q of a payload, whose chain and n must be `kind` and `n`.
+
+    They are checked before any key is read, so a payload's n never sizes a basis.
+    """
     try:
-        chain, n, q = payload["chain"], int(payload["n"]), Fraction(payload["q"])
+        chain, size, q = payload["chain"], int(payload["n"]), Fraction(payload["q"])
         table: dict = {}
         for row in payload["coeffs"]:
             table[row["diagram"]] = table.get(row["diagram"], 0) + Fraction(row["value"])
@@ -533,10 +542,9 @@ def element_from_json(payload: dict, expect=None) -> tuple[AlgebraElement, Fract
         raise ArgumentError(f"coefficient payload lacks the field {exc}") from None
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ArgumentError(f"malformed coefficient payload: {exc}") from None
-    kind = ChainKind.parse(chain)
-    if expect is not None and (kind, n) != tuple(expect):
-        want = f"{expect[0].value} n={expect[1]}"
-        raise ArgumentError(f"coefficient payload ({chain} n={n}) does not match {want}")
+    if (ChainKind.parse(chain), size) != (kind, n):
+        want = f"{kind.value} n={n}"
+        raise ArgumentError(f"coefficient payload ({chain} n={size}) does not match {want}")
     return AlgebraElement.from_dict(kind, n, table), q
 
 

@@ -14,6 +14,7 @@ from chainfft.diagrams import (
     generator,
     identity_diagram,
     relation_instances,
+    route_table,
     word_of,
 )
 from chainfft.errors import ArgumentError, CapabilityError, ParameterError
@@ -207,6 +208,30 @@ def test_rho_reads_other_spellings_and_refuses_bad_keys(rep_cache):
     for bad in ("1-x", "1-3,2-4,5-7,6-8", "1-2"):
         with pytest.raises(ArgumentError):
             rep.rho_entries(bad)
+
+
+def test_rho_builds_a_spelled_key_once(monkeypatch):
+    """A spelled key shares the cache of its canonical key: one build in all."""
+    import chainfft.transform as T
+    from chainfft.reps.core import adapted_rep
+
+    rep = adapted_rep.__wrapped__(TL, 4, Q)
+    d = next(d for d in all_diagrams(TL, 4) if route_table(TL, 4)[d.key()][0])
+    spelled = ",".join(f"{b}-{a}" for a, b in reversed(d.pairs))
+    calls = []
+    original = T._apply_token
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(T, "_apply_token", counted)
+    rep.rho(spelled, rep.vertices()[0])
+    assert calls  # positive control: the first call runs the level recursion
+    calls.clear()
+    rep.character(spelled)
+    rep.rho(d, rep.vertices()[-1])
+    assert calls == []
 
 
 def test_irrep_dims_match_path_counts(rep_cache):

@@ -400,13 +400,13 @@ def test_from_dict_canonicalises_keys():
         {"diagram": "1-3,2-4", "value": "1/2"}, {"diagram": "2-4,1-3", "value": "1/2"},
         {"diagram": "1-3,2-4", "value": "1"},
     ]}
-    assert element_from_json(payload)[0].coeffs == (("1-3,2-4", Fraction(2)),)
+    assert element_from_json(payload, BR, 2)[0].coeffs == (("1-3,2-4", Fraction(2)),)
 
 
 def test_element_json_roundtrip():
     f = random_element(TL, 3, 0)
     payload = element_to_json(f, Q)
-    g, q = element_from_json(json.loads(json.dumps(payload)))
+    g, q = element_from_json(json.loads(json.dumps(payload)), TL, 3)
     assert g == f and q == Q
 
 
