@@ -46,27 +46,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chainfft")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, q=False, seed=False, formats=()):
+        """Add --chain and -n, and the optional flags this command reads."""
         p.add_argument("--chain", required=True, choices=["sn", "brauer", "tl", "bmw"])
         p.add_argument("-n", type=int, required=True)
-        p.add_argument("--q", default=None, help="loop parameter as p/q")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", default="json", choices=["json", "dot", "csv"])
+        if q:
+            p.add_argument("--q", default=None, help="loop parameter as p/q")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if formats:
+            p.add_argument("--format", default="json", choices=formats)
 
-    common(sub.add_parser("bratteli", help="emit the Bratteli diagram"))
-    common(sub.add_parser("dims", help="per-level dimension table"))
+    common(sub.add_parser("bratteli", help="emit the Bratteli diagram"), formats=["json", "dot"])
+    common(sub.add_parser("dims", help="per-level dimension table"), formats=["json", "csv"])
 
     fft = sub.add_parser("fft", help="run a Fourier transform")
-    common(fft)
+    common(fft, q=True)
     fft.add_argument("--algo", default="sov", choices=["naive", "sov"])
     fft.add_argument("--coeffs", required=True, help="coefficient JSON file")
 
     inv = sub.add_parser("invert", help="round-trip a coefficient file")
-    common(inv)
+    common(inv, q=True)
     inv.add_argument("--coeffs", required=True)
 
     ver = sub.add_parser("verify", help="run verification suites")
-    common(ver)
+    common(ver, q=True, seed=True)
     ver.add_argument(
         "--suite",
         default="all",
@@ -77,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(plan)
 
     bench = sub.add_parser("bench", help="operation-count benchmark table")
-    common(bench)
+    common(bench, q=True, seed=True)
     bench.add_argument("--n-max", type=int, default=None)
     bench.add_argument("--trials", type=int, default=1)
     return parser
@@ -129,7 +133,7 @@ def dispatch(args) -> int:
     n = args.n
     if n < 0:
         raise UsageError("-n must be nonnegative")
-    if kind is ChainKind.SYMMETRIC_GROUP and args.q is not None:
+    if kind is ChainKind.SYMMETRIC_GROUP and getattr(args, "q", None) is not None:
         raise UsageError("--q is meaningless for the symmetric-group chain")
     if args.command == "bratteli":
         B = cached_bratteli(kind, n)

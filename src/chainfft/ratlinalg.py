@@ -1,4 +1,12 @@
-"""Dense exact linear algebra over Fraction (row echelon, nullspace, inverse)."""
+"""Dense exact linear algebra over Fraction (row echelon, nullspace, inverse).
+
+`rank`, `nullspace`, `invert` and `solve` all read `rref`, and `rref` runs
+the one elimination: fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22,
+1968) on rows scaled to integers.  Scaling a row does not change the reduced
+row echelon form, which is unique, so dividing each pivot row by its pivot at
+the end gives the exact RREF of the input with no Fraction arithmetic inside
+the loop.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +16,6 @@ from math import lcm
 Matrix = list[list[Fraction]]
 
 
-def mat(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -19,7 +23,6 @@ def identity(n: int) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return []
-    cols = len(b[0])
     bt = list(zip(*b))
     return [
         [sum(x * y for x, y in zip(row, col)) for col in bt]
@@ -27,65 +30,46 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ]
 
 
-def mat_vec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [row[:] for row in m]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (matrix, pivot column indices).
 
-
-def rank(m: Matrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination on rows scaled to integers.
-
-    After each pivot step every entry below is a minor of the scaled matrix,
-    so the division by the previous pivot is exact.
+    After each pivot step every entry is a minor of the scaled matrix, and
+    every pivot row holds the latest pivot in its pivot column, so the
+    division by the previous pivot is exact for the rows above and below.
     """
     rows = []
     for row in m:
-        scale = lcm(*(Fraction(x).denominator for x in row))
-        rows.append([int(x * scale) for x in row])
-    r, prev = 0, 1
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots, prev = [], 1
     for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         top = rows[r]
         p = top[c]
-        for i in range(r + 1, len(rows)):
-            a = rows[i][c]
-            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
-        prev, r = p, r + 1
-    return r
+        for i, row in enumerate(rows):
+            if i != r and any(row):
+                a = row[c]
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = p
+        if len(pivots) == len(rows):
+            break
+    return [[Fraction(x, prev) for x in row] for row in rows], pivots
+
+
+def rank(m: Matrix) -> int:
+    """The number of pivots of `rref`."""
+    return len(rref(m)[1])
 
 
 def nullspace(m: Matrix, cols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right nullspace of m."""
     if not m:
-        return [[Fraction(int(i == j)) for j in range(cols or 0)] for i in range(cols or 0)]
+        return identity(cols or 0)
     cols = len(m[0])
     red, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
@@ -121,27 +105,3 @@ def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
-
-
-def intersect_kernel(constraints: list[Matrix], dim: int) -> list[list[Fraction]]:
-    """Common nullspace of several square operators on the same space.
-
-    Solves the first kernel outright, then restricts each further constraint
-    to the running span so later eliminations stay small.
-    """
-    basis = None
-    for op in constraints:
-        if basis is None:
-            basis = nullspace(op, dim)
-        else:
-            imgs = [mat_vec(op, v) for v in basis]
-            coeffs = nullspace([list(col) for col in zip(*imgs)], len(basis))
-            basis = [
-                [sum(c[k] * basis[k][j] for k in range(len(basis))) for j in range(dim)]
-                for c in coeffs
-            ]
-        if not basis:
-            return []
-    if basis is None:
-        basis = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    return basis

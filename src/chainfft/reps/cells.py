@@ -17,7 +17,7 @@ from itertools import combinations
 from ..combinat import ChainKind, Partition, cached_bratteli, partition_key
 from ..diagrams import Diagram, Token, _pairings, canonical_pairs, diagram_mul, generator
 from ..errors import ParameterError
-from ..ratlinalg import intersect_kernel, invert, mat_mul
+from ..ratlinalg import invert, mat_mul, nullspace
 from .core import adapted_rep
 
 HalfDiagram = tuple[tuple[int, int], ...]  # sorted arcs on {1..n}
@@ -162,14 +162,13 @@ def _embedding_columns(cell_mats, mu_mats, dim_nu, sub_tokens, nu, mu, q):
     """Columns of the unique intertwiner from the mu module into the nu module."""
     d_mu = len(next(iter(mu_mats.values()))) if mu_mats else 1  # levels 0 and 1
     unknowns = dim_nu * d_mu
-    ops = []
+    constraints = []  # rho_nu(tok) X - X rho_mu(tok) = 0 for every sub token
     for tok in sub_tokens:
         rho_nu = cell_mats[tok]
         rho_mu = mu_mats[tok]
-        op = [[Fraction(0)] * unknowns for _ in range(unknowns)]
         for r in range(dim_nu):
             for c in range(d_mu):
-                row = op[r * d_mu + c]
+                row = [Fraction(0)] * unknowns
                 for k in range(dim_nu):
                     v = rho_nu[r][k]
                     if v:
@@ -178,8 +177,8 @@ def _embedding_columns(cell_mats, mu_mats, dim_nu, sub_tokens, nu, mu, q):
                     v = rho_mu[k][c]
                     if v:
                         row[r * d_mu + k] -= v
-        ops.append(op)
-    kernel = intersect_kernel(ops, unknowns)
+                constraints.append(row)
+    kernel = nullspace(constraints, unknowns)
     if len(kernel) != 1:
         raise ParameterError(
             f"embedding {mu!r} -> {nu!r} not unique at q={q} (dim {len(kernel)})"

@@ -122,11 +122,14 @@ def fft_naive(f: AlgebraElement, rep: AdaptedRep) -> tuple[FourierImage, OpCount
     return _blocks_from_dense(f.kind, f.n, dense), counter
 
 
-def _check_inputs(f: AlgebraElement, rep: AdaptedRep) -> None:
+def _check_inputs(f: AlgebraElement | FourierImage, rep: AdaptedRep) -> None:
     if f.kind is ChainKind.BMW_STRUCTURAL:
         raise ArgumentError("BMW is structural only: no transform data")
     if f.kind != rep.kind or f.n != rep.n:
-        raise ArgumentError("element and representation kind/size mismatch")
+        raise ArgumentError(
+            f"kind/size mismatch: the input is {f.kind.value} n={f.n}, "
+            f"the representation {rep.kind.value} n={rep.n}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +449,7 @@ def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCoun
 
 def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     """Recover coefficients through the trace form: f(a_i) = Tr(f̂ rho(a_i*))."""
+    _check_inputs(img, rep)
     basis, ginv, _ = rep.gram_dual()
     size = len(basis)
     traces = []

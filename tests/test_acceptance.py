@@ -100,6 +100,7 @@ def test_criterion_3_factor_set_totality():
     _stamp(start, f"criterion 3 (factor-set totality, {count} diagrams): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_4_transform_equality(rep_cache):
     start = time.time()
     brauer5_time = None

@@ -104,6 +104,35 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--q", "abc"], ["plan", "--seed", "1"], ["plan", "--format", "json"],
+    ["bratteli", "--q", "2"], ["bratteli", "--seed", "1"], ["bratteli", "--format", "csv"],
+    ["dims", "--q", "2"], ["dims", "--seed", "1"], ["dims", "--format", "dot"],
+    ["fft", "--seed", "1", "--coeffs", "@"], ["fft", "--format", "json", "--coeffs", "@"],
+    ["invert", "--seed", "1", "--coeffs", "@"], ["verify", "--format", "json"],
+    ["bench", "--format", "csv"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv):
+    path = _write_coeffs(tmp_path, ChainKind.TEMPERLEY_LIEB, 3, 1)
+    argv = [path if a == "@" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--chain", "tl", "-n", "3")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+def test_scoped_flags_keep_their_output(capsys):
+    """A command that reads a flag still takes it; its default prints what omitting it prints."""
+    assert run(capsys, "bratteli", "--chain", "tl", "-n", "3", "--format", "json")[1] == \
+        run(capsys, "bratteli", "--chain", "tl", "-n", "3")[1]
+    assert run(capsys, "dims", "--chain", "tl", "-n", "3", "--format", "json")[1] == \
+        run(capsys, "dims", "--chain", "tl", "-n", "3")[1]
+    assert run(capsys, "bench", "--chain", "tl", "-n", "3", "--seed", "0", "--q", "10/3")[1] == \
+        run(capsys, "bench", "--chain", "tl", "-n", "3")[1]
+    code, out, _ = run(capsys, "verify", "--chain", "tl", "-n", "3", "--q", "2",
+                       "--seed", "1", "--suite", "roundtrip")
+    assert code == 0 and out == "roundtrip: pass\n"
+
+
 def test_bmw_structural_commands(capsys):
     code, out, _ = run(capsys, "bratteli", "--chain", "bmw", "-n", "4")
     assert code == 0
@@ -256,10 +285,12 @@ FLAG_VALUES = {
     "--trials": ["-1", "0", "1", "3", "x"],
     "--": [], "-h": [],
 }
-COMMON = ["--q", "--seed", "--format", "--chain", "-n"]
+COMMON = ["--chain", "-n"]
 ACCEPTS = {
-    "fft": ["--algo", *COMMON], "invert": COMMON, "verify": ["--suite", *COMMON],
-    "bench": ["--trials", "--n-max", *COMMON],
+    "fft": ["--algo", "--q", *COMMON], "invert": ["--q", *COMMON],
+    "verify": ["--suite", "--q", "--seed", *COMMON],
+    "bench": ["--trials", "--n-max", "--q", "--seed", *COMMON],
+    "bratteli": ["--format", *COMMON], "dims": ["--format", *COMMON],
 }
 # no decimal digits, so no drawn size exceeds the ones listed above
 GARBAGE = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainfft.combinat import ChainKind, cached_bratteli
@@ -18,7 +18,7 @@ from chainfft.diagrams import (
     word_of,
 )
 from chainfft.errors import ArgumentError, CapabilityError, ParameterError
-from chainfft.ratlinalg import identity, mat_mul, rank, rref
+from chainfft.ratlinalg import identity, invert, mat_mul, nullspace, rank, rref, solve
 from chainfft.reps import (
     DEFAULT_Q,
     adapted_rep,
@@ -487,15 +487,67 @@ def test_matrix_relations_brauer5(rep_cache):
 FRACTIONS = st.fractions(-3, 3, max_denominator=4)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 6), st.data())
-def test_rank_matches_rref(rows, cols, inner, data):
-    """Fraction-free rank equals the pivot count of the exact row reduction,
-    on products of random factors (so rank-deficient matrices are common)."""
-    a = data.draw(st.lists(st.lists(FRACTIONS, min_size=inner, max_size=inner),
-                           min_size=rows, max_size=rows))
-    b = data.draw(st.lists(st.lists(FRACTIONS, min_size=cols, max_size=cols),
-                           min_size=inner, max_size=inner))
+def reference_rref(m):
+    """Textbook Gauss-Jordan over Fraction: an independent check on `rref`."""
+    m = [[Fraction(x) for x in row] for row in m]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+@st.composite
+def low_rank_systems(draw):
+    """(m, cols, b): m is a product of random factors, so rank-deficient m are common."""
+    rows, cols, inner = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    a = draw(st.lists(st.lists(FRACTIONS, min_size=inner, max_size=inner),
+                      min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(FRACTIONS, min_size=cols, max_size=cols),
+                      min_size=inner, max_size=inner))
     m = [[sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
          for row in a]
-    assert rank(m) == len(rref(m)[1])
+    return m, cols, draw(st.lists(FRACTIONS, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(low_rank_systems())
+@example(([], 0, []))
+@example(([], 3, []))
+@example(([[], []], 0, [Fraction(1), Fraction(0)]))
+@example(([[Fraction(0)] * 3] * 2, 3, [Fraction(0), Fraction(1)]))
+def test_rank_matches_rref(system):
+    """`rref`, `rank`, `nullspace`, `invert` and `solve` against the reference."""
+    m, cols, b = system
+    red, pivots = reference_rref(m)
+    assert rref(m) == (red, pivots)
+    assert rank(m) == len(pivots)
+    kernel = nullspace(m, cols)
+    assert len(kernel) == cols - len(pivots)
+    assert all(sum(x * y for x, y in zip(row, v)) == 0 for v in kernel for row in m)
+    k = min(len(m), cols)
+    square = [row[:k] for row in m[:k]]
+    if len(reference_rref(square)[1]) == k:
+        assert mat_mul(invert(square), square) == identity(k)
+    else:
+        with pytest.raises(ValueError):
+            invert(square)
+    width = cols if m else 0  # a matrix with no rows carries no width
+    red, pivots = reference_rref([row + [c] for row, c in zip(m, b)])
+    if width in pivots:
+        assert solve(m, b) is None
+    else:
+        expected = [Fraction(0)] * width
+        for r, pc in enumerate(pivots):
+            expected[pc] = red[r][width]
+        assert solve(m, b) == expected

@@ -341,6 +341,16 @@ def test_kind_mismatch(rep_cache):
         fft_sov(f, rep)
 
 
+def test_inverse_checks_the_image_before_the_dual_basis(rep_cache, monkeypatch):
+    img, _ = fft_sov(random_element(SN, 3, 0), rep_cache(SN, 3))
+    rep = rep_cache(TL, 3)
+    calls = []
+    monkeypatch.setattr(type(rep), "gram_dual", lambda self: calls.append(self))
+    with pytest.raises(ArgumentError, match="input is sn n=3, the representation tl n=3"):
+        inverse_ft(img, rep)
+    assert calls == []
+
+
 def test_inverse_roundtrip(rep_cache):
     for kind, n, seeds in [(BR, 2, 4), (BR, 3, 4), (TL, 4, 4), (TL, 5, 2)]:
         rep = rep_cache(kind, n)
