@@ -93,10 +93,13 @@ def invert(m: Matrix) -> Matrix:
     return [row[n:] for row in red[:n]]
 
 
-def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
-    """One solution of a x = b, or None when inconsistent."""
+def solve(a: Matrix, b: list[Fraction], cols: int | None = None) -> list[Fraction] | None:
+    """One solution of a x = b, or None when inconsistent.
+
+    `cols`, the number of unknowns, is needed only when a has no rows.
+    """
     rows = len(a)
-    cols = len(a[0]) if rows else 0
+    cols = len(a[0]) if rows else (cols or 0)
     aug = [a[i][:] + [b[i]] for i in range(rows)]
     red, pivots = rref(aug)
     if cols in pivots:

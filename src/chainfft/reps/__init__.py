@@ -1,11 +1,13 @@
-"""Chain-adapted exact representations: local blocks, assembly, traces, oracle."""
+"""Chain-adapted exact representations: local blocks, traces, oracle.
+
+Generators and rho are stored only as sparse GT block data (see `core`).
+"""
 
 from .core import (
     DEFAULT_Q,
     AdaptedRep,
     SemisimplicityReport,
     adapted_rep,
-    assemble_dense,
     local_blocks,
     naive_transform_matrix,
     verify_semisimple,
@@ -18,7 +20,6 @@ __all__ = [
     "AdaptedRep",
     "SemisimplicityReport",
     "adapted_rep",
-    "assemble_dense",
     "local_blocks",
     "naive_transform_matrix",
     "verify_semisimple",

@@ -92,7 +92,6 @@ def _cell_matrix_of_diagram(n: int, lam: Partition, d: Diagram, q: Fraction):
     m = sum(lam)
     dim = len(basis)
     halves = sorted({h for h, _ in basis})
-    tab_count = dim // len(halves) if halves else 0
     sn_rep = adapted_rep(ChainKind.SYMMETRIC_GROUP, m)
     out = [[Fraction(0)] * dim for _ in range(dim)]
     for h in halves:
@@ -102,13 +101,11 @@ def _cell_matrix_of_diagram(n: int, lam: Partition, d: Diagram, q: Fraction):
         new_half, sigma, loops = res
         scale = Fraction(q) ** loops
         perm = canonical_pairs((j, m + s) for j, s in enumerate(sigma, start=1))
-        pm = sn_rep.rho(Diagram(ChainKind.SYMMETRIC_GROUP, m, perm), lam)
-        for t_in in range(tab_count):
+        block = sn_rep.rho_blocks(Diagram(ChainKind.SYMMETRIC_GROUP, m, perm).key())
+        for t_in, entries in block.get(lam, {}).items():
             col = index[(h, t_in)]
-            for t_out in range(tab_count):
-                val = pm[t_out][t_in]
-                if val:
-                    out[index[(new_half, t_out)]][col] += scale * val
+            for t_out, val in entries.items():
+                out[index[(new_half, t_out)]][col] += scale * val
     return out
 
 

@@ -7,7 +7,11 @@ denominators at that value.
 A level-(L-1) diagram acts block-diagonally at level L of the Gel'fand-Tsetlin
 basis, so rho_L(d) = rho_L(head tokens) . embed(rho_{L-1}(shrunk d)) along the
 route of d in `diagrams.route_table`.  Every rho is built by this recursion with
-the SOV engine's kernel on a throwaway counter; levels below n are shared.
+the SOV engine's kernel on a throwaway counter and memoised at every level.
+
+Generators and rho are stored only as column-sparse block data, the
+generators as `token_columns` and rho as `rho_blocks` {lam: {col: {row: value}}}.
+`token_matrix` and `rho` are uncached dense views of them for the tests.
 """
 
 from __future__ import annotations
@@ -39,29 +43,12 @@ GRAM_LIMITS = {
 }
 
 
-def assemble_dense(B, table, level: int, lam: Partition, token: Token):
-    """Full matrix of a generator on the level-`level` vertex lam, from blocks.
-
-    Entry (P', P) is nonzero only when the paths agree away from the token's
-    level; the value is read from the block of the shared two-step frame.
-    """
-    sym, i = token
-    if not 1 <= i <= level - 1:
-        raise ArgumentError(f"token {token} invalid at level {level}")
-    paths, pos = B.paths(level, lam)
-    d = len(paths)
+def dense_matrix(d: int, block: dict):
+    """The d x d matrix of one vertex's block data {col: {row: value}}."""
     out = [[Fraction(0)] * d for _ in range(d)]
-    for c, p in enumerate(paths):
-        mu, nu = p[i - 1], p[i + 1]
-        block = table.get((token, mu, nu))
-        if block is None:
-            continue
-        mids = middles(B, i, mu, nu)
-        kc = mids.index(p[i])
-        for kr, kappa in enumerate(mids):
-            val = block[kr][kc]
-            if val:
-                out[pos[p[: i] + (kappa,) + p[i + 1 :]]][c] = val
+    for c, col in block.items():
+        for r, v in col.items():
+            out[r][c] = v
     return out
 
 
@@ -74,11 +61,8 @@ class AdaptedRep:
     q: Fraction
     B: object
     blocks: dict
-    _dense: dict = field(default_factory=dict, repr=False)
     _cols: dict = field(default_factory=dict, repr=False)
-    _rho: dict = field(default_factory=dict, repr=False)
     _levels: dict = field(default_factory=dict, repr=False)
-    _entries: dict = field(default_factory=dict, repr=False)
     _char: dict = field(default_factory=dict, repr=False)
     _gram: object = None
 
@@ -93,30 +77,42 @@ class AdaptedRep:
         lvl = self.n if level is None else level
         return sum(d * d for d in self.B.dims[lvl])
 
-    def token_matrix(self, lam: Partition, token: Token, level: int | None = None):
-        lvl = self.n if level is None else level
-        key = (lvl, tuple(lam), token)
-        if key not in self._dense:
-            self._dense[key] = assemble_dense(self.B, self.blocks, lvl, lam, token)
-        return self._dense[key]
-
     def token_columns(self, lam: Partition, token: Token, level: int):
-        """Sparse column structure: col -> ((row, value), ...)."""
+        """Columns of a generator on the level-`level` vertex lam: ((row, value), ...) each.
+
+        Entry (P', P) is nonzero only when the paths agree away from the token's
+        level; the value is read from the block of the shared two-step frame.
+        """
         key = (level, tuple(lam), token)
         if key not in self._cols:
-            m = self.token_matrix(lam, token, level)
-            d = len(m)
+            sym, i = token
+            if not 1 <= i <= level - 1:
+                raise ArgumentError(f"token {token} invalid at level {level}")
+            paths, pos = self.B.paths(level, lam)
             cols = []
-            for c in range(d):
-                cols.append(
-                    tuple((r, m[r][c]) for r in range(d) if m[r][c] != 0)
-                )
+            for p in paths:
+                mu, nu = p[i - 1], p[i + 1]
+                block = self.blocks.get((token, mu, nu))
+                col = []
+                if block is not None:
+                    mids = middles(self.B, i, mu, nu)
+                    kc = mids.index(p[i])
+                    for kr, kappa in enumerate(mids):
+                        val = block[kr][kc]
+                        if val:
+                            col.append((pos[p[:i] + (kappa,) + p[i + 1 :]], val))
+                cols.append(tuple(sorted(col)))
             self._cols[key] = tuple(cols)
         return self._cols[key]
 
+    def token_matrix(self, lam: Partition, token: Token, level: int | None = None):
+        """Dense view of `token_columns` (level n by default); not cached."""
+        cols = self.token_columns(lam, token, self.n if level is None else level)
+        return dense_matrix(len(cols), {c: dict(col) for c, col in enumerate(cols)})
+
     # -- representation of basis diagrams --------------------------------
     def _block_data(self, key: str, level: int) -> dict:
-        """Block data {lam: {col: {row: value}}} of a basis key; levels < n are memoised."""
+        """Block data {lam: {col: {row: value}}} of a basis key at a level; memoised."""
         if level <= 1:
             return {(1,) if level else (): {0: {0: Fraction(1)}}}
         if (level, key) in self._levels:
@@ -127,46 +123,32 @@ class AdaptedRep:
         data = _embed_blocks(self, level, self._block_data(sub, level - 1))
         for token in reversed(tokens):
             data = _apply_token(self, level, token, data, OpCounter())
-        if level < self.n:
-            self._levels[(level, key)] = data
+        self._levels[(level, key)] = data
         return data
 
+    def rho_blocks(self, key: str) -> dict:
+        """rho(key) as block data {lam: {col: {row: value}}}: nonzero entries only.
+
+        Any spelling of a diagram is accepted.  The result is shared; do not mutate it.
+        """
+        return self._block_data(basis_key(self.kind, self.n, key), self.n)
+
     def rho(self, d: Diagram | str, lam: Partition):
-        """Dense matrix of a basis diagram on lam; every vertex is cached at once."""
+        """Dense view of `rho_blocks` on the vertex lam; not cached."""
         lam = tuple(lam)
-        key = basis_key(self.kind, self.n, d if isinstance(d, str) else d.key())
-        if (key, lam) not in self._rho:
-            for mu, mat in self.dense_blocks(self._block_data(key, self.n)).items():
-                self._rho[(key, mu)] = mat
-        return self._rho[(key, lam)]
+        block = self.rho_blocks(d if isinstance(d, str) else d.key()).get(lam, {})
+        return dense_matrix(self.dim(lam), block)
 
     def dense_blocks(self, blocks: dict) -> dict:
         """{lam: dense matrix} of block data, for every vertex at level n."""
-        out = {}
-        for lam in self.vertices():
-            out[lam] = mat = [[Fraction(0)] * self.dim(lam) for _ in range(self.dim(lam))]
-            for c, col in blocks.get(lam, {}).items():
-                for r, v in col.items():
-                    mat[r][c] = v
-        return out
-
-    def rho_entries(self, key: str):
-        """Nonzero entries (lam, row, col, value) of rho(key), with no dense matrix."""
-        key = basis_key(self.kind, self.n, key)
-        if key not in self._entries:
-            blocks = self._block_data(key, self.n)
-            self._entries[key] = tuple(
-                (lam, r, c, v) for lam, block in blocks.items()
-                for c, col in block.items() for r, v in col.items()
-            )
-        return self._entries[key]
+        return {lam: dense_matrix(self.dim(lam), blocks.get(lam, {})) for lam in self.vertices()}
 
     def character(self, key: str) -> Fraction:
         if key not in self._char:
             self._char[key] = sum(
-                self.rho(key, lam)[i][i]
-                for lam in self.vertices()
-                for i in range(self.dim(lam))
+                (col[c] for block in self.rho_blocks(key).values()
+                 for c, col in block.items() if c in col),
+                Fraction(0),
             )
         return self._char[key]
 
@@ -250,14 +232,11 @@ def adapted_rep(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q) -> AdaptedRep:
 
 def naive_transform_matrix(rep: AdaptedRep):
     """dim x dim matrix of the naive transform: columns are basis diagrams."""
-    basis = all_diagrams(rep.kind, rep.n)
-    rows = []
-    for lam in rep.vertices():
-        d = rep.dim(lam)
-        for r in range(d):
-            for c in range(d):
-                rows.append([rep.rho(b, lam)[r][c] for b in basis])
-    return rows
+    columns = []
+    for b in all_diagrams(rep.kind, rep.n):
+        dense = rep.dense_blocks(rep.rho_blocks(b.key()))
+        columns.append([x for mat in dense.values() for row in mat for x in row])
+    return [list(row) for row in zip(*columns)]
 
 
 def verify_semisimple(rep: AdaptedRep) -> SemisimplicityReport:

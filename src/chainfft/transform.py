@@ -115,8 +115,11 @@ def fft_naive(f: AlgebraElement, rep: AdaptedRep) -> tuple[FourierImage, OpCount
     support = 0
     for key, c in f.coeffs:
         support += 1
-        for lam, r, col, v in rep.rho_entries(key):
-            dense[lam][r][col] += c * v
+        for lam, block in rep.rho_blocks(key).items():
+            mat = dense[lam]
+            for col, entries in block.items():
+                for r, v in entries.items():
+                    mat[r][col] += c * v
     counter.mul += support * dim_a
     counter.add += max(0, support - 1) * dim_a
     return _blocks_from_dense(f.kind, f.n, dense), counter
@@ -452,16 +455,17 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     _check_inputs(img, rep)
     basis, ginv, _ = rep.gram_dual()
     size = len(basis)
+    blocks = {lam: img.block(lam) for lam in rep.vertices()}
     traces = []
     for k in range(size):
+        # Tr(f̂ rho_k) over the nonzero entries rho_k[r][c] = v of each block
         total = Fraction(0)
-        for lam in rep.vertices():
-            m = img.block(lam)
-            rho_k = rep.rho(basis[k], lam)
-            d = len(m)
-            total += sum(
-                m[r][c] * rho_k[c][r] for r in range(d) for c in range(d)
-            )
+        for lam, block in rep.rho_blocks(basis[k].key()).items():
+            m = blocks[lam]
+            for c, col in block.items():
+                row = m[c]
+                for r, v in col.items():
+                    total += row[r] * v
         traces.append(total)
     table: dict[str, Fraction] = {}
     for j in range(size):
@@ -530,18 +534,29 @@ def element_to_json(f: AlgebraElement, q: Fraction) -> dict:
     }
 
 
+def _exact(value, name: str) -> Fraction:
+    """The rational of a JSON string or integer."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TypeError(f"{name}={value!r} is not a string or an integer")
+    return Fraction(value)
+
+
 def element_from_json(
     payload: dict, kind: ChainKind, n: int
 ) -> tuple[AlgebraElement, Fraction]:
     """The element and q of a payload, whose chain and n must be `kind` and `n`.
 
     They are checked before any key is read, so a payload's n never sizes a basis.
+    n must be a JSON integer, and q and each value a string or an integer: a
+    float or a bool is refused, not rounded or read as a number.
     """
     try:
-        chain, size, q = payload["chain"], int(payload["n"]), Fraction(payload["q"])
+        chain, size, q = payload["chain"], payload["n"], _exact(payload["q"], "q")
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise TypeError(f"n={size!r} is not an integer")
         table: dict = {}
         for row in payload["coeffs"]:
-            table[row["diagram"]] = table.get(row["diagram"], 0) + Fraction(row["value"])
+            table[row["diagram"]] = table.get(row["diagram"], 0) + _exact(row["value"], "value")
     except KeyError as exc:
         raise ArgumentError(f"coefficient payload lacks the field {exc}") from None
     except (TypeError, ValueError, ArithmeticError) as exc:

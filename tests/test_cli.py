@@ -190,6 +190,33 @@ def test_coeff_file_errors(tmp_path, capsys, command):
     assert code == 2 and "--q" in err
 
 
+@pytest.mark.parametrize("command", ["fft", "invert"])
+@pytest.mark.parametrize("n,payload", [
+    ("3", {"n": 3.7}),
+    ("1", {"n": True}),
+    ("3", {"n": 3.0}),
+    ("3", {"n": "3"}),
+    ("3", {"q": 0.1}),
+    ("3", {"q": True}),
+    ("3", {"q": None}),
+    ("3", {"value": 0.5}),
+    ("3", {"value": False}),
+    ("3", {"value": [1]}),
+], ids=["n-3.7", "n-true", "n-3.0", "n-string", "q-0.1", "q-true", "q-null",
+        "value-0.5", "value-false", "value-list"])
+def test_malformed_numbers_are_refused(tmp_path, capsys, command, n, payload):
+    """n must be a JSON integer, q and each value a string or an integer."""
+    size = int(n)
+    key = all_diagrams(ChainKind.TEMPERLEY_LIEB, size)[0].key()
+    data = {"chain": "tl", "n": payload.get("n", size), "q": payload.get("q", "10/3"),
+            "coeffs": [{"diagram": key, "value": payload.get("value", "1")}]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--chain", "tl", "-n", n, "--coeffs", str(path))
+    assert code == 2 and out == "" and err.startswith("error: malformed"), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("chain", ["sn", "tl", "brauer"])
 def test_verify_n0(tmp_path, capsys, chain):
     code, out, _ = run(capsys, "verify", "--chain", chain, "-n", "0")

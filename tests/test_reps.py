@@ -113,25 +113,32 @@ def test_restriction_block_sizes(rep_cache):
         assert len(seen) == len(set(groups))
 
 
-def test_rep_of_diagram_multiplicative(rep_cache):
-    for kind, n, trials in [(BR, 3, None), (BR, 4, 40), (TL, 5, 40)]:
-        rep = rep_cache(kind, n)
-        ds = all_diagrams(kind, n)
-        rng = random.Random(7)
-        pairs = (
-            [(a, b) for a in ds for b in ds]
-            if trials is None
-            else [(rng.choice(ds), rng.choice(ds)) for _ in range(trials)]
-        )
-        for a, b in pairs:
-            prod = diagram_mul(a, b)
-            for lam in rep.vertices():
-                left = mat_mul(rep.rho(a, lam), rep.rho(b, lam))
-                right = [
-                    [Q**prod.loops * x for x in row]
-                    for row in rep.rho(prod.diagram, lam)
-                ]
-                assert left == right
+def rho_multiplies(rep, a, b):
+    """rho(a) rho(b) == q^loops rho(a b) on every vertex."""
+    prod = diagram_mul(a, b)
+    for lam in rep.vertices():
+        left = mat_mul(rep.rho(a, lam), rep.rho(b, lam))
+        right = [[Q**prod.loops * x for x in row] for row in rep.rho(prod.diagram, lam)]
+        if left != right:
+            return False
+    return True
+
+
+def test_rep_of_diagram_multiplicative_brauer3_exhaustive(rep_cache):
+    rep = rep_cache(BR, 3)
+    ds = all_diagrams(BR, 3)
+    for a in ds:
+        for b in ds:
+            assert rho_multiplies(rep, a, b), (a.key(), b.key())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(TL, 5), (BR, 4), (SN, 5)]).flatmap(
+    lambda kn: st.tuples(st.just(kn), *[st.sampled_from(all_diagrams(*kn))] * 2)
+))
+def test_rep_of_diagram_multiplicative(case):
+    (kind, n), a, b = case
+    assert rho_multiplies(adapted_rep(kind, n), a, b), (a.key(), b.key())
 
 
 def test_rep_word_independence(rep_cache):
@@ -174,6 +181,7 @@ def test_rho_is_the_product_of_its_word(kind, n, rep_cache):
 
 @pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 4)])
 def test_rho_entries_are_the_nonzero_entries_of_rho(kind, n, rep_cache):
+    """rho_blocks holds exactly the nonzero entries of rho, with no empty block or column."""
     rep = rep_cache(kind, n)
     for d in all_diagrams(kind, n):
         dense = {
@@ -183,8 +191,13 @@ def test_rho_entries_are_the_nonzero_entries_of_rho(kind, n, rep_cache):
             for c, v in enumerate(row)
             if v
         }
-        entries = rep.rho_entries(d.key())
+        blocks = rep.rho_blocks(d.key())
+        entries = [
+            (lam, r, c, v) for lam, block in blocks.items()
+            for c, col in block.items() for r, v in col.items()
+        ]
         assert len(entries) == len(dense) and set(entries) == dense
+        assert all(block and all(block.values()) for block in blocks.values())
 
 
 @pytest.mark.parametrize("kind", [SN, TL, BR])
@@ -192,7 +205,7 @@ def test_rho_at_n0_and_n1(kind):
     for n, key, lam in ((0, "", ()), (1, "1-2", (1,))):
         rep = adapted_rep(kind, n)
         assert rep.rho(key, lam) == [[Fraction(1)]]
-        assert rep.rho_entries(key) == ((lam, 0, 0, Fraction(1)),)
+        assert rep.rho_blocks(key) == {lam: {0: {0: Fraction(1)}}}
         assert rep.character(key) == 1
         with pytest.raises(ArgumentError):
             rep.rho("1-3", lam)
@@ -204,10 +217,10 @@ def test_rho_reads_other_spellings_and_refuses_bad_keys(rep_cache):
     spelled = ",".join(f"{b}-{a}" for a, b in reversed(d.pairs))
     for lam in rep.vertices():
         assert rep.rho(spelled, lam) == rep.rho(d, lam)
-    assert rep.rho_entries(spelled) == rep.rho_entries(d.key())
+    assert rep.rho_blocks(spelled) == rep.rho_blocks(d.key())
     for bad in ("1-x", "1-3,2-4,5-7,6-8", "1-2"):
         with pytest.raises(ArgumentError):
-            rep.rho_entries(bad)
+            rep.rho_blocks(bad)
 
 
 def test_rho_builds_a_spelled_key_once(monkeypatch):
@@ -542,12 +555,11 @@ def test_rank_matches_rref(system):
     else:
         with pytest.raises(ValueError):
             invert(square)
-    width = cols if m else 0  # a matrix with no rows carries no width
     red, pivots = reference_rref([row + [c] for row, c in zip(m, b)])
-    if width in pivots:
-        assert solve(m, b) is None
+    if cols in pivots:
+        assert solve(m, b, cols) is None
     else:
-        expected = [Fraction(0)] * width
+        expected = [Fraction(0)] * cols
         for r, pc in enumerate(pivots):
-            expected[pc] = red[r][width]
-        assert solve(m, b) == expected
+            expected[pc] = red[r][cols]
+        assert solve(m, b, cols) == expected

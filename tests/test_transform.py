@@ -163,6 +163,32 @@ def test_warm_naive_applies_no_token(rep_cache, monkeypatch):
     assert calls
 
 
+def test_warm_engines_read_no_dense_view(rep_cache, monkeypatch):
+    """fft_naive, fft_sov and inverse_ft read block data, never rho or token_matrix."""
+    from chainfft.reps.core import AdaptedRep
+
+    rep = rep_cache(TL, 4)
+    warm, _ = fft_sov(random_element(TL, 4, 0), rep)
+    fft_naive(random_element(TL, 4, 0), rep)
+    inverse_ft(warm, rep)
+    calls = []
+    for name in ("rho", "token_matrix"):
+        original = getattr(AdaptedRep, name)
+        monkeypatch.setattr(
+            AdaptedRep, name,
+            lambda self, *a, _name=name, _f=original: calls.append(_name) or _f(self, *a),
+        )
+    f = random_element(TL, 4, 1)
+    img, _ = fft_sov(f, rep)
+    assert fft_naive(f, rep)[0] == img
+    assert inverse_ft(img, rep).coeffs == f.coeffs
+    assert calls == []
+    # the counters see a dense view when one is taken
+    rep.rho(identity_diagram(TL, 4), rep.vertices()[0])
+    rep.token_matrix(rep.vertices()[0], ("e", 1))
+    assert calls == ["rho", "token_matrix"]
+
+
 def test_from_dict_takes_basis_keys_without_parsing(monkeypatch):
     import chainfft.diagrams as D
 
