@@ -11,6 +11,8 @@ the SOV engine's kernel on a throwaway counter and memoised at every level.
 
 Generators and rho are stored only as column-sparse block data, the
 generators as `token_columns` and rho as `rho_blocks` {lam: {col: {row: value}}}.
+The rho recursion reads the rational `token_columns`; the SOV engine reads
+`int_columns`, the same columns scaled to integers, and `prescale`.
 `token_matrix` and `rho` are uncached dense views of them for the tests.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 
 from ..combinat import ChainKind, Partition, cached_bratteli
 from ..diagrams import (
@@ -62,6 +65,9 @@ class AdaptedRep:
     B: object
     blocks: dict
     _cols: dict = field(default_factory=dict, repr=False)
+    _int_cols: dict = field(default_factory=dict, repr=False)
+    _scales: dict = field(default_factory=dict, repr=False)
+    _pre: dict = field(default_factory=dict, repr=False)
     _levels: dict = field(default_factory=dict, repr=False)
     _char: dict = field(default_factory=dict, repr=False)
     _gram: object = None
@@ -105,6 +111,40 @@ class AdaptedRep:
             self._cols[key] = tuple(cols)
         return self._cols[key]
 
+    def token_scale(self, level: int, i: int) -> int:
+        """D(level, i): the lcm of the denominators of every generator column at index i."""
+        if (level, i) not in self._scales:
+            syms = {sym for (sym, _), _, _ in self.blocks}
+            cols = (col for lam in self.vertices(level) for sym in syms
+                    for col in self.token_columns(lam, (sym, i), level))
+            self._scales[(level, i)] = lcm(*(v.denominator for col in cols for _, v in col))
+        return self._scales[(level, i)]
+
+    def int_columns(self, lam: Partition, token: Token, level: int):
+        """`token_columns` times D(level, i): the integer columns of the SOV kernel."""
+        key = (level, tuple(lam), token)
+        if key not in self._int_cols:
+            scale = self.token_scale(level, token[1])
+            self._int_cols[key] = tuple(
+                tuple((r, v.numerator * (scale // v.denominator)) for r, v in col)
+                for col in self.token_columns(lam, token, level)
+            )
+        return self._int_cols[key]
+
+    def prescale(self, level: int) -> dict[str, int]:
+        """{basis key: product of D(L, i) over every index i its route leaves as
+        identity, at this level and every level below}: one scale for all streams."""
+        if level == 0:
+            return {"": 1}
+        if level not in self._pre:
+            below = self.prescale(level - 1)
+            full = prod(self.token_scale(level, i) for i in range(1, level))
+            self._pre[level] = {
+                key: full // prod(self.token_scale(level, i) for _, i in tokens) * below[sub]
+                for key, (tokens, sub) in route_table(self.kind, level).items()
+            }
+        return self._pre[level]
+
     def token_matrix(self, lam: Partition, token: Token, level: int | None = None):
         """Dense view of `token_columns` (level n by default); not cached."""
         cols = self.token_columns(lam, token, self.n if level is None else level)
@@ -122,7 +162,7 @@ class AdaptedRep:
         tokens, sub = route_table(self.kind, level)[key]
         data = _embed_blocks(self, level, self._block_data(sub, level - 1))
         for token in reversed(tokens):
-            data = _apply_token(self, level, token, data, OpCounter())
+            data = _apply_token(self.token_columns, level, token, data, OpCounter())
         self._levels[(level, key)] = data
         return data
 
@@ -171,7 +211,8 @@ class AdaptedRep:
         return basis, gram
 
     def gram_dual(self):
-        """Dual basis data: (basis diagrams, Gram inverse, dual coefficient table)."""
+        """Dual basis data: (basis diagrams, dual table), the dual of basis[j] as
+        {basis key k: Gram inverse [k][j]} over the nonzero entries."""
         if self._gram is not None:
             return self._gram
         limit = GRAM_LIMITS.get(self.kind)
@@ -191,7 +232,7 @@ class AdaptedRep:
             {basis[k].key(): ginv[k][j] for k in range(size) if ginv[k][j]}
             for j in range(size)
         ]
-        self._gram = (basis, ginv, duals)
+        self._gram = (basis, duals)
         return self._gram
 
 

@@ -11,6 +11,11 @@ and each factor word is applied token by token as block-local sparse
 products.  Operation counters track scalar multiplications and additions of
 the transform proper; representation data and routing are precomputed and
 free.
+
+The SOV arithmetic runs on Python ints: `AdaptedRep.int_columns` and
+`AdaptedRep.prescale` scale the generators and the inputs so that every stream
+carries one common scale, which a single division per output entry removes.
+Scaling keeps the zero pattern, so the operation counts are unchanged.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import NamedTuple
 
 from .combinat import (
@@ -59,11 +65,15 @@ class AlgebraElement:
     def from_dict(kind: ChainKind, n: int, table: dict) -> "AlgebraElement":
         """Canonicalise each key, summing every spelling of one diagram.
 
-        A key is looked up in `route_table(kind, n)`, so this lists the whole
-        basis of size n once per (kind, n).
+        Values are ints, `Fraction`s or strings; a float or bool is refused.  A key
+        is looked up in `route_table(kind, n)`, so this lists the whole basis of
+        size n once per (kind, n).
         """
         sums: dict[str, Fraction] = {}
         for key, value in table.items():
+            if isinstance(value, (bool, float)):
+                raise ArgumentError(
+                    f"coefficient {value!r} of {key!r}: give an int, a Fraction or a string")
             key = basis_key(kind, n, key)
             sums[key] = sums.get(key, Fraction(0)) + Fraction(value)
         return AlgebraElement(kind, n, tuple(sorted((k, v) for k, v in sums.items() if v)))
@@ -323,7 +333,15 @@ def fft_sov(
         raise ArgumentError("plan does not match the input element")
     counter = OpCounter()
     index = _routing(f.kind, f.n).index if f.n else {"": 0}
-    sparse = _sov_level(rep, f.n, {index[key]: c for key, c in f.coeffs}, counter)
+    # c -> c . den . prescale, an int; the result is S_n . den times the transform
+    den, prescale = lcm(*(c.denominator for _, c in f.coeffs)), rep.prescale(f.n)
+    coeffs = {index[k]: c.numerator * (den // c.denominator) * prescale[k] for k, c in f.coeffs}
+    sparse = _sov_level(rep, f.n, coeffs, counter)
+    scale = den * prod(rep.token_scale(L, i) for L in range(2, f.n + 1) for i in range(1, L))
+    for block in sparse.values():
+        for col in block.values():
+            for r, v in col.items():
+                col[r] = Fraction(v, scale)
     return _blocks_from_dense(f.kind, f.n, rep.dense_blocks(sparse)), counter
 
 
@@ -331,14 +349,14 @@ def fft_sov(
 
 
 def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
-    """Transform {basis position: coefficient} at the given level into block data.
+    """Transform {basis position: integer coefficient} at the given level into block data.
 
     Factor words are applied suffix-first (highest generator index down);
     streams whose remaining prefixes coincide are merged before the shared
     token is applied, so common word prefixes cost one application.
     """
     if level <= 1:
-        total = sum(coeffs.values(), Fraction(0))
+        total = sum(coeffs.values())
         return {(1,) if level else (): {0: {0: total}}} if total else {}
     routing = _routing(rep.kind, level)
     fibers: list = [None] * len(routing.stages[0])
@@ -358,7 +376,7 @@ def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
             if data is None:
                 continue
             if sym is not None:
-                data = _apply_token(rep, level, (sym, i), data, counter)
+                data = _apply_token(rep.int_columns, level, (sym, i), data, counter)
             _merge_stream(merged, dest, data, counter)
         streams = merged
     result: dict[Partition, dict] = {}
@@ -414,16 +432,17 @@ def _embed_blocks(rep: AdaptedRep, level: int, sub: dict) -> dict:
     return out
 
 
-def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCounter):
+def _apply_token(columns, level: int, token, data: dict, counter: OpCounter):
     """Left-multiply block data by one generator, block-locally.
 
-    Every scalar product of the straight-line program is counted, and each
+    `columns` is `AdaptedRep.token_columns` (rational) or `int_columns`.  Every
+    scalar product of the straight-line program is counted, and each
     accumulation beyond a first assignment counts as one addition.
     """
     out: dict[Partition, dict] = {}
     muls = adds = 0
     for lam, block in data.items():
-        cols = rep.token_columns(lam, token, level)
+        cols = columns(lam, token, level)
         dest: dict = {}
         for c, col in block.items():
             acc: dict = {}
@@ -453,25 +472,24 @@ def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCoun
 def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     """Recover coefficients through the trace form: f(a_i) = Tr(f̂ rho(a_i*))."""
     _check_inputs(img, rep)
-    basis, ginv, _ = rep.gram_dual()
-    size = len(basis)
+    basis, duals = rep.gram_dual()
     blocks = {lam: img.block(lam) for lam in rep.vertices()}
-    traces = []
-    for k in range(size):
-        # Tr(f̂ rho_k) over the nonzero entries rho_k[r][c] = v of each block
-        total = Fraction(0)
-        for lam, block in rep.rho_blocks(basis[k].key()).items():
+    traces = {}
+    for d in basis:
+        # Tr(f̂ rho(d)) over the nonzero entries rho(d)[r][c] = v of each block
+        key, total = d.key(), Fraction(0)
+        for lam, block in rep.rho_blocks(key).items():
             m = blocks[lam]
             for c, col in block.items():
                 row = m[c]
                 for r, v in col.items():
                     total += row[r] * v
-        traces.append(total)
+        traces[key] = total
     table: dict[str, Fraction] = {}
-    for j in range(size):
-        val = sum(ginv[k][j] * traces[k] for k in range(size))
+    for d, dual in zip(basis, duals):
+        val = sum(g * traces[key] for key, g in dual.items())
         if val:
-            table[basis[j].key()] = val
+            table[d.key()] = val
     return AlgebraElement.from_dict(img.kind, img.n, table)
 
 

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from chainfft.combinat import ChainKind
 from chainfft.reps import DEFAULT_Q, adapted_rep
+
+# One profile for every property test: example counts stay per test, draws stay
+# random, and no deadline, since a first draw may build a representation.
+settings.register_profile("chainfft", deadline=None)
+settings.load_profile("chainfft")
 
 
 @pytest.fixture(scope="session")

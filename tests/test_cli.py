@@ -358,7 +358,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=600)
 @given(data=st.data())
 def test_cli_exit_codes_under_fuzz(data, fuzz_dir):
     """Malformed argv and coefficient files end in exit code 0, 1 or 2, never a traceback."""

@@ -87,7 +87,7 @@ def crosses_pairwise(pairs, n):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(0, 8).flatmap(
     lambda n: st.tuples(st.just(n), st.permutations(range(1, 2 * n + 1)))
 ))
@@ -139,7 +139,7 @@ def brauer_diagrams(n):
     )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(*[brauer_diagrams(n)] * 3)))
 def test_associativity_property(triple):
     a, b, c = triple
@@ -206,7 +206,7 @@ def test_factor_map_total_and_loop_free(kind, n):
         check_factorization(d)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 7).flatmap(brauer_diagrams))
 def test_factor_map_property(d):
     check_factorization(d)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -132,7 +133,7 @@ def test_rep_of_diagram_multiplicative_brauer3_exhaustive(rep_cache):
             assert rho_multiplies(rep, a, b), (a.key(), b.key())
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from([(TL, 5), (BR, 4), (SN, 5)]).flatmap(
     lambda kn: st.tuples(st.just(kn), *[st.sampled_from(all_diagrams(*kn))] * 2)
 ))
@@ -177,6 +178,37 @@ def test_rho_is_the_product_of_its_word(kind, n, rep_cache):
             for token in word_of(d).tokens:
                 want = mat_mul(want, rep.token_matrix(lam, token))
             assert rep.rho(d, lam) == want, (d.key(), lam)
+
+
+@pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 3)])
+def test_integer_kernel_scales(kind, n, rep_cache):
+    """int_columns are token_columns times D(L, i), the lcm of their denominators,
+    and each route's pre-scale times its tokens' D(L, i) is S_n = prod D(L, i)."""
+    rep = rep_cache(kind, n)
+    syms = {sym for (sym, _), _, _ in rep.blocks}
+    for level in range(2, n + 1):
+        for i in range(1, level):
+            scale, dens = rep.token_scale(level, i), set()
+            for lam in rep.vertices(level):
+                for sym in syms:
+                    cols = rep.token_columns(lam, (sym, i), level)
+                    dens.update(v.denominator for col in cols for _, v in col)
+                    scaled = rep.int_columns(lam, (sym, i), level)
+                    assert scaled == tuple(tuple((r, scale * v) for r, v in col) for col in cols)
+                    assert all(type(v) is int for col in scaled for _, v in col)
+            assert scale == math.lcm(*dens)
+
+    def route_scale(key, level):
+        if level <= 1:
+            return 1
+        tokens, sub = route_table(kind, level)[key]
+        return math.prod(rep.token_scale(level, i) for _, i in tokens) * route_scale(sub, level - 1)
+
+    total = math.prod(rep.token_scale(L, i) for L in range(2, n + 1) for i in range(1, L))
+    prescale = rep.prescale(n)
+    assert prescale.keys() == route_table(kind, n).keys()
+    for key, pre in prescale.items():
+        assert pre * route_scale(key, n) == total
 
 
 @pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 4)])
@@ -282,7 +314,7 @@ def test_trace_central(rep_cache):
 @pytest.mark.parametrize("kind,n", [(BR, 2), (BR, 3), (TL, 4), (TL, 5)])
 def test_gram_dual_delta_property(kind, n, rep_cache):
     rep = rep_cache(kind, n)
-    basis, ginv, duals = rep.gram_dual()
+    basis, duals = rep.gram_dual()
     size = len(basis)
     for i in range(size):
         for j in range(size):
@@ -366,7 +398,7 @@ def test_cell_module_homomorphism_generators(n):
                 assert _cell_product_ok(n, lam, x, y, mx, my), (lam, tx, ty)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 4).flatmap(
     lambda n: st.tuples(st.just(n), *[st.sampled_from(all_diagrams(BR, n))] * 2)
 ))
@@ -533,7 +565,7 @@ def low_rank_systems(draw):
     return m, cols, draw(st.lists(FRACTIONS, min_size=rows, max_size=rows))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(low_rank_systems())
 @example(([], 0, []))
 @example(([], 3, []))

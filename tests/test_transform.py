@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chainfft.combinat import ChainKind, cached_bratteli, paper_bounds
 from chainfft.diagrams import all_diagrams, generator, identity_diagram
 from chainfft.errors import ArgumentError
-from chainfft.reps import DEFAULT_Q
+from chainfft.reps import DEFAULT_Q, adapted_rep
 from chainfft.transform import (
     AlgebraElement,
     OpCounter,
@@ -100,10 +100,17 @@ SOV_COUNTS = {
     (TL, 6): (1745, 563), (TL, 7): (8537, 2439), (TL, 8): (40822, 10586),
     (SN, 3): (24, 16), (SN, 4): (246, 139), (SN, 5): (2648, 1378),
     (BR, 2): (4, 4), (BR, 3): (93, 58), (BR, 4): (1859, 1083),
+    (SN, 6): (28510, 14044), (TL, 9): (191832, 45452), (BR, 5): (40527, 21801),
 }
+SLOW_COUNTS = {(BR, 5)}  # the Brauer 5 build takes about 5 s
 
 
-@pytest.mark.parametrize("kind,n", list(SOV_COUNTS), ids=lambda x: getattr(x, "value", x))
+@pytest.mark.parametrize(
+    "kind,n",
+    [pytest.param(*case, marks=pytest.mark.slow) if case in SLOW_COUNTS else case
+     for case in SOV_COUNTS],
+    ids=lambda x: getattr(x, "value", x),
+)
 def test_sov_op_counts_pinned(kind, n, rep_cache):
     """The counted straight-line program: (mul, add) of `chainfft bench` at seed 0."""
     _, ops = fft_sov(random_element(kind, n, 0), rep_cache(kind, n))
@@ -137,6 +144,29 @@ def test_warm_sov_builds_no_routing(rep_cache, monkeypatch):
     # the counters see a routing build
     D.route_table.__wrapped__(TL, 3)
     assert calls["factor_map"] == calls["shrink"] == 5 and calls["__post_init__"] > 0
+
+
+def test_warm_sov_kernel_is_integer(rep_cache, monkeypatch):
+    """On a warm representation every value the SOV kernel takes and gives is an int."""
+    import chainfft.transform as T
+
+    rep = rep_cache(TL, 6)
+    fft_sov(random_element(TL, 6, 0), rep)
+    values = []
+    original = T._apply_token
+
+    def checked(columns, level, token, data, counter):
+        out = original(columns, level, token, data, counter)
+        for blocks in (data, out):
+            values.extend(v for block in blocks.values() for col in block.values()
+                          for v in col.values())
+        return out
+
+    monkeypatch.setattr(T, "_apply_token", checked)
+    f = AlgebraElement.from_dict(TL, 6, {k: v / 7 for k, v in random_element(TL, 6, 1).coeffs})
+    img, _ = fft_sov(f, rep)
+    assert values and all(type(v) is int for v in values)
+    assert img == fft_naive(f, rep)[0]
 
 
 def test_warm_naive_applies_no_token(rep_cache, monkeypatch):
@@ -241,7 +271,7 @@ def test_property_sov_equals_naive_and_linear(kind, n, rep_cache):
     keys = [d.key() for d in all_diagrams(kind, n)]
     tables = st.dictionaries(st.sampled_from(keys), SCALARS, max_size=8)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(f_tab=tables, g_tab=tables, a=SCALARS, b=SCALARS, zero=st.sampled_from(keys))
     def check(f_tab, g_tab, a, b, zero):
         f_tab.setdefault(zero, Fraction(0))
@@ -258,6 +288,29 @@ def test_property_sov_equals_naive_and_linear(kind, n, rep_cache):
         assert img_h.blocks == _combine(a, img_f, b, img_g)
 
     check()
+
+
+FRACTION_CASES = [(TL, 5), (SN, 4), (BR, 3), (TL, 0), (SN, 0), (BR, 0), (TL, 1), (SN, 1), (BR, 1)]
+
+
+@st.composite
+def fractional_sparse_elements(draw):
+    """A case and a support of 1..8 basis keys with values p/q, 0 < |p| <= 50, 1 <= q <= 12."""
+    kind, n = draw(st.sampled_from(FRACTION_CASES))
+    keys = [d.key() for d in all_diagrams(kind, n)]
+    values = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12))
+    table = draw(st.dictionaries(
+        st.sampled_from(keys), values, min_size=1, max_size=min(8, len(keys))
+    ))
+    return AlgebraElement.from_dict(kind, n, table)
+
+
+@settings(max_examples=150)
+@given(fractional_sparse_elements())
+def test_property_sov_equals_naive_on_fractional_sparse_inputs(f):
+    """Inputs with denominators: the SOV kernel's common denominator comes back out."""
+    rep = adapted_rep(f.kind, f.n, Q)
+    assert fft_sov(f, rep)[0] == fft_naive(f, rep)[0]
 
 
 def test_sov_scaling_equivariance(rep_cache):
@@ -427,6 +480,17 @@ def test_convolution_examples(rep_cache):
             a = random_element(kind, n, seed)
             b = random_element(kind, n, seed + 50)
             assert convolution_check(a, b, r).ok
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False])
+def test_from_dict_refuses_floats_and_bools(value):
+    key = identity_diagram(TL, 2).key()
+    with pytest.raises(ArgumentError, match="give an int, a Fraction or a string"):
+        AlgebraElement.from_dict(TL, 2, {key: value})
+    table = {key: 1, generator(TL, ("e", 1), 2).key(): Fraction(1, 3)}
+    assert AlgebraElement.from_dict(TL, 2, {**table, key: "1/2"}).table() == {
+        **table, key: Fraction(1, 2)
+    }
 
 
 def test_from_dict_canonicalises_keys():
