@@ -2,10 +2,10 @@
 
 A half diagram on n points keeps k arcs and m = n - 2k ordered through
 points; the standard module for a partition of m pairs halves with
-seminormal symmetric-group vectors.  Chain-adapted bases are built level by
-level: the basis of a module at level i is the union of the images of the
-level-(i-1) adapted bases under the (generically unique) embeddings, found
-by exact intertwiner solves.
+seminormal symmetric-group vectors.  `brauer_block_table` adapts them level
+by level: the basis G of a level-L module joins the (generically unique)
+embeddings of the level-(L-1) modules, solved against the table built so far,
+and G^-1 C G gives the local blocks of the two new generators r_{L-1}, e_{L-1}.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from ..combinat import ChainKind, Partition, cached_bratteli, partition_key
 from ..diagrams import Diagram, Token, _pairings, canonical_pairs, diagram_mul, generator
 from ..errors import ParameterError
 from ..ratlinalg import invert, mat_mul, nullspace
-from .core import adapted_rep
+from .core import AdaptedRep, adapted_rep
+from .seminormal import middles
 
 HalfDiagram = tuple[tuple[int, int], ...]  # sorted arcs on {1..n}
 
@@ -113,79 +114,32 @@ def _cell_matrix_of_diagram(n: int, lam: Partition, d: Diagram, q: Fraction):
 # Level-by-level adapted bases
 
 
-@lru_cache(maxsize=None)
-def brauer_gt_level(level: int, q: Fraction):
-    """Adapted generator matrices per vertex at the given Brauer chain level.
+def _embedding_columns(level, nu, mu, d_mu, mu_cols, q):
+    """Columns of the unique intertwiner from the mu module into the nu cell module.
 
-    Returns {vertex: {token: dense matrix over GT paths}}.
+    `mu_cols` maps each token to its `token_columns` on mu, a module of dim d_mu.
     """
-    q = Fraction(q)
-    B = cached_bratteli(ChainKind.BRAUER, max(level, 1))
-    if level == 0:
-        return {(): {}}
-    if level == 1:
-        return {(1,): {}}
-    below = brauer_gt_level(level - 1, q)
-    sub_tokens = [(s, i) for i in range(1, level - 1) for s in ("r", "e")]
-    own_tokens = [(s, i) for i in range(1, level) for s in ("r", "e")]
-    out = {}
-    for nu in B.vertices(level):
-        cell_mats = {tok: cell_matrix(level, nu, tok, q) for tok in own_tokens}
-        dim_nu = len(cell_basis(level, nu))
-        columns = []
-        for mu in sorted(set(B.in_neighbors(level, nu)), key=partition_key):
-            embed_cols = _embedding_columns(
-                cell_mats, below[mu], dim_nu, sub_tokens, nu, mu, q
-            )
-            columns.extend(embed_cols)
-        if len(columns) != dim_nu:
-            raise ParameterError(
-                f"adapted basis of {nu!r} at level {level} has wrong size at q={q}"
-            )
-        G = [[columns[c][r] for c in range(dim_nu)] for r in range(dim_nu)]
-        try:
-            Ginv = invert(G)
-        except ValueError:
-            raise ParameterError(
-                f"adapted basis of {nu!r} at level {level} is singular at q={q}"
-            ) from None
-        out[nu] = {
-            tok: mat_mul(Ginv, mat_mul(cell_mats[tok], G)) for tok in own_tokens
-        }
-    return out
-
-
-def _embedding_columns(cell_mats, mu_mats, dim_nu, sub_tokens, nu, mu, q):
-    """Columns of the unique intertwiner from the mu module into the nu module."""
-    d_mu = len(next(iter(mu_mats.values()))) if mu_mats else 1  # levels 0 and 1
+    dim_nu = len(cell_basis(level, nu))
     unknowns = dim_nu * d_mu
-    constraints = []  # rho_nu(tok) X - X rho_mu(tok) = 0 for every sub token
-    for tok in sub_tokens:
-        rho_nu = cell_mats[tok]
-        rho_mu = mu_mats[tok]
+    constraints = []  # rho_nu(tok) X - X rho_mu(tok) = 0 for every token of mu_cols
+    for tok, cols in mu_cols.items():
+        rho_nu = cell_matrix(level, nu, tok, q)
         for r in range(dim_nu):
             for c in range(d_mu):
                 row = [Fraction(0)] * unknowns
                 for k in range(dim_nu):
-                    v = rho_nu[r][k]
-                    if v:
-                        row[k * d_mu + c] += v
-                for k in range(d_mu):
-                    v = rho_mu[k][c]
-                    if v:
-                        row[r * d_mu + k] -= v
+                    if rho_nu[r][k]:
+                        row[k * d_mu + c] += rho_nu[r][k]
+                for k, v in cols[c]:
+                    row[r * d_mu + k] -= v
                 constraints.append(row)
     kernel = nullspace(constraints, unknowns)
     if len(kernel) != 1:
         raise ParameterError(
             f"embedding {mu!r} -> {nu!r} not unique at q={q} (dim {len(kernel)})"
         )
-    vec = kernel[0]
-    pivot = next(x for x in vec if x != 0)
-    vec = [x / pivot for x in vec]
-    return [
-        [vec[r * d_mu + c] for r in range(dim_nu)] for c in range(d_mu)
-    ]
+    pivot = next(x for x in kernel[0] if x != 0)
+    return [[kernel[0][r * d_mu + c] / pivot for r in range(dim_nu)] for c in range(d_mu)]
 
 
 def brauer_semisimple(n: int, q: Fraction) -> bool:
@@ -205,7 +159,11 @@ def brauer_semisimple(n: int, q: Fraction) -> bool:
 
 
 def brauer_block_table(n: int, q: Fraction):
-    """Local blocks for all Brauer generators up to index n-1, extracted per level."""
+    """Local blocks for all Brauer generators up to index n-1, one level at a time.
+
+    Level L reads the modules below it from the table it is filling, and adds
+    the blocks of its two new generators r_{L-1} and e_{L-1}.
+    """
     q = Fraction(q)
     # Z(k) grows with k, so for q != 0 the top size decides for every level;
     # at q = 0 and odd n the level-3 basis change is singular and fails below.
@@ -216,62 +174,37 @@ def brauer_block_table(n: int, q: Fraction):
         )
     B = cached_bratteli(ChainKind.BRAUER, max(n, 1))
     table = {}
+    rep = AdaptedRep(ChainKind.BRAUER, n, q, B, table)
     for level in range(2, n + 1):
-        mats = brauer_gt_level(level, q)
-        i = level - 1  # the top generator index visible at this level
-        for nu, toks in mats.items():
-            paths = B.paths(level, nu)[0]
-            for sym in ("r", "e"):
-                M = toks[(sym, i)]
-                _extract_frame_blocks(table, (sym, i), M, paths, i, B)
-    return table
-
-
-def _extract_frame_blocks(table, token, M, paths, i, B):
-    from .seminormal import middles
-
-    dim = len(paths)
-    for a in range(dim):
-        for b in range(dim):
-            if M[a][b] == 0:
-                continue
-            pa, pb = paths[a], paths[b]
-            if any(pa[k] != pb[k] for k in range(len(pa)) if k != i):
+        i = level - 1
+        # r_1..r_{i-1} and e_1 generate B_i, so they fix each embedding of a level-i module
+        sub_tokens = [("r", j) for j in range(1, i)] + ([("e", 1)] if i > 1 else [])
+        below = {mu: {tok: rep.token_columns(mu, tok, i) for tok in sub_tokens}
+                 for mu in B.vertices(i)}
+        for nu in B.vertices(level):
+            columns = []
+            for mu in sorted(set(B.in_neighbors(level, nu)), key=partition_key):
+                columns += _embedding_columns(level, nu, mu, B.dim(i, mu), below[mu], q)
+            if len(columns) != len(cell_basis(level, nu)):
                 raise ParameterError(
-                    f"generator {token} not block local at paths {pa} / {pb}"
+                    f"adapted basis of {nu!r} at level {level} has wrong size at q={q}"
                 )
-    for mu_pick in {p[i - 1] for p in paths}:
-        nu = paths[0][i + 1] if len(paths[0]) > i + 1 else paths[0][-1]
-        mids = middles(B, i, mu_pick, nu)
-        if not mids:
-            continue
-        block = [[None] * len(mids) for _ in mids]
-        seen = False
-        for a, pa in enumerate(paths):
-            if pa[i - 1] != mu_pick:
-                continue
-            for b, pb in enumerate(paths):
-                if pb[i - 1] != mu_pick:
-                    continue
-                if any(pa[k] != pb[k] for k in range(len(pa)) if k != i):
-                    continue
-                r = mids.index(pa[i])
-                c = mids.index(pb[i])
-                v = M[a][b]
-                if block[r][c] is None:
-                    block[r][c] = v
-                elif block[r][c] != v:
+            G = [list(row) for row in zip(*columns)]
+            try:
+                Ginv = invert(G)
+            except ValueError:
+                raise ParameterError(
+                    f"adapted basis of {nu!r} at level {level} is singular at q={q}"
+                ) from None
+            paths, pos = B.paths(level, nu)
+            prefixes = {p[i - 1]: p[:i] for p in paths}  # one path into each frame (mu, nu)
+            for tok in (("r", i), ("e", i)):
+                M = mat_mul(Ginv, mat_mul(cell_matrix(level, nu, tok, q), G))
+                for mu, prefix in prefixes.items():
+                    at = [pos[(*prefix, kappa, nu)] for kappa in middles(B, i, mu, nu)]
+                    table[(tok, mu, nu)] = tuple(tuple(M[a][b] for b in at) for a in at)
+                if rep.token_matrix(nu, tok, level) != M:
                     raise ParameterError(
-                        f"{token} block at ({mu_pick}, {nu}) not context free"
+                        f"{tok} on {nu!r} at level {level} is not block local at q={q}"
                     )
-                seen = True
-        if not seen:
-            continue
-        filled = tuple(
-            tuple(Fraction(0) if x is None else x for x in row) for row in block
-        )
-        key = (token, mu_pick, nu)
-        if key in table and table[key] != filled:
-            raise ParameterError(f"inconsistent block for {key}")
-        if any(any(row) for row in filled) or key not in table:
-            table[key] = filled
+    return table

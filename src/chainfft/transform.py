@@ -65,7 +65,8 @@ class AlgebraElement:
     def from_dict(kind: ChainKind, n: int, table: dict) -> "AlgebraElement":
         """Canonicalise each key, summing every spelling of one diagram.
 
-        Values are ints, `Fraction`s or strings; a float or bool is refused.  A key
+        Values are ints, `Fraction`s or strings; a float, a bool or a value that
+        `Fraction` cannot read is refused with `ArgumentError`.  A key
         is looked up in `route_table(kind, n)`, so this lists the whole basis of
         size n once per (kind, n).
         """
@@ -74,8 +75,13 @@ class AlgebraElement:
             if isinstance(value, (bool, float)):
                 raise ArgumentError(
                     f"coefficient {value!r} of {key!r}: give an int, a Fraction or a string")
+            try:
+                value = Fraction(value)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ArgumentError(
+                    f"coefficient {value!r} of {key!r} is not a rational number") from None
             key = basis_key(kind, n, key)
-            sums[key] = sums.get(key, Fraction(0)) + Fraction(value)
+            sums[key] = sums.get(key, Fraction(0)) + value
         return AlgebraElement(kind, n, tuple(sorted((k, v) for k, v in sums.items() if v)))
 
     def table(self) -> dict[str, Fraction]:
@@ -609,10 +615,8 @@ def image_to_json(
     return out
 
 
-def random_element(
-    kind: ChainKind, n: int, seed: int, low: int = -9, high: int = 9
-) -> AlgebraElement:
-    """Seeded dense element with small integer coefficients."""
+def random_element(kind: ChainKind, n: int, seed: int) -> AlgebraElement:
+    """Seeded dense element with integer coefficients in -9..9."""
     import random as _random
 
     from .diagrams import all_diagrams
@@ -620,5 +624,5 @@ def random_element(
     rng = _random.Random(seed)
     table = {}
     for d in all_diagrams(kind, n):
-        table[d.key()] = Fraction(rng.randint(low, high))
+        table[d.key()] = Fraction(rng.randint(-9, 9))
     return AlgebraElement.from_dict(kind, n, table)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -423,6 +424,33 @@ def test_chebyshev_values():
     assert chebyshev_u(0, Q) == 1
     assert chebyshev_u(1, Q) == Q
     assert chebyshev_u(2, Q) == Q * Q - 1
+
+
+BRAUER_BLOCK_DIGESTS = {
+    (2, "10/3"): "3294508c3d7759535bc744fac1254eb2d0a67a442023481e60514cd19cee601a",
+    (3, "10/3"): "be3b2667a323dcd4bc4f551ecaa95244f90fc528421e61ec7ec5119b391c5901",
+    (4, "10/3"): "f1c9c99ae68690f1891f20ea37f294b36cf86b57a931a9c24a2d18d2a9cfa417",
+    (5, "10/3"): "b5de3a6bd6232b33f57469723cf4ef0c73d1514aac6d5e47aace93885d242af4",
+    (2, "-7/5"): "ba8a0c75c6c6db0a89a48e8db40addc7278bd4395da41e3342fb0eac73e7cc78",
+    (3, "-7/5"): "21c90f4867d2ec64caf9f181e469640889e2e00335e08ae33fccf6434564568f",
+    (4, "-7/5"): "1832a0f1ebc04b5fe60144e18effbf85f0cf40e6aebce60a2844fd84e167400d",
+    (2, "3"): "fd533424248afdb2b5e2d1fdb784e76c30360980add4f0352b0b1fb5d56ee214",
+    (3, "3"): "242f42a376986fdb86d8b8e380daf53c9f16a53ed86c459077c29e37272aec43",
+    (4, "3"): "0424ae978d1c8d0e35cbf86b24c36b3f3c82f71476bc3c02099947087ee84dc4",
+}
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    [pytest.param(n, q, marks=pytest.mark.slow) if n == 5 else (n, q)  # the Brauer 5 build
+     for n, q in sorted(BRAUER_BLOCK_DIGESTS)],
+)
+def test_brauer_local_blocks_pinned(n, q, rep_cache):
+    """The Brauer local-block tables entry for entry, not up to a diagonal
+    rescaling of the basis (which relations, characters and op counts miss)."""
+    table = rep_cache(BR, n, Fraction(q)).blocks  # the table local_blocks builds
+    pairs = sorted((repr(k), [[str(x) for x in row] for row in b]) for k, b in table.items())
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == BRAUER_BLOCK_DIGESTS[(n, q)]
 
 
 def test_local_block_sizes_match_middles():

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -102,7 +103,7 @@ SOV_COUNTS = {
     (BR, 2): (4, 4), (BR, 3): (93, 58), (BR, 4): (1859, 1083),
     (SN, 6): (28510, 14044), (TL, 9): (191832, 45452), (BR, 5): (40527, 21801),
 }
-SLOW_COUNTS = {(BR, 5)}  # the Brauer 5 build takes about 5 s
+SLOW_COUNTS = {(BR, 5)}  # the Brauer 5 build takes about 3 s
 
 
 @pytest.mark.parametrize(
@@ -491,6 +492,13 @@ def test_from_dict_refuses_floats_and_bools(value):
     assert AlgebraElement.from_dict(TL, 2, {**table, key: "1/2"}).table() == {
         **table, key: Fraction(1, 2)
     }
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", None, [1]])
+def test_from_dict_refuses_malformed_values(value):
+    key = identity_diagram(TL, 2).key()
+    with pytest.raises(ArgumentError, match=f"of {re.escape(repr(key))} is not a rational number"):
+        AlgebraElement.from_dict(TL, 2, {key: value})
 
 
 def test_from_dict_canonicalises_keys():
