@@ -304,8 +304,10 @@ def cmd_bench(kind: ChainKind, n: int, args) -> int:
     _reject_bmw(kind, "bench")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    q = _parse_q(args)
     n_max = args.n_max if args.n_max is not None else n
+    if n_max < n:
+        raise UsageError(f"--n-max {n_max} is below -n {n}")
+    q = _parse_q(args)
     print("n,dim,naive_mul,sov_mul,sov_add,predicted,paper_bound,reduced_t")
     for size in range(n, n_max + 1):
         rep = adapted_rep(kind, size, q)

@@ -100,7 +100,7 @@ def _cell_matrix_of_diagram(n: int, lam: Partition, d: Diagram, q: Fraction):
         if res is None:
             continue
         new_half, sigma, loops = res
-        scale = Fraction(q) ** loops
+        scale = Fraction(q) ** loops / sn_rep.scale()
         perm = canonical_pairs((j, m + s) for j, s in enumerate(sigma, start=1))
         block = sn_rep.rho_blocks(Diagram(ChainKind.SYMMETRIC_GROUP, m, perm).key())
         for t_in, entries in block.get(lam, {}).items():
@@ -114,22 +114,22 @@ def _cell_matrix_of_diagram(n: int, lam: Partition, d: Diagram, q: Fraction):
 # Level-by-level adapted bases
 
 
-def _embedding_columns(level, nu, mu, d_mu, mu_cols, q):
-    """Columns of the unique intertwiner from the mu module into the nu cell module.
-
-    `mu_cols` maps each token to its `token_columns` on mu, a module of dim d_mu.
-    """
+def _embedding_columns(rep: AdaptedRep, level, nu, mu, tokens):
+    """Columns of the unique intertwiner from the level-(level-1) mu module into the nu
+    cell module, read against the generators `tokens` of the partly filled `rep`."""
+    q, d_mu = rep.q, rep.dim(mu, level - 1)
     dim_nu = len(cell_basis(level, nu))
     unknowns = dim_nu * d_mu
-    constraints = []  # rho_nu(tok) X - X rho_mu(tok) = 0 for every token of mu_cols
-    for tok, cols in mu_cols.items():
-        rho_nu = cell_matrix(level, nu, tok, q)
+    constraints = []  # D(i) rho_nu(tok) X - X (D(i) rho_mu(tok)) = 0 for every token
+    for tok in tokens:
+        rho_nu, scale = cell_matrix(level, nu, tok, q), rep.token_scale(tok[1])
+        cols = rep.token_columns(mu, tok, level - 1)
         for r in range(dim_nu):
             for c in range(d_mu):
                 row = [Fraction(0)] * unknowns
                 for k in range(dim_nu):
                     if rho_nu[r][k]:
-                        row[k * d_mu + c] += rho_nu[r][k]
+                        row[k * d_mu + c] += scale * rho_nu[r][k]
                 for k, v in cols[c]:
                     row[r * d_mu + k] -= v
                 constraints.append(row)
@@ -162,7 +162,8 @@ def brauer_block_table(n: int, q: Fraction):
     """Local blocks for all Brauer generators up to index n-1, one level at a time.
 
     Level L reads the modules below it from the table it is filling, and adds
-    the blocks of its two new generators r_{L-1} and e_{L-1}.
+    the blocks of its two new generators r_{L-1} and e_{L-1}; it checks them only
+    once they are all in, since `rep` fixes D(L-1) on its first read.
     """
     q = Fraction(q)
     # Z(k) grows with k, so for q != 0 the top size decides for every level;
@@ -179,12 +180,11 @@ def brauer_block_table(n: int, q: Fraction):
         i = level - 1
         # r_1..r_{i-1} and e_1 generate B_i, so they fix each embedding of a level-i module
         sub_tokens = [("r", j) for j in range(1, i)] + ([("e", 1)] if i > 1 else [])
-        below = {mu: {tok: rep.token_columns(mu, tok, i) for tok in sub_tokens}
-                 for mu in B.vertices(i)}
+        new = []
         for nu in B.vertices(level):
             columns = []
             for mu in sorted(set(B.in_neighbors(level, nu)), key=partition_key):
-                columns += _embedding_columns(level, nu, mu, B.dim(i, mu), below[mu], q)
+                columns += _embedding_columns(rep, level, nu, mu, sub_tokens)
             if len(columns) != len(cell_basis(level, nu)):
                 raise ParameterError(
                     f"adapted basis of {nu!r} at level {level} has wrong size at q={q}"
@@ -203,8 +203,10 @@ def brauer_block_table(n: int, q: Fraction):
                 for mu, prefix in prefixes.items():
                     at = [pos[(*prefix, kappa, nu)] for kappa in middles(B, i, mu, nu)]
                     table[(tok, mu, nu)] = tuple(tuple(M[a][b] for b in at) for a in at)
-                if rep.token_matrix(nu, tok, level) != M:
-                    raise ParameterError(
-                        f"{tok} on {nu!r} at level {level} is not block local at q={q}"
-                    )
+                new.append((nu, tok, M))
+        for nu, tok, M in new:
+            if rep.token_matrix(nu, tok, level) != M:
+                raise ParameterError(
+                    f"{tok} on {nu!r} at level {level} is not block local at q={q}"
+                )
     return table

@@ -9,11 +9,11 @@ basis, so rho_L(d) = rho_L(head tokens) . embed(rho_{L-1}(shrunk d)) along the
 route of d in `diagrams.route_table`.  Every rho is built by this recursion with
 the SOV engine's kernel on a throwaway counter and memoised at every level.
 
-Generators and rho are stored only as column-sparse block data, the
-generators as `token_columns` and rho as `rho_blocks` {lam: {col: {row: value}}}.
-The rho recursion reads the rational `token_columns`; the SOV engine reads
-`int_columns`, the same columns scaled to integers, and `prescale`.
-`token_matrix` and `rho` are uncached dense views of them for the tests.
+Generators (`token_columns`) and rho (`rho_blocks`) are stored only as
+column-sparse block data {lam: {col: {row: value}}} of integer numerators: a
+generator at index i over D(i), the lcm of the denominators of its local
+blocks, and a level-L rho over S_L = prod_{i<L} D(i)^(L-i) (`scale`).  Readers
+divide once at the end; `token_matrix` and `rho` are uncached rational views.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ GRAM_LIMITS = {
 }
 
 
-def dense_matrix(d: int, block: dict):
-    """The d x d matrix of one vertex's block data {col: {row: value}}."""
+def dense_matrix(d: int, block: dict, scale: int):
+    """The d x d rational matrix of one vertex's block data {col: {row: numerator}} over scale."""
     out = [[Fraction(0)] * d for _ in range(d)]
     for c, col in block.items():
         for r, v in col.items():
-            out[r][c] = v
+            out[r][c] = Fraction(v, scale)
     return out
 
 
@@ -65,7 +65,6 @@ class AdaptedRep:
     B: object
     blocks: dict
     _cols: dict = field(default_factory=dict, repr=False)
-    _int_cols: dict = field(default_factory=dict, repr=False)
     _scales: dict = field(default_factory=dict, repr=False)
     _pre: dict = field(default_factory=dict, repr=False)
     _levels: dict = field(default_factory=dict, repr=False)
@@ -84,7 +83,8 @@ class AdaptedRep:
         return sum(d * d for d in self.B.dims[lvl])
 
     def token_columns(self, lam: Partition, token: Token, level: int):
-        """Columns of a generator on the level-`level` vertex lam: ((row, value), ...) each.
+        """D(i) times the columns of a generator on the level-`level` vertex lam:
+        ((row, int value), ...) each.
 
         Entry (P', P) is nonzero only when the paths agree away from the token's
         level; the value is read from the block of the shared two-step frame.
@@ -92,8 +92,9 @@ class AdaptedRep:
         key = (level, tuple(lam), token)
         if key not in self._cols:
             sym, i = token
-            if not 1 <= i <= level - 1:
-                raise ArgumentError(f"token {token} invalid at level {level}")
+            if not 1 <= i <= level - 1 or sym not in {s for (s, _), _, _ in self.blocks}:
+                raise ArgumentError(f"token {token} invalid at level {level} of {self.kind.value}")
+            scale = self.token_scale(i)
             paths, pos = self.B.paths(level, lam)
             cols = []
             for p in paths:
@@ -106,68 +107,68 @@ class AdaptedRep:
                     for kr, kappa in enumerate(mids):
                         val = block[kr][kc]
                         if val:
-                            col.append((pos[p[:i] + (kappa,) + p[i + 1 :]], val))
+                            row = pos[p[:i] + (kappa,) + p[i + 1 :]]
+                            col.append((row, val.numerator * (scale // val.denominator)))
                 cols.append(tuple(sorted(col)))
             self._cols[key] = tuple(cols)
         return self._cols[key]
 
-    def token_scale(self, level: int, i: int) -> int:
-        """D(level, i): the lcm of the denominators of every generator column at index i."""
-        if (level, i) not in self._scales:
-            syms = {sym for (sym, _), _, _ in self.blocks}
-            cols = (col for lam in self.vertices(level) for sym in syms
-                    for col in self.token_columns(lam, (sym, i), level))
-            self._scales[(level, i)] = lcm(*(v.denominator for col in cols for _, v in col))
-        return self._scales[(level, i)]
+    def token_scale(self, i: int) -> int:
+        """D(i): the lcm of the denominators of the local blocks of the generators at index i."""
+        if i not in self._scales:
+            self._scales[i] = lcm(*(v.denominator for ((_, j), _, _), block in self.blocks.items()
+                                    if j == i for row in block for v in row))
+        return self._scales[i]
 
-    def int_columns(self, lam: Partition, token: Token, level: int):
-        """`token_columns` times D(level, i): the integer columns of the SOV kernel."""
-        key = (level, tuple(lam), token)
-        if key not in self._int_cols:
-            scale = self.token_scale(level, token[1])
-            self._int_cols[key] = tuple(
-                tuple((r, v.numerator * (scale // v.denominator)) for r, v in col)
-                for col in self.token_columns(lam, token, level)
-            )
-        return self._int_cols[key]
+    def scale(self, level: int | None = None) -> int:
+        """S_L = prod_{i<L} D(i)^(L-i): the denominator of every level-L block datum."""
+        level = self.n if level is None else level
+        return prod(self.token_scale(i) ** (level - i) for i in range(1, level))
+
+    def identity_factor(self, level: int, tokens) -> int:
+        """The product of D(i) over the indices 1..level-1 that `tokens` leave as identity."""
+        moved = {i for _, i in tokens}
+        return prod(self.token_scale(i) for i in range(1, level) if i not in moved)
 
     def prescale(self, level: int) -> dict[str, int]:
-        """{basis key: product of D(L, i) over every index i its route leaves as
-        identity, at this level and every level below}: one scale for all streams."""
+        """{basis key: product of the identity factors of its route at this level and
+        every level below}: the SOV input scale that gives all streams one scale."""
         if level == 0:
             return {"": 1}
         if level not in self._pre:
             below = self.prescale(level - 1)
-            full = prod(self.token_scale(level, i) for i in range(1, level))
             self._pre[level] = {
-                key: full // prod(self.token_scale(level, i) for _, i in tokens) * below[sub]
+                key: self.identity_factor(level, tokens) * below[sub]
                 for key, (tokens, sub) in route_table(self.kind, level).items()
             }
         return self._pre[level]
 
     def token_matrix(self, lam: Partition, token: Token, level: int | None = None):
-        """Dense view of `token_columns` (level n by default); not cached."""
+        """Dense rational view of `token_columns` (level n by default); not cached."""
         cols = self.token_columns(lam, token, self.n if level is None else level)
-        return dense_matrix(len(cols), {c: dict(col) for c, col in enumerate(cols)})
+        block = {c: dict(col) for c, col in enumerate(cols)}
+        return dense_matrix(len(cols), block, self.token_scale(token[1]))
 
     # -- representation of basis diagrams --------------------------------
     def _block_data(self, key: str, level: int) -> dict:
-        """Block data {lam: {col: {row: value}}} of a basis key at a level; memoised."""
+        """Block data {lam: {col: {row: numerator over S_level}}} of a basis key; memoised."""
         if level <= 1:
-            return {(1,) if level else (): {0: {0: Fraction(1)}}}
+            return {(1,) if level else (): {0: {0: 1}}}
         if (level, key) in self._levels:
             return self._levels[(level, key)]
         from ..transform import OpCounter, _apply_token, _embed_blocks
 
         tokens, sub = route_table(self.kind, level)[key]
-        data = _embed_blocks(self, level, self._block_data(sub, level - 1))
+        factor = self.identity_factor(level, tokens)
+        data = _embed_blocks(self, level, self._block_data(sub, level - 1), factor)
         for token in reversed(tokens):
-            data = _apply_token(self.token_columns, level, token, data, OpCounter())
+            data = _apply_token(self, level, token, data, OpCounter())
         self._levels[(level, key)] = data
         return data
 
     def rho_blocks(self, key: str) -> dict:
-        """rho(key) as block data {lam: {col: {row: value}}}: nonzero entries only.
+        """rho(key) as block data {lam: {col: {row: value}}}: nonzero entries only,
+        each an integer numerator over `scale(n)`.
 
         Any spelling of a diagram is accepted.  The result is shared; do not mutate it.
         """
@@ -177,19 +178,21 @@ class AdaptedRep:
         """Dense view of `rho_blocks` on the vertex lam; not cached."""
         lam = tuple(lam)
         block = self.rho_blocks(d if isinstance(d, str) else d.key()).get(lam, {})
-        return dense_matrix(self.dim(lam), block)
+        return dense_matrix(self.dim(lam), block, self.scale())
 
-    def dense_blocks(self, blocks: dict) -> dict:
-        """{lam: dense matrix} of block data, for every vertex at level n."""
-        return {lam: dense_matrix(self.dim(lam), blocks.get(lam, {})) for lam in self.vertices()}
+    def dense_blocks(self, blocks: dict, scale: int) -> tuple:
+        """((lam, rows), ...): integer block data over scale as dense rational rows on
+        every vertex at level n, the blocks of a `FourierImage`."""
+        return tuple(
+            (lam, tuple(map(tuple, dense_matrix(self.dim(lam), blocks.get(lam, {}), scale))))
+            for lam in self.vertices()
+        )
 
     def character(self, key: str) -> Fraction:
         if key not in self._char:
-            self._char[key] = sum(
-                (col[c] for block in self.rho_blocks(key).values()
-                 for c, col in block.items() if c in col),
-                Fraction(0),
-            )
+            trace = sum(col[c] for block in self.rho_blocks(key).values()
+                        for c, col in block.items() if c in col)
+            self._char[key] = Fraction(trace, self.scale())
         return self._char[key]
 
     # -- trace form -------------------------------------------------------
@@ -275,8 +278,8 @@ def naive_transform_matrix(rep: AdaptedRep):
     """dim x dim matrix of the naive transform: columns are basis diagrams."""
     columns = []
     for b in all_diagrams(rep.kind, rep.n):
-        dense = rep.dense_blocks(rep.rho_blocks(b.key()))
-        columns.append([x for mat in dense.values() for row in mat for x in row])
+        dense = rep.dense_blocks(rep.rho_blocks(b.key()), rep.scale())
+        columns.append([x for _, mat in dense for row in mat for x in row])
     return [list(row) for row in zip(*columns)]
 
 

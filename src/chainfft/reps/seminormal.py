@@ -102,10 +102,11 @@ def tl_block_table(n: int, q: Fraction) -> dict[BlockKey, tuple]:
     """Rank-one seminormal e_i blocks with Chebyshev column weights.
 
     The block at a frame (mu, nu = mu plus one box in each row) has entries
-    B[kappa][kappa'] = U_{gap(kappa')} / U_{gap(mu)}; other frames vanish.
+    B[kappa][kappa'] = U_{gap(kappa')} / U_{gap(mu)}; other frames vanish.  The
+    blocks of TL_n read U_0..U_{n-1}, so q is refused iff one of them vanishes.
     """
     q = Fraction(q)
-    for ell in range(n + 1):
+    for ell in range(n):
         if chebyshev_u(ell, q) == 0:
             raise ParameterError(f"q = {q} makes the weight U_{ell} vanish")
     B = cached_bratteli(ChainKind.TEMPERLEY_LIEB, n)

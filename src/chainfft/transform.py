@@ -12,10 +12,11 @@ products.  Operation counters track scalar multiplications and additions of
 the transform proper; representation data and routing are precomputed and
 free.
 
-The SOV arithmetic runs on Python ints: `AdaptedRep.int_columns` and
-`AdaptedRep.prescale` scale the generators and the inputs so that every stream
-carries one common scale, which a single division per output entry removes.
-Scaling keeps the zero pattern, so the operation counts are unchanged.
+Both engines run on Python ints, over the integer block data of `AdaptedRep`.
+The inputs are scaled by their common denominator, and in the SOV engine by
+`AdaptedRep.prescale`, so that every stream carries one scale; each engine ends
+in one division per output entry.  Scaling keeps the zero pattern, so the
+operation counts are those of the rational program.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 from typing import NamedTuple
 
 from .combinat import (
@@ -110,35 +111,27 @@ class FourierImage:
         return sum(len(m) * len(m) for _, m in self.blocks)
 
 
-def _blocks_from_dense(kind, n, dense: dict) -> FourierImage:
-    items = tuple(
-        (lam, tuple(tuple(row) for row in mat)) for lam, mat in dense.items()
-    )
-    return FourierImage(kind, n, items)
-
-
 # ---------------------------------------------------------------------------
 # Naive engine
 
 
 def fft_naive(f: AlgebraElement, rep: AdaptedRep) -> tuple[FourierImage, OpCounter]:
-    """Direct matrix sum; counters follow the dense straightforward program,
+    """Direct matrix sum in ints; counters follow the dense straightforward program,
     one multiplication per (support key, matrix entry) and the matching adds."""
     _check_inputs(f, rep)
-    counter = OpCounter()
-    dense = rep.dense_blocks({})
-    dim_a = rep.algebra_dim()
-    support = 0
+    den = lcm(*(c.denominator for _, c in f.coeffs))
+    sums: dict[Partition, dict] = {}
     for key, c in f.coeffs:
-        support += 1
+        c = c.numerator * (den // c.denominator)
         for lam, block in rep.rho_blocks(key).items():
-            mat = dense[lam]
+            dest = sums.setdefault(lam, {})
             for col, entries in block.items():
+                acc = dest.setdefault(col, {})
                 for r, v in entries.items():
-                    mat[r][col] += c * v
-    counter.mul += support * dim_a
-    counter.add += max(0, support - 1) * dim_a
-    return _blocks_from_dense(f.kind, f.n, dense), counter
+                    acc[r] = acc.get(r, 0) + c * v
+    support, dim_a = f.support(), rep.algebra_dim()
+    counter = OpCounter(support * dim_a, max(0, support - 1) * dim_a)
+    return FourierImage(f.kind, f.n, rep.dense_blocks(sums, den * rep.scale())), counter
 
 
 def _check_inputs(f: AlgebraElement | FourierImage, rep: AdaptedRep) -> None:
@@ -343,12 +336,7 @@ def fft_sov(
     den, prescale = lcm(*(c.denominator for _, c in f.coeffs)), rep.prescale(f.n)
     coeffs = {index[k]: c.numerator * (den // c.denominator) * prescale[k] for k, c in f.coeffs}
     sparse = _sov_level(rep, f.n, coeffs, counter)
-    scale = den * prod(rep.token_scale(L, i) for L in range(2, f.n + 1) for i in range(1, L))
-    for block in sparse.values():
-        for col in block.values():
-            for r, v in col.items():
-                col[r] = Fraction(v, scale)
-    return _blocks_from_dense(f.kind, f.n, rep.dense_blocks(sparse)), counter
+    return FourierImage(f.kind, f.n, rep.dense_blocks(sparse, den * rep.scale())), counter
 
 
 # Block data maps each vertex to its nonzero columns: {lam: {col: {row: value}}}.
@@ -382,7 +370,7 @@ def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
             if data is None:
                 continue
             if sym is not None:
-                data = _apply_token(rep.int_columns, level, (sym, i), data, counter)
+                data = _apply_token(rep, level, (sym, i), data, counter)
             _merge_stream(merged, dest, data, counter)
         streams = merged
     result: dict[Partition, dict] = {}
@@ -426,11 +414,13 @@ def _merge_stream(streams: list, s: int, data: dict, counter: OpCounter) -> None
     counter.add += adds
 
 
-def _embed_blocks(rep: AdaptedRep, level: int, sub: dict) -> dict:
-    """Reindex level-(L-1) blocks into level L along shared extension edges."""
+def _embed_blocks(rep: AdaptedRep, level: int, sub: dict, factor: int = 1) -> dict:
+    """Reindex level-(L-1) blocks, times factor, into level L along shared extension edges."""
     embedding = _routing(rep.kind, level).embedding
     out: dict[Partition, dict] = {}
     for mu, block in sub.items():
+        if factor != 1:
+            block = {c: {r: v * factor for r, v in col.items()} for c, col in block.items()}
         for lam, offset in embedding[mu]:
             dest = out.setdefault(lam, {})
             for c, col in block.items():
@@ -438,17 +428,17 @@ def _embed_blocks(rep: AdaptedRep, level: int, sub: dict) -> dict:
     return out
 
 
-def _apply_token(columns, level: int, token, data: dict, counter: OpCounter):
-    """Left-multiply block data by one generator, block-locally.
+def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCounter):
+    """Left-multiply integer block data by D(i) times one generator, block-locally.
 
-    `columns` is `AdaptedRep.token_columns` (rational) or `int_columns`.  Every
-    scalar product of the straight-line program is counted, and each
-    accumulation beyond a first assignment counts as one addition.
+    The generator is `rep.token_columns`, so ints stay ints.  Every scalar
+    product of the straight-line program is counted, and each accumulation
+    beyond a first assignment counts as one addition.
     """
     out: dict[Partition, dict] = {}
     muls = adds = 0
     for lam, block in data.items():
-        cols = columns(lam, token, level)
+        cols = rep.token_columns(lam, token, level)
         dest: dict = {}
         for c, col in block.items():
             acc: dict = {}
@@ -480,9 +470,10 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     _check_inputs(img, rep)
     basis, duals = rep.gram_dual()
     blocks = {lam: img.block(lam) for lam in rep.vertices()}
+    scale = rep.scale()
     traces = {}
     for d in basis:
-        # Tr(f̂ rho(d)) over the nonzero entries rho(d)[r][c] = v of each block
+        # Tr(f̂ rho(d)) over the nonzero entries rho(d)[r][c] = v / scale of each block
         key, total = d.key(), Fraction(0)
         for lam, block in rep.rho_blocks(key).items():
             m = blocks[lam]
@@ -490,7 +481,7 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
                 row = m[c]
                 for r, v in col.items():
                     total += row[r] * v
-        traces[key] = total
+        traces[key] = total / scale
     table: dict[str, Fraction] = {}
     for d, dual in zip(basis, duals):
         val = sum(g * traces[key] for key, g in dual.items())

@@ -156,6 +156,11 @@ def test_bench_columns(capsys):
         assert Fraction(int(sov_mul), int(dim)) == Fraction(reduced)
 
 
+def test_bench_n_max_below_n_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "bench", "--chain", "tl", "-n", "3", "--n-max", "2")
+    assert code == 2 and out == "" and "--n-max" in err
+
+
 def _write_coeffs(tmp_path, kind, n, seed):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(element_to_json(random_element(kind, n, seed), Fraction(10, 3))))

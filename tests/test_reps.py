@@ -83,6 +83,33 @@ def test_tl_singular_q_rejected():
         tl_block_table(3, Fraction(1))  # U_2(1) = 0
 
 
+GRID_Q = [Fraction(q) for q in ("-2", "-1", "-1/2", "0", "1/2", "1", "2", "10/3")]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_tl_refuses_q_iff_a_weight_it_reads_vanishes(n):
+    """TL_n reads U_0..U_{n-1}: q is refused iff one of them is 0, and every
+    accepted q gives a full-rank Gram matrix and transform."""
+    for q in GRID_Q:
+        if any(chebyshev_u(k, q) == 0 for k in range(n)):
+            with pytest.raises(ParameterError):
+                adapted_rep.__wrapped__(TL, n, q)
+        else:
+            assert verify_semisimple(adapted_rep.__wrapped__(TL, n, q)).ok, (n, q)
+
+
+@pytest.mark.parametrize("kind,sym,i", [(TL, "r", 1), (SN, "e", 1), (BR, "x", 2),
+                                        (TL, "x", 2), (SN, "r", 4), (BR, "e", 0)])
+def test_token_columns_refuse_tokens_the_chain_lacks(kind, sym, i):
+    rep = adapted_rep.__wrapped__(kind, 4, Q)
+    for lam in rep.vertices():
+        with pytest.raises(ArgumentError):
+            rep.token_columns(lam, (sym, i), 4)
+        with pytest.raises(ArgumentError):
+            rep.token_matrix(lam, (sym, i))
+    assert rep._cols == {}
+
+
 def test_adaptedness_block_local(rep_cache):
     for kind, n in [(BR, 4), (TL, 5)]:
         rep = rep_cache(kind, n)
@@ -183,29 +210,37 @@ def test_rho_is_the_product_of_its_word(kind, n, rep_cache):
 
 @pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 3)])
 def test_integer_kernel_scales(kind, n, rep_cache):
-    """int_columns are token_columns times D(L, i), the lcm of their denominators,
-    and each route's pre-scale times its tokens' D(L, i) is S_n = prod D(L, i)."""
+    """token_columns are the generators times D(i) in ints, with D(i) the lcm of the
+    denominators of the local blocks that the level-L paths read, at every level L;
+    each route's pre-scale times its tokens' D(i) is S_n = prod D(i)^(n-i)."""
     rep = rep_cache(kind, n)
     syms = {sym for (sym, _), _, _ in rep.blocks}
     for level in range(2, n + 1):
         for i in range(1, level):
-            scale, dens = rep.token_scale(level, i), set()
+            frames = {(p[i - 1], p[i + 1])
+                      for lam in rep.vertices(level) for p in rep.B.paths(level, lam)[0]}
+            dens = {v.denominator for ((_, j), mu, nu), block in rep.blocks.items()
+                    if j == i and (mu, nu) in frames for row in block for v in row}
+            scale = rep.token_scale(i)
+            assert scale == math.lcm(*dens)
             for lam in rep.vertices(level):
                 for sym in syms:
                     cols = rep.token_columns(lam, (sym, i), level)
-                    dens.update(v.denominator for col in cols for _, v in col)
-                    scaled = rep.int_columns(lam, (sym, i), level)
-                    assert scaled == tuple(tuple((r, scale * v) for r, v in col) for col in cols)
-                    assert all(type(v) is int for col in scaled for _, v in col)
-            assert scale == math.lcm(*dens)
+                    dense = rep.token_matrix(lam, (sym, i), level)
+                    assert all(type(v) is int for col in cols for _, v in col)
+                    assert cols == tuple(
+                        tuple((r, scale * row[c]) for r, row in enumerate(dense) if row[c])
+                        for c in range(len(dense))
+                    )
 
     def route_scale(key, level):
         if level <= 1:
             return 1
         tokens, sub = route_table(kind, level)[key]
-        return math.prod(rep.token_scale(level, i) for _, i in tokens) * route_scale(sub, level - 1)
+        return math.prod(rep.token_scale(i) for _, i in tokens) * route_scale(sub, level - 1)
 
-    total = math.prod(rep.token_scale(L, i) for L in range(2, n + 1) for i in range(1, L))
+    total = math.prod(rep.token_scale(i) for L in range(2, n + 1) for i in range(1, L))
+    assert rep.scale(n) == total
     prescale = rep.prescale(n)
     assert prescale.keys() == route_table(kind, n).keys()
     for key, pre in prescale.items():
@@ -214,8 +249,10 @@ def test_integer_kernel_scales(kind, n, rep_cache):
 
 @pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 4)])
 def test_rho_entries_are_the_nonzero_entries_of_rho(kind, n, rep_cache):
-    """rho_blocks holds exactly the nonzero entries of rho, with no empty block or column."""
+    """rho_blocks holds exactly the nonzero entries of rho as integer numerators over
+    S_n, with no empty block or column."""
     rep = rep_cache(kind, n)
+    scale = rep.scale(n)
     for d in all_diagrams(kind, n):
         dense = {
             (lam, r, c, v)
@@ -226,11 +263,13 @@ def test_rho_entries_are_the_nonzero_entries_of_rho(kind, n, rep_cache):
         }
         blocks = rep.rho_blocks(d.key())
         entries = [
-            (lam, r, c, v) for lam, block in blocks.items()
+            (lam, r, c, Fraction(v, scale)) for lam, block in blocks.items()
             for c, col in block.items() for r, v in col.items()
         ]
         assert len(entries) == len(dense) and set(entries) == dense
         assert all(block and all(block.values()) for block in blocks.values())
+        assert all(type(v) is int for block in blocks.values()
+                   for col in block.values() for v in col.values())
 
 
 @pytest.mark.parametrize("kind", [SN, TL, BR])

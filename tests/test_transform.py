@@ -170,6 +170,37 @@ def test_warm_sov_kernel_is_integer(rep_cache, monkeypatch):
     assert img == fft_naive(f, rep)[0]
 
 
+@pytest.mark.parametrize("kind,n", [(TL, 5), (SN, 4), (BR, 3)])
+def test_rho_recursion_and_sov_kernel_create_no_fraction(kind, n, monkeypatch):
+    """On a fresh representation, whose local blocks are rational, the rho recursion
+    and the SOV kernel create no Fraction: every kernel call takes and gives ints."""
+    import chainfft.transform as T
+
+    rep = adapted_rep.__wrapped__(kind, n, Q)
+    values, made = [], []
+    original = T._apply_token
+
+    def checked(rep_, level, token, data, counter):
+        out = original(rep_, level, token, data, counter)
+        values.extend(v for blocks in (data, out) for block in blocks.values()
+                      for col in block.values() for v in col.values())
+        return out
+
+    monkeypatch.setattr(T, "_apply_token", checked)
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    sov = T._sov_level(rep, n, {j: j + 1 for j in range(len(rep.prescale(n)))}, OpCounter())
+    rhos = [rep.rho_blocks(d.key()) for d in all_diagrams(kind, n)]
+    assert made == [] and values
+    rep.character(identity_diagram(kind, n).key())
+    assert made  # positive control: the one division of a reader is seen
+    monkeypatch.undo()
+    values.extend(v for blocks in (*rhos, sov) for block in blocks.values()
+                  for col in block.values() for v in col.values())
+    assert all(type(v) is int for v in values)
+
+
 def test_warm_naive_applies_no_token(rep_cache, monkeypatch):
     """After one warm-up, fft_naive reads cached entries and runs no kernel."""
     import chainfft.transform as T
