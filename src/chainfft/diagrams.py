@@ -3,6 +3,9 @@
 A diagram on 2n points matches top points 1..n with bottom points n+1..2n.
 Products concatenate with the left factor on top; closed loops are returned
 as an integer exponent, never folded into scalars here.
+
+The SOV routing (`route_table`) is built on canonical pair tuples, which the
+enumerators of `_basis_pairs` make valid by construction: no `Diagram` is checked.
 """
 
 from __future__ import annotations
@@ -39,13 +42,10 @@ class Diagram:
             raise ArgumentError("Temperley-Lieb diagrams must be planar")
 
     def key(self) -> str:
-        return ",".join(f"{a}-{b}" for a, b in self.pairs)
+        return pairs_key(self.pairs)
 
     def has_vertical_last_strand(self) -> bool:
         return (self.n, 2 * self.n) in self.pairs
-
-    def top_arcs(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, b in self.pairs if b <= self.n]
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,17 @@ def canonical_pairs(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
 
 
-def circular_position(p: int, n: int) -> int:
-    """Position in the clockwise boundary reading: top 1..n, then bottom 2n..n+1."""
-    return p if p <= n else 3 * n + 1 - p
+def pairs_key(pairs) -> str:
+    """The key "a-b,c-d,..." of canonical pairs: the one spelling of a basis element."""
+    return ",".join(f"{a}-{b}" for a, b in pairs)
 
 
 def is_planar(pairs, n: int) -> bool:
-    """One pass: read clockwise, every strand must close the last one still open."""
+    """One pass: read clockwise (top 1..n, then bottom 2n..n+1), every strand must
+    close the last one still open."""
     partner = [0] * (2 * n + 1)
     for a, b in pairs:
-        a, b = circular_position(a, n), circular_position(b, n)
+        a, b = (p if p <= n else 3 * n + 1 - p for p in (a, b))
         partner[a], partner[b] = b, a
     opened = []
     for p in range(1, 2 * n + 1):
@@ -156,11 +157,8 @@ def diagram_mul(x: Diagram, y: Diagram) -> LoopProduct:
 def join_kind(a: ChainKind, b: ChainKind) -> ChainKind:
     if a == b:
         return a
-    compatible = {a, b}
-    if compatible == {ChainKind.SYMMETRIC_GROUP, ChainKind.BRAUER}:
-        return ChainKind.BRAUER
-    if compatible == {ChainKind.TEMPERLEY_LIEB, ChainKind.BRAUER}:
-        return ChainKind.BRAUER
+    if ChainKind.BRAUER in (a, b) and ChainKind.BMW_STRUCTURAL not in (a, b):
+        return ChainKind.BRAUER  # permutation and planar diagrams are Brauer diagrams
     raise ArgumentError(f"incompatible kinds {a.value!r} and {b.value!r}")
 
 
@@ -175,22 +173,25 @@ def evaluate(word: GeneratorWord, kind: ChainKind, n: int) -> LoopProduct:
 
 def all_diagrams(kind: ChainKind, n: int) -> list[Diagram]:
     """Every basis diagram of the given kind and size, in canonical key order."""
+    return [Diagram(kind, n, pairs) for pairs in _basis_pairs(kind, n)]
+
+
+def _basis_pairs(kind: ChainKind, n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The canonical pairs of every basis diagram, in canonical key order.  Only the
+    noncrossing matchings need sorting: they read the bottom row backwards."""
+    if kind is ChainKind.BMW_STRUCTURAL:
+        raise ArgumentError("BMW diagrams carry no multiplication data")
     if kind is ChainKind.SYMMETRIC_GROUP:
         out = [
-            Diagram(kind, n, canonical_pairs((i + 1, n + v) for i, v in enumerate(perm)))
+            tuple((i + 1, n + v) for i, v in enumerate(perm))
             for perm in permutations(range(1, n + 1))
         ]
     elif kind is ChainKind.TEMPERLEY_LIEB:
         boundary = list(range(1, n + 1)) + list(range(2 * n, n, -1))
-        out = [
-            Diagram(kind, n, canonical_pairs(m)) for m in _noncrossing(boundary)
-        ]
+        out = [canonical_pairs(m) for m in _noncrossing(boundary)]
     else:
-        out = [
-            Diagram(kind, n, canonical_pairs(pairing))
-            for pairing in _pairings(list(range(1, 2 * n + 1)))
-        ]
-    return sorted(out, key=lambda d: d.key())
+        out = [tuple(m) for m in _pairings(list(range(1, 2 * n + 1)))]
+    return sorted(out, key=pairs_key)
 
 
 def _noncrossing(points: list[int]):
@@ -343,84 +344,40 @@ def er_word_tokens(a: int, b: int, n: int) -> tuple[Token, ...]:
 
 
 def factor_map(d: Diagram) -> tuple[GeneratorWord, Diagram]:
-    """First-match factorization d = evaluate(y) * b with zero loops.
+    """First-match factorization d = evaluate(y) * b with zero loops (see `_route`).
 
     b keeps size n with its last strand vertical, so it lies in the embedded
     level-(n-1) diagram basis.
     """
-    n = d.n
-    if n <= 1 or d.has_vertical_last_strand():
+    if d.n == 0:
         return GeneratorWord(()), d
-    partner = {}
-    for a, b in d.pairs:
-        partner[a] = b
-        partner[b] = a
-    # R branch: a through-strand from top j to bottom n picks the coset word.
-    # (Temperley-Lieb has no r generators; everything routes through e words.)
-    mate = partner[2 * n]
-    if mate <= n and d.kind is not ChainKind.TEMPERLEY_LIEB:
-        j = mate
-        word = GeneratorWord(tuple(("r", k) for k in range(j, n)))
-        perm = _coset_rep_map(j, n)
-        pairs = []
-        for a, b in d.pairs:
-            a2 = perm[a] if a <= n else a
-            b2 = perm[b] if b <= n else b
-            pairs.append((a2, b2))
-        return word, Diagram(d.kind, n, canonical_pairs(pairs))
-    # ER branch: route through the first top edge in lexicographic order.
-    arcs = d.top_arcs()
-    if d.kind is ChainKind.TEMPERLEY_LIEB:
-        arcs = [(a, b) for a, b in arcs if b == a + 1]
-        arcs.sort(key=lambda ab: -ab[0])
+    tokens, sub = _route(d.kind, d.n, d.pairs)
+    return GeneratorWord(tokens), grow(Diagram(d.kind, d.n - 1, sub), d.n)
+
+
+def _route(kind: ChainKind, n: int, pairs) -> tuple[tuple[Token, ...], tuple]:
+    """(tokens of y, canonical pairs of b) with d = evaluate(y) * grow(b) and no loops,
+    for the canonical pairs of a size-n >= 1 basis diagram d; y is the first fit.
+
+    If 2n is joined to top point j, and j = n or the chain has r generators, y is
+    r_j..r_{n-1} (the identity at j = n) and b drops the strand (j, 2n).  Otherwise
+    y is the ER word of the smallest top arc (for Temperley-Lieb: the adjacent arc
+    with the largest a) and b drops that arc, 2n moving to the last top point.
+    """
+    tl = kind is ChainKind.TEMPERLEY_LIEB
+    j = next(a for a, b in pairs if b == 2 * n)
+    if j == n or (j < n and not tl):
+        tokens, cut = tuple(("r", k) for k in range(j, n)), (j, 2 * n)
+        to = [p - (p > j) for p in range(2 * n + 1)]
     else:
-        arcs.sort()
-    if not arcs:
-        raise FactorizationError(f"no admissible top edge in {d.key()}")
-    a, b = arcs[0]
-    word = GeneratorWord(er_word_tokens(a, b, n))
-    rest = [p for p in range(1, n + 1) if p not in (a, b)]
-    relabel = {p: k + 1 for k, p in enumerate(rest)}  # old top -> new top 1..n-2
-    pairs = []
-    for u, v in d.pairs:
-        if (u, v) == (a, b):
-            continue
-
-        def send(p: int) -> int:
-            if p == 2 * n:  # reroute through the removed strand
-                return n - 1
-            if p <= n:
-                return relabel[p]
-            return p
-        pairs.append((send(u), send(v)))
-    pairs.append((n, 2 * n))
-    return word, Diagram(d.kind, n, canonical_pairs(pairs))
-
-
-def _coset_rep_map(j: int, n: int) -> dict[int, int]:
-    """Top relabeling for the coset word u_j = r_j..r_{n-1}: b_top[u_j(p)] = d_top[p]."""
-    u = {}
-    for p in range(1, n + 1):
-        if p < j:
-            u[p] = p
-        elif p == j:
-            u[p] = n
-        else:
-            u[p] = p - 1
-    return u
-
-
-def shrink(b: Diagram) -> Diagram:
-    """Drop the vertical last strand of b, yielding a size-(n-1) diagram."""
-    n = b.n
-    if not b.has_vertical_last_strand():
-        raise ArgumentError("diagram has no vertical last strand to drop")
-    pairs = []
-    for u, v in b.pairs:
-        if (u, v) == (n, 2 * n):
-            continue
-        pairs.append((u if u < n else u - 1, v if v < n else v - 1))
-    return Diagram(b.kind, n - 1, canonical_pairs(pairs))
+        arcs = [(a, b) for a, b in pairs if b <= n and (b == a + 1 or not tl)]
+        if not arcs:
+            raise FactorizationError(f"no admissible top edge in {pairs_key(pairs)}")
+        cut = arcs[-1] if tl else arcs[0]
+        a, b = cut
+        tokens = er_word_tokens(a, b, n)
+        to = [p - (p > a) - (p > b) if p <= n else p - 1 for p in range(2 * n)] + [n - 1]
+    return tokens, canonical_pairs((to[u], to[v]) for u, v in pairs if (u, v) != cut)
 
 
 def grow(b: Diagram, n: int) -> Diagram:
@@ -436,14 +393,16 @@ def grow(b: Diagram, n: int) -> Diagram:
 def route_table(kind: ChainKind, n: int) -> dict[str, tuple[tuple[Token, ...], str]]:
     """Basis key -> (factor tokens, level-(n-1) key) for every diagram of size n >= 1.
 
-    Each entry is `factor_map` followed by `shrink`, made once per (kind, n)
-    and in canonical key order.  The SOV routing, the level recursion of
-    `AdaptedRep` and `word_of` read it.
+    Each entry is the `_route` of the diagram, made once per (kind, n) from the
+    pairs of `_basis_pairs` in canonical key order; no `Diagram` is built.  The
+    SOV routing, the level recursion of `AdaptedRep` and `word_of` read it.
     """
+    if n < 1:
+        raise ArgumentError("routes need n >= 1")
     table = {}
-    for d in all_diagrams(kind, n):
-        y, b = factor_map(d)
-        table[d.key()] = (y.tokens, shrink(b).key())
+    for pairs in _basis_pairs(kind, n):
+        tokens, sub = _route(kind, n, pairs)
+        table[pairs_key(pairs)] = (tokens, pairs_key(sub))
     return table
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from ..combinat import ChainKind, Partition, cached_bratteli, partition_key
-from ..diagrams import Diagram, Token, _pairings, canonical_pairs, diagram_mul, generator
+from ..diagrams import Diagram, Token, _pairings, canonical_pairs, diagram_mul, generator, pairs_key
 from ..errors import ParameterError
 from ..ratlinalg import invert, mat_mul, nullspace
 from .core import AdaptedRep, adapted_rep
@@ -101,8 +101,7 @@ def _cell_matrix_of_diagram(n: int, lam: Partition, d: Diagram, q: Fraction):
             continue
         new_half, sigma, loops = res
         scale = Fraction(q) ** loops / sn_rep.scale()
-        perm = canonical_pairs((j, m + s) for j, s in enumerate(sigma, start=1))
-        block = sn_rep.rho_blocks(Diagram(ChainKind.SYMMETRIC_GROUP, m, perm).key())
+        block = sn_rep.rho_blocks(pairs_key((j, m + s) for j, s in enumerate(sigma, start=1)))
         for t_in, entries in block.get(lam, {}).items():
             col = index[(h, t_in)]
             for t_out, val in entries.items():

@@ -5,9 +5,10 @@ configured rational (default 10/3); every construction validates its
 denominators at that value.
 
 A level-(L-1) diagram acts block-diagonally at level L of the Gel'fand-Tsetlin
-basis, so rho_L(d) = rho_L(head tokens) . embed(rho_{L-1}(shrunk d)) along the
-route of d in `diagrams.route_table`.  Every rho is built by this recursion with
-the SOV engine's kernel on a throwaway counter and memoised at every level.
+basis, so rho_L(d) = rho_L(head tokens) . embed(rho_{L-1}(b)) along the route
+d -> (head tokens, b) in `diagrams.route_table`.  Every rho is built by this
+recursion with the SOV engine's kernel on a throwaway counter and memoised at
+every level.
 
 Generators (`token_columns`) and rho (`rho_blocks`) are stored only as
 column-sparse block data {lam: {col: {row: value}}} of integer numerators: a

@@ -469,19 +469,24 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     """Recover coefficients through the trace form: f(a_i) = Tr(f̂ rho(a_i*))."""
     _check_inputs(img, rep)
     basis, duals = rep.gram_dual()
-    blocks = {lam: img.block(lam) for lam in rep.vertices()}
-    scale = rep.scale()
+    # f̂ as integer numerators over den, so each trace is one int sum
+    den = lcm(*(x.denominator for _, m in img.blocks for row in m for x in row))
+    blocks = {
+        lam: [[x.numerator * (den // x.denominator) for x in row] for row in img.block(lam)]
+        for lam in rep.vertices()
+    }
+    scale = den * rep.scale()
     traces = {}
     for d in basis:
-        # Tr(f̂ rho(d)) over the nonzero entries rho(d)[r][c] = v / scale of each block
-        key, total = d.key(), Fraction(0)
+        # Tr(f̂ rho(d)) over the nonzero entries rho(d)[r][c] = v / scale(n) of each block
+        key, total = d.key(), 0
         for lam, block in rep.rho_blocks(key).items():
             m = blocks[lam]
             for c, col in block.items():
                 row = m[c]
                 for r, v in col.items():
                     total += row[r] * v
-        traces[key] = total / scale
+        traces[key] = Fraction(total, scale)
     table: dict[str, Fraction] = {}
     for d, dual in zip(basis, duals):
         val = sum(g * traces[key] for key, g in dual.items())
@@ -610,10 +615,8 @@ def random_element(kind: ChainKind, n: int, seed: int) -> AlgebraElement:
     """Seeded dense element with integer coefficients in -9..9."""
     import random as _random
 
-    from .diagrams import all_diagrams
-
     rng = _random.Random(seed)
     table = {}
-    for d in all_diagrams(kind, n):
-        table[d.key()] = Fraction(rng.randint(-9, 9))
+    for key in route_table(kind, n) if n else ("",):
+        table[key] = Fraction(rng.randint(-9, 9))
     return AlgebraElement.from_dict(kind, n, table)

@@ -1,4 +1,6 @@
+import json
 import random
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from chainfft.diagrams import (
     identity_diagram,
     is_planar,
     route_table,
-    shrink,
     word_of,
 )
 from chainfft.errors import ArgumentError
@@ -214,14 +215,32 @@ def test_factor_map_property(d):
 
 @pytest.mark.parametrize("kind,n_max", [(TL, 8), (BR, 5), (SN, 5)])
 def test_route_table_matches_factor_map(kind, n_max):
-    """Every cached route is factor_map + shrink, in canonical key order."""
+    """Every cached route is factor_map with the last strand dropped, in canonical
+    key order, and its word times the grown sub-diagram gives the diagram back."""
     for n in range(1, n_max + 1):
         table = route_table(kind, n)
         basis = all_diagrams(kind, n)
         assert list(table) == [d.key() for d in basis]
         for d in basis:
-            y, b = factor_map(d)
-            assert table[d.key()] == (y.tokens, shrink(b).key())
+            tokens, sub_key = table[d.key()]
+            b = grow(diagram_from_key(kind, n - 1, sub_key), n)
+            assert factor_map(d) == (GeneratorWord(tokens), b)
+            ev = evaluate(GeneratorWord(tokens), kind, n)
+            prod = diagram_mul(ev.diagram, b)
+            assert ev.loops == 0 and prod.loops == 0 and prod.diagram == d
+
+
+def test_route_tables_pinned():
+    """Keys, order and routes of every table over TL 1..9, Brauer 1..5 and S_n 1..6.
+
+    The digest was taken from the tables of the Diagram-level factorization
+    (factor_map, then dropping the vertical last strand) that `_route` replaced.
+    """
+    h = sha256()
+    for kind, n_max in ((TL, 9), (BR, 5), (SN, 6)):
+        for m in range(1, n_max + 1):
+            h.update(json.dumps([kind.value, m, list(route_table(kind, m).items())]).encode())
+    assert h.hexdigest() == "8c6d7e8ff0e2c6b7b0b27f061f4e3b43212cbad24cc3a3a4af533dc7c652473a"
 
 
 def test_factor_map_identity_case():
@@ -254,11 +273,6 @@ def test_word_of():
         for d in all_diagrams(kind, n):
             ev = evaluate(word_of(d), kind, n)
             assert ev.diagram == d and ev.loops == 0
-
-
-def test_shrink_grow_roundtrip():
-    for d in all_diagrams(BR, 3):
-        assert shrink(grow(d, 4)) == d
 
 
 def test_key_roundtrip():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainfft.combinat import ChainKind, cached_bratteli, paper_bounds
-from chainfft.diagrams import all_diagrams, generator, identity_diagram
+from chainfft.diagrams import all_diagrams, generator, identity_diagram, route_table
 from chainfft.errors import ArgumentError
 from chainfft.reps import DEFAULT_Q, adapted_rep
 from chainfft.transform import (
@@ -125,7 +125,7 @@ def test_warm_sov_builds_no_routing(rep_cache, monkeypatch):
     rep = rep_cache(TL, 6)
     fft_sov(random_element(TL, 6, 0), rep)
     f = random_element(TL, 6, 1)
-    calls = {"factor_map": 0, "shrink": 0, "__post_init__": 0}
+    calls = {"_route": 0, "__post_init__": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -136,15 +136,14 @@ def test_warm_sov_builds_no_routing(rep_cache, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(D, "factor_map")
-    counting(D, "shrink")
+    counting(D, "_route")
     counting(D.Diagram, "__post_init__")
     img, _ = fft_sov(f, rep)
-    assert calls == {"factor_map": 0, "shrink": 0, "__post_init__": 0}
+    assert calls == {"_route": 0, "__post_init__": 0}
     assert img == fft_naive(f, rep)[0]
-    # the counters see a routing build
+    # the counter sees a routing build, which checks no Diagram
     D.route_table.__wrapped__(TL, 3)
-    assert calls["factor_map"] == calls["shrink"] == 5 and calls["__post_init__"] > 0
+    assert calls == {"_route": 5, "__post_init__": 0}
 
 
 def test_warm_sov_kernel_is_integer(rep_cache, monkeypatch):
@@ -441,6 +440,15 @@ def test_bmw_rejected(rep_cache):
     with pytest.raises(ArgumentError):
         f = AlgebraElement.from_dict(BMW, 2, {})
         fft_naive(f, rep)
+
+
+def test_bmw_refused_by_routing():
+    with pytest.raises(ArgumentError):
+        route_table(BMW, 3)
+    with pytest.raises(ArgumentError):
+        all_diagrams(BMW, 3)
+    with pytest.raises(ArgumentError):
+        AlgebraElement.from_dict(BMW, 3, {"1-4,2-5,3-6": 1})
 
 
 def test_kind_mismatch(rep_cache):
