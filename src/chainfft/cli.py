@@ -308,7 +308,7 @@ def cmd_bench(kind: ChainKind, n: int, args) -> int:
     if n_max < n:
         raise UsageError(f"--n-max {n_max} is below -n {n}")
     q = _parse_q(args)
-    print("n,dim,naive_mul,sov_mul,sov_add,predicted,paper_bound,reduced_t")
+    rows = ["n,dim,naive_mul,sov_mul,sov_add,predicted,paper_bound,reduced_t"]
     for size in range(n, n_max + 1):
         rep = adapted_rep(kind, size, q)
         plan = sov_plan(kind, size)
@@ -324,10 +324,12 @@ def cmd_bench(kind: ChainKind, n: int, args) -> int:
         med = lambda xs: int(statistics.median(xs))
         paper = str(plan.paper.total) if plan.paper else ""
         reduced = Fraction(med(sov_m), dim)
-        print(
+        rows.append(
             f"{size},{dim},{med(naive_m)},{med(sov_m)},{med(sov_a)},"
             f"{plan.predicted_total},{paper},{reduced}"
         )
+    # every row is computed first, so an error leaves stdout empty
+    print("\n".join(rows))
     return 0
 
 

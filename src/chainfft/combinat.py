@@ -151,6 +151,9 @@ class BratteliDiagram:
     _paths_memo: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
+    _extensions_memo: dict = field(
+        default_factory=dict, repr=False, compare=False, hash=False
+    )
 
     def vertices(self, level: int) -> tuple[Partition, ...]:
         self._check_level(level)
@@ -202,6 +205,20 @@ class BratteliDiagram:
                 )
             memo[key] = (paths, {p: j for j, p in enumerate(paths)})
         return memo[key]
+
+    def extensions(self, level: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
+        """Level-(level-1) vertex mu -> ((lam, offset), ...) over its edges to `level`:
+        in lam's `paths` order the paths through mu fill one range from offset on."""
+        memo = self._extensions_memo
+        if level not in memo:
+            out: dict[Partition, list] = {}
+            for lam in self.vertices(level):
+                offset = 0
+                for mu in self.in_neighbors(level, lam):
+                    out.setdefault(mu, []).append((lam, offset))
+                    offset += self.dim(level - 1, mu)
+            memo[level] = {mu: tuple(edges) for mu, edges in out.items()}
+        return memo[level]
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.n:

@@ -44,9 +44,6 @@ class Diagram:
     def key(self) -> str:
         return pairs_key(self.pairs)
 
-    def has_vertical_last_strand(self) -> bool:
-        return (self.n, 2 * self.n) in self.pairs
-
 
 @dataclass(frozen=True)
 class LoopProduct:

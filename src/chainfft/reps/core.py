@@ -197,10 +197,6 @@ class AdaptedRep:
         return self._char[key]
 
     # -- trace form -------------------------------------------------------
-    def trace_tau(self, coeffs: dict[str, Fraction]) -> Fraction:
-        """tau(a) with tau = sum over irreducibles of the matrix trace."""
-        return sum(Fraction(c) * self.character(k) for k, c in coeffs.items())
-
     def gram_matrix(self):
         """(basis diagrams, Gram matrix of the trace form tau(b_i b_j))."""
         basis = all_diagrams(self.kind, self.n)
@@ -215,8 +211,9 @@ class AdaptedRep:
         return basis, gram
 
     def gram_dual(self):
-        """Dual basis data: (basis diagrams, dual table), the dual of basis[j] as
-        {basis key k: Gram inverse [k][j]} over the nonzero entries."""
+        """Dual basis data (basis diagrams, duals, den): the dual of basis[j] as
+        {basis key k: Gram inverse [k][j] . den} over the nonzero entries, each an
+        integer numerator over the one denominator den of the whole table."""
         if self._gram is not None:
             return self._gram
         limit = GRAM_LIMITS.get(self.kind)
@@ -232,11 +229,13 @@ class AdaptedRep:
             raise ParameterError(
                 f"trace form degenerate at q={self.q} for {self.kind.value} n={self.n}"
             ) from None
+        den = lcm(*(x.denominator for row in ginv for x in row))
         duals = [
-            {basis[k].key(): ginv[k][j] for k in range(size) if ginv[k][j]}
+            {basis[k].key(): ginv[k][j].numerator * (den // ginv[k][j].denominator)
+             for k in range(size) if ginv[k][j]}
             for j in range(size)
         ]
-        self._gram = (basis, duals)
+        self._gram = (basis, duals, den)
         return self._gram
 
 

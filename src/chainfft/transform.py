@@ -1,16 +1,17 @@
 """Fourier transforms on diagram-algebra chains: naive and SOV-scheduled engines.
 
-The SOV engine recurses through the chain.  Its routing depends only on the
-chain kind and level, so it is compiled once per (kind, level), on first use,
-from the factorization table `diagrams.route_table`: basis keys become
-integer positions, each position routes to a (stream, position one level
-down) pair, streams merge in a fixed order, and the level embedding is a
-path offset per Bratteli edge.  A call then only moves coefficients along
-these integer routes: each fiber is transformed one level down and embedded,
-and each factor word is applied token by token as block-local sparse
-products.  Operation counters track scalar multiplications and additions of
-the transform proper; representation data and routing are precomputed and
-free.
+The SOV engine recurses through the chain.  One schedule per (kind, level),
+built from the factor set, names the streams (one per factor word) and the
+order in which they merge; `sov_plan` prices that same schedule.  The routing
+of the basis onto those streams is compiled once per (kind, level), on first
+use, from the factorization table `diagrams.route_table`: basis keys become
+integer positions, and each position routes to a (stream, position one level
+down) pair.  A call then only moves coefficients along these integer routes:
+each fiber is transformed one level down and embedded along the path offsets
+of `BratteliDiagram.extensions`, and each factor word is applied token by
+token as block-local sparse products.  Operation counters track scalar
+multiplications and additions of the transform proper; representation data,
+schedules and routing are precomputed and free.
 
 Both engines run on Python ints, over the integer block data of `AdaptedRep`.
 The inputs are scaled by their common denominator, and in the SOV engine by
@@ -29,7 +30,6 @@ from typing import NamedTuple
 
 from .combinat import (
     BoundReport,
-    BratteliDiagram,
     ChainKind,
     Partition,
     QuiverShape,
@@ -38,7 +38,7 @@ from .combinat import (
     paper_bounds,
     stage_quiver_shape,
 )
-from .diagrams import basis_key, diagram_from_key, diagram_mul, route_table
+from .diagrams import basis_key, diagram_from_key, diagram_mul, factor_set, route_table
 from .errors import ArgumentError, FactorizationError
 from .reps.core import AdaptedRep
 
@@ -187,95 +187,56 @@ def factor_family(kind: ChainKind, i: int) -> tuple[str, ...]:
     return ("id", f"r{i}")
 
 
-def w_set_sizes(kind: ChainKind, k: int) -> dict[int, int]:
-    """|W_{i-1}| per stage i at chain length k: realized remaining factor tuples.
-
-    A factor-set word is a tuple of per-index choices; W_{i-1} collects the
-    distinct tails (choice at i-1, ..., choice at k-1) over the whole set.
-    """
-    from .diagrams import factor_set
-
-    word_kind = ChainKind.BRAUER if kind is ChainKind.BMW_STRUCTURAL else kind
-    words = [w.tokens for w in factor_set(word_kind, k)]
-    out = {}
-    for i in range(2, k + 1):
-        tails = set()
-        for tokens in words:
-            by_index = {t[1]: t for t in tokens}
-            tails.add(
-                tuple(by_index.get(j, ("id", j)) for j in range(i - 1, k))
-            )
-        out[i] = len(tails)
-    return out
-
-
-def sov_plan(kind: ChainKind, n: int, B: BratteliDiagram | None = None) -> SovPlan:
+def sov_plan(kind: ChainKind, n: int) -> SovPlan:
     """Schedule and predicted costs for the separation-of-variables transform.
 
     Stage i merges the factor choices at index i-1; its predicted cost is
     |W_{i-1}| x the stage-quiver morphism count, with |W_{i-1}| the number of
-    realized remaining factor tuples.  The level schedule telescopes the
-    per-level combines with dimension ratios.
+    distinct stream tails (choices at i-1, ..., k-1) of the level-k schedule
+    that the engine runs.  The level schedule telescopes the per-level
+    combines with dimension ratios.
     """
     if n < 0:
         raise ArgumentError("sov_plan needs n >= 0")
     if n == 0:
         return SovPlan(kind, 0, (), (), Fraction(0), Fraction(0), None)
-    if B is None:
-        B = cached_bratteli(kind, n)
-    top_w = w_set_sizes(kind, n)
-    stages = []
-    for i in range(2, n + 1):
-        family = factor_family(kind, i - 1)
-        hom = hom_count_closed(B, i, n)
-        stages.append(
-            SovStage(
-                i, family, stage_quiver_shape(i, n), top_w[i], hom, top_w[i] * hom
-            )
-        )
+    B = cached_bratteli(kind, n)
     dims = [sum(d * d for d in B.dims[k]) for k in range(n + 1)]
-    levels = []
+    costs, levels = [], []
     predicted_total = Fraction(0)
     for k in range(2, n + 1):
-        wk = w_set_sizes(kind, k)
-        mk = sum(wk[i] * hom_count_closed(B, i, k) for i in range(2, k + 1))
+        streams = _schedule(kind, k).streams
+        costs = [(i, len({p[i - 2 :] for p in streams}), hom_count_closed(B, i, k))
+                 for i in range(2, k + 1)]
+        mk = sum(w * hom for _, w, hom in costs)
         weight = Fraction(dims[n], dims[k])
         contribution = weight * mk
         levels.append(SovLevel(k, dims[k], mk, weight, contribution))
         predicted_total += contribution
-    paper = None
-    if kind is not ChainKind.SYMMETRIC_GROUP:
-        paper = paper_bounds(kind, n)
-    return SovPlan(
-        kind,
-        n,
-        tuple(stages),
-        tuple(levels),
-        predicted_total,
-        predicted_total / dims[n] if dims[n] else Fraction(0),
-        paper,
+    # costs now holds level n, whose stages the plan lists
+    stages = tuple(
+        SovStage(i, factor_family(kind, i - 1), stage_quiver_shape(i, n), w, hom, w * hom)
+        for i, w, hom in costs
     )
+    paper = None if kind is ChainKind.SYMMETRIC_GROUP else paper_bounds(kind, n)
+    reduced = predicted_total / dims[n] if dims[n] else Fraction(0)
+    return SovPlan(kind, n, stages, tuple(levels), predicted_total, reduced, paper)
 
 
-# ---------------------------------------------------------------------------
-# SOV engine
+class _Schedule(NamedTuple):
+    """The SOV merge schedule of one (kind, level), read from its factor set.
 
-
-class _Routing(NamedTuple):
-    """The SOV routing of one (kind, level), compiled to integer indices.
-
-    Streams are named by their pending token-per-index tuples (None for the
-    identity) and numbered in one fixed order.  Stage k applies index
-    level-1-k: stream s applies `stages[k][s][0]` (if any) and merges into
-    stream `stages[k][s][1]` of the next stage.
+    A stream is a factor word written as its token per index 1..level-1 (None
+    for the identity); streams are numbered in `_stream_order`.  Stage k
+    applies index level-1-k: stream s applies `stages[k][s][0]` (if any) and
+    merges into stream `stages[k][s][1]` of the next stage, which has
+    `widths[k]` streams.
     """
 
-    index: dict[str, int]  # basis key -> position in canonical key order
-    routes: tuple[tuple[int, int], ...]  # position -> (stream, position one level down)
+    streams: tuple[tuple[str | None, ...], ...]
+    stream_of: dict[tuple, int]  # factor word tokens -> stream number
     stages: tuple[tuple[tuple[str | None, int], ...], ...]
-    widths: tuple[int, ...]  # number of streams after each stage
-    # level-1 vertex -> ((level vertex, path offset), ...) along its extension edges
-    embedding: dict[Partition, tuple[tuple[Partition, int], ...]]
+    widths: tuple[int, ...]
 
 
 def _stream_order(pending: tuple) -> tuple:
@@ -283,44 +244,53 @@ def _stream_order(pending: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _routing(kind: ChainKind, level: int) -> _Routing:
-    """Compile the routing of every level-`level` basis diagram (level >= 1)."""
-    table = route_table(kind, level)
-    below = _routing(kind, level - 1).index if level > 1 else {"": 0}
-    pendings = {}
-    for key, (tokens, _) in table.items():
-        pending = [None] * (level - 1)
-        for sym, i in tokens:
-            pending[i - 1] = sym
-        pendings[key] = tuple(pending)
-    current = sorted(set(pendings.values()), key=_stream_order)
-    start = {p: s for s, p in enumerate(current)}
-    routes = tuple((start[pendings[key]], below[sub]) for key, (_, sub) in table.items())
-    if len(set(routes)) != len(routes):
-        raise FactorizationError(f"{kind.value} level {level}: two diagrams share a route")
-    stages, widths = [], []
+def _schedule(kind: ChainKind, level: int) -> _Schedule:
+    """The schedule of level >= 1, read from the O(level^2) factor-set words alone."""
+    pending = {}
+    for word in factor_set(kind, level):
+        p = [None] * (level - 1)
+        for sym, i in word.tokens:
+            p[i - 1] = sym
+        pending[word.tokens] = tuple(p)
+    streams = tuple(sorted(pending.values(), key=_stream_order))
+    stream_of = {tokens: streams.index(p) for tokens, p in pending.items()}
+    current, stages, widths = streams, [], []
     for i in range(level - 1, 0, -1):
         merged = sorted({p[: i - 1] for p in current}, key=_stream_order)
         target = {p: s for s, p in enumerate(merged)}
         stages.append(tuple((p[i - 1], target[p[: i - 1]]) for p in current))
         widths.append(len(merged))
         current = merged
-    # GT paths are grouped by their level-(level-1) vertex, so the paths
-    # through mu occupy one contiguous range of lam's basis.
-    B = cached_bratteli(kind, level)
-    embedding: dict[Partition, list] = {}
-    for lam in B.vertices(level):
-        offset = 0
-        for mu in B.in_neighbors(level, lam):
-            embedding.setdefault(mu, []).append((lam, offset))
-            offset += B.dim(level - 1, mu)
-    return _Routing(
-        {key: j for j, key in enumerate(table)},
-        routes,
-        tuple(stages),
-        tuple(widths),
-        {mu: tuple(edges) for mu, edges in embedding.items()},
-    )
+    return _Schedule(streams, stream_of, tuple(stages), tuple(widths))
+
+
+# ---------------------------------------------------------------------------
+# SOV engine
+
+
+class _Routing(NamedTuple):
+    """The SOV routing of one (kind, level), compiled to integer indices on the
+    streams of `_schedule(kind, level)`."""
+
+    index: dict[str, int]  # basis key -> position in canonical key order
+    routes: tuple[tuple[int, int], ...]  # position -> (stream, position one level down)
+
+
+@lru_cache(maxsize=None)
+def _routing(kind: ChainKind, level: int) -> _Routing:
+    """Compile the routing of every level-`level` basis diagram (level >= 1)."""
+    table = route_table(kind, level)
+    below = _routing(kind, level - 1).index if level > 1 else {"": 0}
+    stream_of = _schedule(kind, level).stream_of
+    routes = []
+    for key, (tokens, sub) in table.items():
+        if tokens not in stream_of:
+            raise FactorizationError(
+                f"{kind.value} level {level}: the route of {key} is not a factor-set word")
+        routes.append((stream_of[tokens], below[sub]))
+    if len(set(routes)) != len(routes):
+        raise FactorizationError(f"{kind.value} level {level}: two diagrams share a route")
+    return _Routing({key: j for j, key in enumerate(table)}, tuple(routes))
 
 
 def fft_sov(
@@ -352,8 +322,8 @@ def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
     if level <= 1:
         total = sum(coeffs.values())
         return {(1,) if level else (): {0: {0: total}}} if total else {}
-    routing = _routing(rep.kind, level)
-    fibers: list = [None] * len(routing.stages[0])
+    routing, schedule = _routing(rep.kind, level), _schedule(rep.kind, level)
+    fibers: list = [None] * len(schedule.streams)
     for j, c in coeffs.items():
         stream, sub = routing.routes[j]
         if fibers[stream] is None:
@@ -364,7 +334,7 @@ def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
         if fiber is not None:
             sub = _sov_level(rep, level - 1, fiber, counter)
             streams[stream] = _embed_blocks(rep, level, sub)
-    for i, moves, width in zip(range(level - 1, 0, -1), routing.stages, routing.widths):
+    for i, moves, width in zip(range(level - 1, 0, -1), schedule.stages, schedule.widths):
         merged: list = [None] * width
         for data, (sym, dest) in zip(streams, moves):
             if data is None:
@@ -416,12 +386,12 @@ def _merge_stream(streams: list, s: int, data: dict, counter: OpCounter) -> None
 
 def _embed_blocks(rep: AdaptedRep, level: int, sub: dict, factor: int = 1) -> dict:
     """Reindex level-(L-1) blocks, times factor, into level L along shared extension edges."""
-    embedding = _routing(rep.kind, level).embedding
+    extensions = rep.B.extensions(level)
     out: dict[Partition, dict] = {}
     for mu, block in sub.items():
         if factor != 1:
             block = {c: {r: v * factor for r, v in col.items()} for c, col in block.items()}
-        for lam, offset in embedding[mu]:
+        for lam, offset in extensions[mu]:
             dest = out.setdefault(lam, {})
             for c, col in block.items():
                 dest[c + offset] = {r + offset: v for r, v in col.items()}
@@ -466,9 +436,10 @@ def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCoun
 
 
 def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
-    """Recover coefficients through the trace form: f(a_i) = Tr(f̂ rho(a_i*))."""
+    """Recover coefficients through the trace form: f(a_i) = Tr(f̂ rho(a_i*)).
+    Traces and dual sums are ints; each output coefficient is one division."""
     _check_inputs(img, rep)
-    basis, duals = rep.gram_dual()
+    basis, duals, dual_den = rep.gram_dual()
     # f̂ as integer numerators over den, so each trace is one int sum
     den = lcm(*(x.denominator for _, m in img.blocks for row in m for x in row))
     blocks = {
@@ -476,23 +447,24 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
         for lam in rep.vertices()
     }
     scale = den * rep.scale()
-    traces = {}
-    for d in basis:
+    keys = [d.key() for d in basis]  # in canonical key order
+    traces = {}  # key -> Tr(f̂ rho(key)) . scale
+    for key in keys:
         # Tr(f̂ rho(d)) over the nonzero entries rho(d)[r][c] = v / scale(n) of each block
-        key, total = d.key(), 0
+        total = 0
         for lam, block in rep.rho_blocks(key).items():
             m = blocks[lam]
             for c, col in block.items():
                 row = m[c]
                 for r, v in col.items():
                     total += row[r] * v
-        traces[key] = Fraction(total, scale)
-    table: dict[str, Fraction] = {}
-    for d, dual in zip(basis, duals):
-        val = sum(g * traces[key] for key, g in dual.items())
+        traces[key] = total
+    coeffs = []
+    for key, dual in zip(keys, duals):
+        val = sum(g * traces[k] for k, g in dual.items())
         if val:
-            table[d.key()] = val
-    return AlgebraElement.from_dict(img.kind, img.n, table)
+            coeffs.append((key, Fraction(val, dual_den * scale)))
+    return AlgebraElement(img.kind, img.n, tuple(coeffs))
 
 
 def multiply_elements(f: AlgebraElement, g: AlgebraElement, q: Fraction) -> AlgebraElement:

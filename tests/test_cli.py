@@ -161,6 +161,12 @@ def test_bench_n_max_below_n_is_a_usage_error(capsys):
     assert code == 2 and out == "" and "--n-max" in err
 
 
+def test_bench_error_past_the_first_row_prints_no_table(capsys):
+    """q = 1 is fine at TL 1 and 2 but not at 3: the run fails with stdout empty."""
+    code, out, err = run(capsys, "bench", "--chain", "tl", "-n", "1", "--n-max", "3", "--q", "1")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def _write_coeffs(tmp_path, kind, n, seed):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(element_to_json(random_element(kind, n, seed), Fraction(10, 3))))

@@ -195,7 +195,7 @@ def check_factorization(d):
     strand, and evaluate(y) * b == d without closed loops."""
     y, b = factor_map(d)
     assert y in set(factor_set(d.kind, d.n))
-    assert b.has_vertical_last_strand()
+    assert (b.n, 2 * b.n) in b.pairs
     ev = evaluate(y, d.kind, d.n)
     prod = diagram_mul(ev.diagram, b)
     assert ev.loops == 0 and prod.loops == 0 and prod.diagram == d
@@ -258,7 +258,7 @@ def test_factor_map_fig8_choice():
     other = evaluate(GeneratorWord((("r", 2), ("e", 3))), BR, 4)
     found = False
     for bb in all_diagrams(BR, 4):
-        if not bb.has_vertical_last_strand():
+        if (bb.n, 2 * bb.n) not in bb.pairs:
             continue
         prod = diagram_mul(other.diagram, bb)
         if prod.diagram == d and prod.loops == 0:

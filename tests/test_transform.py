@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfft.combinat import ChainKind, cached_bratteli, paper_bounds
-from chainfft.diagrams import all_diagrams, generator, identity_diagram, route_table
-from chainfft.errors import ArgumentError
+from chainfft.combinat import ChainKind, cached_bratteli, hom_count_closed, paper_bounds
+from chainfft.diagrams import all_diagrams, factor_set, generator, identity_diagram, route_table
+from chainfft.errors import ArgumentError, FactorizationError
 from chainfft.reps import DEFAULT_Q, adapted_rep
 from chainfft.transform import (
     AlgebraElement,
     OpCounter,
+    _schedule,
     convolution_check,
     element_from_json,
     element_to_json,
@@ -23,7 +24,6 @@ from chainfft.transform import (
     multiply_elements,
     random_element,
     sov_plan,
-    w_set_sizes,
 )
 
 BR = ChainKind.BRAUER
@@ -389,10 +389,66 @@ def test_plan_bmw_equals_brauer():
 
 def test_w_set_sizes_match_factor_set():
     # Brauer length 4: ten words; tails at the last index are id, r3, e3
-    ws = w_set_sizes(BR, 4)
-    assert ws[4] == 3
-    assert ws[2] == 10
-    assert w_set_sizes(TL, 4)[4] == 2
+    stages = {s.i: s for s in sov_plan(BR, 4).stages}
+    assert stages[4].w_size == 3
+    assert stages[2].w_size == 10
+    assert {s.i: s for s in sov_plan(TL, 4).stages}[4].w_size == 2
+
+
+@pytest.mark.parametrize("kind,n_max", [(TL, 8), (SN, 6), (BR, 6), (BMW, 6)])
+def test_w_sizes_are_factor_set_tails(kind, n_max):
+    """|W_{i-1}| of every plan level is the number of distinct tails (choice at
+    i-1, ..., k-1) over the words of the level-k factor set."""
+    for n in range(2, n_max + 1):
+        plan, B = sov_plan(kind, n), cached_bratteli(kind, n)
+        for k in range(2, n + 1):
+            by_index = [{i: sym for sym, i in w.tokens} for w in factor_set(kind, k)]
+            w_sizes = [len({tuple(w.get(j) for j in range(i - 1, k)) for w in by_index})
+                       for i in range(2, k + 1)]
+            combine = sum(w * hom_count_closed(B, i, k) for i, w in zip(range(2, k + 1), w_sizes))
+            assert plan.levels[k - 2].combine_cost == combine
+            if k == n:
+                assert [s.w_size for s in plan.stages] == w_sizes
+
+
+@pytest.mark.parametrize("kind,n_max", [(TL, 8), (SN, 5), (BR, 5)])
+def test_schedule_streams_are_the_routed_words(kind, n_max):
+    """The streams of each level's schedule are the distinct pending tuples of its route table."""
+    for level in range(1, n_max + 1):
+        routed = set()
+        for tokens, _ in route_table(kind, level).values():
+            pending = [None] * (level - 1)
+            for sym, i in tokens:
+                pending[i - 1] = sym
+            routed.add(tuple(pending))
+        streams = _schedule(kind, level).streams
+        assert len(set(streams)) == len(streams) and set(streams) == routed
+
+
+def test_route_outside_the_factor_set_is_refused(monkeypatch):
+    """A compiled route must be a factor-set word: e1 alone is none at TL level 3."""
+    import chainfft.diagrams as D
+    import chainfft.transform as T
+
+    T._routing(TL, 2)
+    original = D._route
+
+    def short(kind, n, pairs):
+        tokens, sub = original(kind, n, pairs)
+        return ((("e", 1),) if tokens == (("e", 1), ("e", 2)) else tokens), sub
+
+    monkeypatch.setattr(D, "_route", short)
+    monkeypatch.setattr(T, "route_table", D.route_table.__wrapped__)
+    with pytest.raises(FactorizationError, match="not a factor-set word"):
+        T._routing.__wrapped__(TL, 3)
+
+
+def test_fft_sov_refuses_a_plan_of_another_algebra(rep_cache):
+    rep = rep_cache(TL, 4)
+    f = random_element(TL, 4, 0)
+    for plan in (sov_plan(TL, 3), sov_plan(BR, 4)):
+        with pytest.raises(ArgumentError, match="plan does not match"):
+            fft_sov(f, rep, plan)
 
 
 def test_measured_within_predicted(rep_cache):
@@ -478,6 +534,22 @@ def test_inverse_roundtrip(rep_cache):
             f = random_element(kind, n, seed)
             img, _ = fft_sov(f, rep, plan)
             assert inverse_ft(img, rep).coeffs == f.coeffs
+
+
+def test_warm_inverse_makes_one_fraction_per_coefficient(rep_cache, monkeypatch):
+    """Traces and dual sums stay integer: a warm S_4 inversion makes O(N) Fractions."""
+    rep = rep_cache(SN, 4)
+    f = random_element(SN, 4, 0)
+    img, _ = fft_sov(f, rep)
+    assert inverse_ft(img, rep) == f
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    back = inverse_ft(img, rep)
+    monkeypatch.undo()
+    assert back == f
+    assert 0 < len(made) <= 2 * rep.algebra_dim()
 
 
 def test_inverse_of_identity_blocks(rep_cache):
