@@ -6,9 +6,9 @@ denominators at that value.
 
 A level-(L-1) diagram acts block-diagonally at level L of the Gel'fand-Tsetlin
 basis, so rho_L(d) = rho_L(head tokens) . embed(rho_{L-1}(b)) along the route
-d -> (head tokens, b) in `diagrams.route_table`.  Every rho is built by this
-recursion with the SOV engine's kernel on a throwaway counter and memoised at
-every level.
+d -> (head tokens, b) in `diagrams.route_table`: the SOV level step on a point
+mass.  So every rho is built by the SOV level routine on the route's one stream,
+with a throwaway counter, and memoised at every level.
 
 Generators (`token_columns`) and rho (`rho_blocks`) are stored only as
 column-sparse block data {lam: {col: {row: value}}} of integer numerators: a
@@ -152,18 +152,19 @@ class AdaptedRep:
 
     # -- representation of basis diagrams --------------------------------
     def _block_data(self, key: str, level: int) -> dict:
-        """Block data {lam: {col: {row: numerator over S_level}}} of a basis key; memoised."""
+        """Block data {lam: {col: {row: numerator over S_level}}} of a basis key, memoised: the
+        SOV level routine on the route's stream, rho_{level-1}(sub) times its identity factor."""
         if level <= 1:
             return {(1,) if level else (): {0: {0: 1}}}
         if (level, key) in self._levels:
             return self._levels[(level, key)]
-        from ..transform import OpCounter, _apply_token, _embed_blocks
+        from ..transform import OpCounter, _embed_blocks, _run_level, _schedule
 
         tokens, sub = route_table(self.kind, level)[key]
         factor = self.identity_factor(level, tokens)
         data = _embed_blocks(self, level, self._block_data(sub, level - 1), factor)
-        for token in reversed(tokens):
-            data = _apply_token(self, level, token, data, OpCounter())
+        stream = _schedule(self.kind, level).stream_of[tokens]
+        data = _run_level(self, level, {stream: data}, OpCounter())
         self._levels[(level, key)] = data
         return data
 
@@ -211,8 +212,8 @@ class AdaptedRep:
         return basis, gram
 
     def gram_dual(self):
-        """Dual basis data (basis diagrams, duals, den): the dual of basis[j] as
-        {basis key k: Gram inverse [k][j] . den} over the nonzero entries, each an
+        """Dual basis data (keys, duals, den): keys in canonical order, and the dual of
+        keys[j] as {key k: Gram inverse [k][j] . den} over the nonzero entries, each an
         integer numerator over the one denominator den of the whole table."""
         if self._gram is not None:
             return self._gram
@@ -230,12 +231,13 @@ class AdaptedRep:
                 f"trace form degenerate at q={self.q} for {self.kind.value} n={self.n}"
             ) from None
         den = lcm(*(x.denominator for row in ginv for x in row))
+        keys = [d.key() for d in basis]
         duals = [
-            {basis[k].key(): ginv[k][j].numerator * (den // ginv[k][j].denominator)
+            {keys[k]: ginv[k][j].numerator * (den // ginv[k][j].denominator)
              for k in range(size) if ginv[k][j]}
             for j in range(size)
         ]
-        self._gram = (basis, duals, den)
+        self._gram = (keys, duals, den)
         return self._gram
 
 

@@ -8,8 +8,9 @@ use, from the factorization table `diagrams.route_table`: basis keys become
 integer positions, and each position routes to a (stream, position one level
 down) pair.  A call then only moves coefficients along these integer routes:
 each fiber is transformed one level down and embedded along the path offsets
-of `BratteliDiagram.extensions`, and each factor word is applied token by
-token as block-local sparse products.  Operation counters track scalar
+of `BratteliDiagram.extensions`; then one level routine, `_run_level`, which
+the rho recursion shares, applies the tokens of the live streams as sparse
+products and merges them stage by stage.  Operation counters track scalar
 multiplications and additions of the transform proper; representation data,
 schedules and routing are precomputed and free.
 
@@ -32,15 +33,13 @@ from .combinat import (
     BoundReport,
     ChainKind,
     Partition,
-    QuiverShape,
     cached_bratteli,
     hom_count_closed,
     paper_bounds,
-    stage_quiver_shape,
 )
 from .diagrams import basis_key, diagram_from_key, diagram_mul, factor_set, route_table
 from .errors import ArgumentError, FactorizationError
-from .reps.core import AdaptedRep
+from .reps.core import AdaptedRep, Token
 
 
 @dataclass
@@ -50,17 +49,23 @@ class OpCounter:
     mul: int = 0
     add: int = 0
 
-    def merged(self, other: "OpCounter") -> "OpCounter":
-        return OpCounter(self.mul + other.mul, self.add + other.add)
-
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """Finitely supported coefficient table over canonical diagram keys."""
+    """Finitely supported coefficient table over canonical diagram keys, as `from_dict`
+    builds it: basis keys in increasing order, each with a nonzero int or `Fraction`."""
 
     kind: ChainKind
     n: int
     coeffs: tuple[tuple[str, Fraction], ...]
+
+    def __post_init__(self):
+        basis = (route_table(self.kind, self.n) if self.n else ("",)) if self.coeffs else ()
+        for j, (key, value) in enumerate(self.coeffs):
+            if not (isinstance(key, str) and key in basis) or j and key <= self.coeffs[j - 1][0]:
+                raise ArgumentError(f"{key!r} is not the next basis key in increasing order")
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)) or not value:
+                raise ArgumentError(f"{key!r}: {value!r} is not a nonzero int or Fraction")
 
     @staticmethod
     def from_dict(kind: ChainKind, n: int, table: dict) -> "AlgebraElement":
@@ -152,7 +157,6 @@ def _check_inputs(f: AlgebraElement | FourierImage, rep: AdaptedRep) -> None:
 class SovStage:
     i: int
     family: tuple[str, ...]
-    shape: QuiverShape
     w_size: int
     hom: int
     predicted_mults: int
@@ -215,7 +219,7 @@ def sov_plan(kind: ChainKind, n: int) -> SovPlan:
         predicted_total += contribution
     # costs now holds level n, whose stages the plan lists
     stages = tuple(
-        SovStage(i, factor_family(kind, i - 1), stage_quiver_shape(i, n), w, hom, w * hom)
+        SovStage(i, factor_family(kind, i - 1), w, hom, w * hom)
         for i, w, hom in costs
     )
     paper = None if kind is ChainKind.SYMMETRIC_GROUP else paper_bounds(kind, n)
@@ -228,15 +232,13 @@ class _Schedule(NamedTuple):
 
     A stream is a factor word written as its token per index 1..level-1 (None
     for the identity); streams are numbered in `_stream_order`.  Stage k
-    applies index level-1-k: stream s applies `stages[k][s][0]` (if any) and
-    merges into stream `stages[k][s][1]` of the next stage, which has
-    `widths[k]` streams.
+    applies index level-1-k: stream s applies token `stages[k][s][0]` (if any)
+    and merges into stream `stages[k][s][1]` of the next stage (stream 0 last).
     """
 
     streams: tuple[tuple[str | None, ...], ...]
     stream_of: dict[tuple, int]  # factor word tokens -> stream number
-    stages: tuple[tuple[tuple[str | None, int], ...], ...]
-    widths: tuple[int, ...]
+    stages: tuple[tuple[tuple[Token | None, int], ...], ...]
 
 
 def _stream_order(pending: tuple) -> tuple:
@@ -254,14 +256,13 @@ def _schedule(kind: ChainKind, level: int) -> _Schedule:
         pending[word.tokens] = tuple(p)
     streams = tuple(sorted(pending.values(), key=_stream_order))
     stream_of = {tokens: streams.index(p) for tokens, p in pending.items()}
-    current, stages, widths = streams, [], []
+    current, stages = streams, []
     for i in range(level - 1, 0, -1):
         merged = sorted({p[: i - 1] for p in current}, key=_stream_order)
         target = {p: s for s, p in enumerate(merged)}
-        stages.append(tuple((p[i - 1], target[p[: i - 1]]) for p in current))
-        widths.append(len(merged))
+        stages.append(tuple((p[i - 1] and (p[i - 1], i), target[p[: i - 1]]) for p in current))
         current = merged
-    return _Schedule(streams, stream_of, tuple(stages), tuple(widths))
+    return _Schedule(streams, stream_of, tuple(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -313,57 +314,52 @@ def fft_sov(
 
 
 def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
-    """Transform {basis position: integer coefficient} at the given level into block data.
-
-    Factor words are applied suffix-first (highest generator index down);
-    streams whose remaining prefixes coincide are merged before the shared
-    token is applied, so common word prefixes cost one application.
-    """
+    """Transform {basis position: integer coefficient} at the given level into block data:
+    each stream's fiber is transformed one level down and embedded, then `_run_level`."""
     if level <= 1:
         total = sum(coeffs.values())
         return {(1,) if level else (): {0: {0: total}}} if total else {}
-    routing, schedule = _routing(rep.kind, level), _schedule(rep.kind, level)
-    fibers: list = [None] * len(schedule.streams)
+    routes = _routing(rep.kind, level).routes
+    fibers: dict[int, dict] = {}
     for j, c in coeffs.items():
-        stream, sub = routing.routes[j]
-        if fibers[stream] is None:
-            fibers[stream] = {}
-        fibers[stream][sub] = c
-    streams: list = [None] * len(fibers)
-    for stream, fiber in enumerate(fibers):
-        if fiber is not None:
-            sub = _sov_level(rep, level - 1, fiber, counter)
-            streams[stream] = _embed_blocks(rep, level, sub)
-    for i, moves, width in zip(range(level - 1, 0, -1), schedule.stages, schedule.widths):
-        merged: list = [None] * width
-        for data, (sym, dest) in zip(streams, moves):
-            if data is None:
-                continue
-            if sym is not None:
-                data = _apply_token(rep, level, (sym, i), data, counter)
-            _merge_stream(merged, dest, data, counter)
+        stream, sub = routes[j]
+        fibers.setdefault(stream, {})[sub] = c
+    streams = {s: _embed_blocks(rep, level, _sov_level(rep, level - 1, fiber, counter))
+               for s, fiber in fibers.items()}
+    return _run_level(rep, level, streams, counter)
+
+
+def _run_level(rep: AdaptedRep, level: int, streams: dict, counter: OpCounter) -> dict:
+    """Run the merge stages of level >= 2, highest index first, over its live streams
+    {stream: block data}, consuming them.  Merges may leave zeros, dropped at the end;
+    one live stream is never summed, so it skips that pass."""
+    single = len(streams) == 1
+    for moves in _schedule(rep.kind, level).stages:
+        merged: dict[int, dict] = {}
+        for s, data in streams.items():
+            token, dest = moves[s]
+            if token:
+                data = _apply_token(rep, level, token, data, counter)
+            if dest in merged:
+                _merge_stream(merged[dest], data, counter)
+            else:
+                merged[dest] = data
         streams = merged
+    data = streams.get(0, {})
+    if single:
+        return data
     result: dict[Partition, dict] = {}
-    for lam, block in (streams[0] or {}).items():
-        cleaned = {}
-        for c, col in block.items():
-            col = {r: v for r, v in col.items() if v}
-            if col:
-                cleaned[c] = col
-        if cleaned:
-            result[lam] = cleaned
+    for lam, block in data.items():
+        block = {c: kept for c, col in block.items()
+                 if (kept := {r: v for r, v in col.items() if v})}
+        if block:
+            result[lam] = block
     return result
 
 
-def _merge_stream(streams: list, s: int, data: dict, counter: OpCounter) -> None:
-    """Add block data into stream s; each sum onto a present entry is one add.
-
-    `data` is consumed: its block and column dicts move into the stream.
-    """
-    dest_blocks = streams[s]
-    if dest_blocks is None:
-        streams[s] = data
-        return
+def _merge_stream(dest_blocks: dict, data: dict, counter: OpCounter) -> None:
+    """Add block data into the block data of a stream, moving its dicts in; each sum
+    onto a present entry is one add."""
     adds = 0
     for lam, block in data.items():
         dest = dest_blocks.get(lam)
@@ -439,7 +435,7 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     """Recover coefficients through the trace form: f(a_i) = Tr(f̂ rho(a_i*)).
     Traces and dual sums are ints; each output coefficient is one division."""
     _check_inputs(img, rep)
-    basis, duals, dual_den = rep.gram_dual()
+    keys, duals, dual_den = rep.gram_dual()
     # f̂ as integer numerators over den, so each trace is one int sum
     den = lcm(*(x.denominator for _, m in img.blocks for row in m for x in row))
     blocks = {
@@ -447,7 +443,6 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
         for lam in rep.vertices()
     }
     scale = den * rep.scale()
-    keys = [d.key() for d in basis]  # in canonical key order
     traces = {}  # key -> Tr(f̂ rho(key)) . scale
     for key in keys:
         # Tr(f̂ rho(d)) over the nonzero entries rho(d)[r][c] = v / scale(n) of each block

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from chainfft.combinat import ChainKind, cached_bratteli
 from chainfft.diagrams import (
     GeneratorWord,
     all_diagrams,
+    diagram_from_key,
     diagram_mul,
     evaluate,
     generator,
@@ -354,23 +356,17 @@ def test_trace_central(rep_cache):
 @pytest.mark.parametrize("kind,n", [(BR, 2), (BR, 3), (TL, 4), (TL, 5)])
 def test_gram_dual_delta_property(kind, n, rep_cache):
     rep = rep_cache(kind, n)
-    basis, duals, den = rep.gram_dual()
+    keys, duals, den = rep.gram_dual()
+    assert keys == sorted(route_table(kind, n))
     assert all(type(c) is int for dual in duals for c in dual.values())
-    size = len(basis)
-    for i in range(size):
-        for j in range(size):
+    basis = {key: diagram_from_key(kind, n, key) for key in keys}
+    for i, key_i in enumerate(keys):
+        for j in range(len(keys)):
             val = Fraction(0)
             for key, c in duals[j].items():
-                prod = diagram_mul(basis[i], _by_key(basis, key))
+                prod = diagram_mul(basis[key_i], basis[key])
                 val += Fraction(c, den) * Q**prod.loops * rep.character(prod.diagram.key())
             assert val == (1 if i == j else 0)
-
-
-def _by_key(basis, key):
-    for d in basis:
-        if d.key() == key:
-            return d
-    raise KeyError(key)
 
 
 def test_gram_capability_limit(rep_cache):
@@ -464,6 +460,24 @@ def test_chebyshev_values():
     assert chebyshev_u(0, Q) == 1
     assert chebyshev_u(1, Q) == Q
     assert chebyshev_u(2, Q) == Q * Q - 1
+
+
+def test_rho_tables_pinned(rep_cache):
+    """rho_blocks of every basis key at TL 1..7, S_n 1..5 and Brauer 1..4.
+
+    Relations, characters and op counts all survive a diagonal rescaling of the
+    basis, so only a digest holds the tables.  It was taken from the recursion
+    that applied each route's tokens itself, before it ran the SOV level routine.
+    """
+    h = hashlib.sha256()
+    for kind, n_max in ((TL, 7), (SN, 5), (BR, 4)):
+        for n in range(1, n_max + 1):
+            rep = rep_cache(kind, n)
+            for key in route_table(kind, n):
+                blocks = sorted((lam, sorted((c, sorted(col.items())) for c, col in block.items()))
+                                for lam, block in rep.rho_blocks(key).items())
+                h.update(json.dumps([kind.value, n, key, blocks]).encode())
+    assert h.hexdigest() == "e104faca538411cac3d7b812bbd6dc5acee39aa1c8b5679701d289523ac46cd5"
 
 
 BRAUER_BLOCK_DIGESTS = {

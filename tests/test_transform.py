@@ -206,7 +206,7 @@ def test_warm_naive_applies_no_token(rep_cache, monkeypatch):
     from chainfft.reps.core import adapted_rep
 
     rep = rep_cache(TL, 6)
-    fft_naive(random_element(TL, 6, 0), rep)
+    fft_naive(AlgebraElement.from_dict(TL, 6, dict.fromkeys(route_table(TL, 6), 1)), rep)
     f = random_element(TL, 6, 1)
     calls = []
     original = T._apply_token
@@ -281,6 +281,77 @@ def test_sov_single_diagram_matches_rho(rep_cache):
                 assert img.block(lam) == tuple(
                     tuple(row) for row in rep.rho(d, lam)
                 )
+
+
+@pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 5), (BR, 4)])
+def test_sov_level_matches_block_data_at_every_level(kind, n, rep_cache):
+    """At every level L <= n, the SOV driver on the point mass prescale(L)[key] gives
+    the rho driver's block data of the key (473 keys over the three cases)."""
+    import chainfft.transform as T
+
+    rep = rep_cache(kind, n)
+    for level in range(1, n + 1):
+        index = T._routing(kind, level).index
+        for key, scale in rep.prescale(level).items():
+            sov = T._sov_level(rep, level, {index[key]: scale}, OpCounter())
+            assert sov == rep._block_data(key, level), (level, key)
+
+
+def _no_zero_or_empty(blocks: dict) -> bool:
+    return all(block and all(col and all(col.values()) for col in block.values())
+               for block in blocks.values())
+
+
+def _run_level_outputs(f, rep):
+    """(live streams in, block data out) of every level-routine call of fft_sov(f)."""
+    import chainfft.transform as T
+
+    calls, original = [], T._run_level
+
+    def spy(rep_, level, streams, counter):
+        live = len(streams)
+        out = original(rep_, level, streams, counter)
+        calls.append((live, out))
+        return out
+
+    T._run_level = spy
+    try:
+        img, _ = fft_sov(f, rep)
+    finally:
+        T._run_level = original
+    assert img == fft_naive(f, rep)[0]
+    return calls
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([(TL, 5), (SN, 4), (BR, 3)]), st.data())
+def test_level_routine_output_has_no_zero_or_empty_entry(case, data):
+    """On random sparse supports the level routine's output holds no zero entry and
+    no empty column or block, with several live streams and with one."""
+    import chainfft.transform as T
+
+    kind, n = case
+    rep = adapted_rep(kind, n, Q)
+    support = data.draw(st.lists(st.sampled_from(sorted(route_table(kind, n))),
+                                 min_size=1, max_size=8, unique=True))
+    values = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]),
+                                min_size=len(support), max_size=len(support)))
+    routing = T._routing(kind, n)
+    stream_of = {key: routing.routes[routing.index[key]][0] for key in support}
+    table = dict(zip(support, values))
+    one_stream = {k: v for k, v in table.items() if stream_of[k] == stream_of[support[0]]}
+    for coeffs in (table, one_stream):
+        calls = _run_level_outputs(AlgebraElement.from_dict(kind, n, coeffs), rep)
+        assert all(_no_zero_or_empty(out) for _, out in calls)
+    assert calls[-1][0] == 1  # the top level of `one_stream` has one live stream
+
+
+def test_level_routine_drops_a_cancelled_block(rep_cache):
+    """id - r1 merges two streams whose trivial blocks cancel: the block is dropped."""
+    rep = rep_cache(SN, 2)
+    f = AlgebraElement.from_dict(SN, 2, {"1-3,2-4": 1, "1-4,2-3": -1})
+    [(live, out)] = _run_level_outputs(f, rep)
+    assert live == 2 and list(out) == [(1, 1)] and _no_zero_or_empty(out)
 
 
 SCALARS = st.fractions(-5, 5, max_denominator=4)
@@ -491,6 +562,28 @@ def test_reduced_cost_recursion_monotonicity(rep_cache):
         assert plan.predicted_reduced >= sov_plan(kind, n - 1).predicted_reduced
 
 
+@pytest.mark.parametrize("coeffs,key", [
+    ((("1-2,3-4", Fraction(1)), ("1-2,3-4", Fraction(2))), "1-2,3-4"),  # repeated
+    ((("1-3,2-4", Fraction(1)), ("1-2,3-4", Fraction(1))), "1-2,3-4"),  # decreasing
+    ((("2-1,3-4", Fraction(1)),), "2-1,3-4"),  # not canonical
+    ((("", Fraction(1)),), ""),  # not a basis key at n = 2
+    ((("1-2,3-4", 1.5),), "1-2,3-4"),
+    ((("1-2,3-4", True),), "1-2,3-4"),
+    ((("1-2,3-4", Fraction(0)),), "1-2,3-4"),
+], ids=["repeated", "decreasing", "not-canonical", "not-a-key", "float", "bool", "zero"])
+def test_element_constructor_refuses_what_from_dict_never_builds(coeffs, key):
+    """Both engines would read such a table differently, or fail with a bare error."""
+    with pytest.raises(ArgumentError, match=re.escape(repr(key))):
+        AlgebraElement(TL, 2, coeffs)
+
+
+def test_element_constructor_takes_canonical_tables():
+    assert AlgebraElement(TL, 2, (("1-2,3-4", 3), ("1-3,2-4", Fraction(-1, 2)))).support() == 2
+    assert AlgebraElement(TL, 0, (("", Fraction(1)),)).support() == 1
+    with pytest.raises(ArgumentError, match="'1-2'"):
+        AlgebraElement(TL, 0, (("1-2", Fraction(1)),))
+
+
 def test_bmw_rejected(rep_cache):
     rep = rep_cache(BR, 2)
     with pytest.raises(ArgumentError):
@@ -640,7 +733,3 @@ def test_image_json_fields(rep_cache):
     assert {tuple(b["vertex"]) for b in payload["blocks"]} == set(
         tuple(v) for v in rep.vertices()
     )
-
-
-def test_opcounter_merge():
-    assert OpCounter(2, 3).merged(OpCounter(1, 1)) == OpCounter(3, 4)
