@@ -102,10 +102,10 @@ def _cell_matrix_of_diagram(n: int, lam: Partition, d: Diagram, q: Fraction):
         new_half, sigma, loops = res
         scale = Fraction(q) ** loops / sn_rep.scale()
         block = sn_rep.rho_blocks(pairs_key((j, m + s) for j, s in enumerate(sigma, start=1)))
-        for t_in, entries in block.get(lam, {}).items():
-            col = index[(h, t_in)]
-            for t_out, val in entries.items():
-                out[index[(new_half, t_out)]][col] += scale * val
+        for t_out, entries in block.get(lam, {}).items():
+            row = out[index[(new_half, t_out)]]
+            for t_in, val in entries.items():
+                row[index[(h, t_in)]] += scale * val
     return out
 
 

@@ -7,14 +7,17 @@ denominators at that value.
 A level-(L-1) diagram acts block-diagonally at level L of the Gel'fand-Tsetlin
 basis, so rho_L(d) = rho_L(head tokens) . embed(rho_{L-1}(b)) along the route
 d -> (head tokens, b) in `diagrams.route_table`: the SOV level step on a point
-mass.  So every rho is built by the SOV level routine on the route's one stream,
-with a throwaway counter, and memoised at every level.
+mass.  So every rho is built by the SOV level routine on the route's one stream
+(one fiber, whose keys are the columns), with a throwaway counter, and memoised
+at every level.
 
-Generators (`token_columns`) and rho (`rho_blocks`) are stored only as
-column-sparse block data {lam: {col: {row: value}}} of integer numerators: a
-generator at index i over D(i), the lcm of the denominators of its local
-blocks, and a level-L rho over S_L = prod_{i<L} D(i)^(L-i) (`scale`).  Readers
-divide once at the end; `token_matrix` and `rho` are uncached rational views.
+Everything is stored as integer numerators, in one form each.  A generator at
+index i, over D(i), the lcm of the denominators of its local blocks, is a tuple
+of sparse columns (`token_columns`), the form the kernel reads: column r sends
+row r to its output rows.  A level-L rho, over S_L = prod_{i<L} D(i)^(L-i)
+(`scale`), is row-major block data {lam: {row: {col: value}}} (`rho_blocks`),
+the form of every level table of the SOV kernel.  Readers divide once at the
+end; `token_matrix` and `rho` are uncached rational views.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ GRAM_LIMITS = {
 
 
 def dense_matrix(d: int, block: dict, scale: int):
-    """The d x d rational matrix of one vertex's block data {col: {row: numerator}} over scale."""
+    """The d x d rational matrix of one vertex's block data {row: {col: numerator}} over scale."""
     out = [[Fraction(0)] * d for _ in range(d)]
-    for c, col in block.items():
-        for r, v in col.items():
-            out[r][c] = Fraction(v, scale)
+    for r, row in block.items():
+        line = out[r]
+        for c, v in row.items():
+            line[c] = Fraction(v, scale)
     return out
 
 
@@ -147,13 +151,17 @@ class AdaptedRep:
     def token_matrix(self, lam: Partition, token: Token, level: int | None = None):
         """Dense rational view of `token_columns` (level n by default); not cached."""
         cols = self.token_columns(lam, token, self.n if level is None else level)
-        block = {c: dict(col) for c, col in enumerate(cols)}
+        block: dict = {}
+        for c, col in enumerate(cols):
+            for r, v in col:
+                block.setdefault(r, {})[c] = v
         return dense_matrix(len(cols), block, self.token_scale(token[1]))
 
     # -- representation of basis diagrams --------------------------------
     def _block_data(self, key: str, level: int) -> dict:
-        """Block data {lam: {col: {row: numerator over S_level}}} of a basis key, memoised: the
-        SOV level routine on the route's stream, rho_{level-1}(sub) times its identity factor."""
+        """Row-major block data {lam: {row: {col: numerator over S_level}}} of a basis key,
+        memoised: the SOV level routine on the route's one stream, rho_{level-1}(sub)
+        embedded times its identity factor, which applies only that stream's tokens."""
         if level <= 1:
             return {(1,) if level else (): {0: {0: 1}}}
         if (level, key) in self._levels:
@@ -169,8 +177,8 @@ class AdaptedRep:
         return data
 
     def rho_blocks(self, key: str) -> dict:
-        """rho(key) as block data {lam: {col: {row: value}}}: nonzero entries only,
-        each an integer numerator over `scale(n)`.
+        """rho(key) as row-major block data {lam: {row: {col: value}}}: nonzero entries
+        only, each an integer numerator over `scale(n)`, with no empty row or block.
 
         Any spelling of a diagram is accepted.  The result is shared; do not mutate it.
         """
@@ -192,8 +200,8 @@ class AdaptedRep:
 
     def character(self, key: str) -> Fraction:
         if key not in self._char:
-            trace = sum(col[c] for block in self.rho_blocks(key).values()
-                        for c, col in block.items() if c in col)
+            trace = sum(row[r] for block in self.rho_blocks(key).values()
+                        for r, row in block.items() if r in row)
             self._char[key] = Fraction(trace, self.scale())
         return self._char[key]
 

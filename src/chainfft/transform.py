@@ -1,18 +1,21 @@
 """Fourier transforms on diagram-algebra chains: naive and SOV-scheduled engines.
 
-The SOV engine recurses through the chain.  One schedule per (kind, level),
-built from the factor set, names the streams (one per factor word) and the
-order in which they merge; `sov_plan` prices that same schedule.  The routing
-of the basis onto those streams is compiled once per (kind, level), on first
-use, from the factorization table `diagrams.route_table`: basis keys become
-integer positions, and each position routes to a (stream, position one level
-down) pair.  A call then only moves coefficients along these integer routes:
-each fiber is transformed one level down and embedded along the path offsets
-of `BratteliDiagram.extensions`; then one level routine, `_run_level`, which
-the rho recursion shares, applies the tokens of the live streams as sparse
-products and merges them stage by stage.  Operation counters track scalar
-multiplications and additions of the transform proper; representation data,
-schedules and routing are precomputed and free.
+The SOV engine runs through the chain one level at a time.  One schedule per
+(kind, level), built from the factor set, names the streams (one per factor
+word) and the order in which they merge; `sov_plan` prices that same schedule.
+The routing of the basis onto those streams is compiled once per (kind, level),
+on first use, from the factorization table `diagrams.route_table`: basis keys
+become integer positions, and each position routes to a (stream, position one
+level down) pair.  A call routes every coefficient down to level 1, then goes
+back up in one pass per level over all fibers at once: a level's data is one
+row-major table per stream, {lam: {row: {key: int}}}, whose keys pack (fiber,
+column) into one int.  The table below is split by stream and embedded along
+the path offsets of `BratteliDiagram.extensions`; then one level routine,
+`_run_level`, which the rho recursion shares on its one fiber, applies the
+tokens of the live streams as sparse products across every fiber and merges
+them stage by stage.  Operation counters track scalar multiplications and
+additions of the transform proper; representation data, schedules and routing
+are precomputed and free.
 
 Both engines run on Python ints, over the integer block data of `AdaptedRep`.
 The inputs are scaled by their common denominator, and in the SOV engine by
@@ -53,15 +56,23 @@ class OpCounter:
 @dataclass(frozen=True)
 class AlgebraElement:
     """Finitely supported coefficient table over canonical diagram keys, as `from_dict`
-    builds it: basis keys in increasing order, each with a nonzero int or `Fraction`."""
+    builds it: a tuple of (basis key, nonzero int or `Fraction`) pairs in increasing
+    key order, at a size n that is a non-negative int."""
 
     kind: ChainKind
     n: int
     coeffs: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
+            raise ArgumentError(f"n={self.n!r} is not a non-negative int")
+        if not isinstance(self.coeffs, tuple):
+            raise ArgumentError(f"coeffs={self.coeffs!r} is not a tuple of (key, value) pairs")
         basis = (route_table(self.kind, self.n) if self.n else ("",)) if self.coeffs else ()
-        for j, (key, value) in enumerate(self.coeffs):
+        for j, entry in enumerate(self.coeffs):
+            if not (isinstance(entry, tuple) and len(entry) == 2):
+                raise ArgumentError(f"{entry!r} is not a (key, value) pair")
+            key, value = entry
             if not (isinstance(key, str) and key in basis) or j and key <= self.coeffs[j - 1][0]:
                 raise ArgumentError(f"{key!r} is not the next basis key in increasing order")
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)) or not value:
@@ -130,10 +141,10 @@ def fft_naive(f: AlgebraElement, rep: AdaptedRep) -> tuple[FourierImage, OpCount
         c = c.numerator * (den // c.denominator)
         for lam, block in rep.rho_blocks(key).items():
             dest = sums.setdefault(lam, {})
-            for col, entries in block.items():
-                acc = dest.setdefault(col, {})
-                for r, v in entries.items():
-                    acc[r] = acc.get(r, 0) + c * v
+            for r, row in block.items():
+                acc = dest.setdefault(r, {})
+                for k, v in row.items():
+                    acc[k] = acc.get(k, 0) + c * v
     support, dim_a = f.support(), rep.algebra_dim()
     counter = OpCounter(support * dim_a, max(0, support - 1) * dim_a)
     return FourierImage(f.kind, f.n, rep.dense_blocks(sums, den * rep.scale())), counter
@@ -234,11 +245,13 @@ class _Schedule(NamedTuple):
     for the identity); streams are numbered in `_stream_order`.  Stage k
     applies index level-1-k: stream s applies token `stages[k][s][0]` (if any)
     and merges into stream `stages[k][s][1]` of the next stage (stream 0 last).
+    A stream followed alone through the stages applies `words[s]`.
     """
 
     streams: tuple[tuple[str | None, ...], ...]
     stream_of: dict[tuple, int]  # factor word tokens -> stream number
     stages: tuple[tuple[tuple[Token | None, int], ...], ...]
+    words: tuple[tuple[Token, ...], ...]  # stream -> its tokens, highest index first
 
 
 def _stream_order(pending: tuple) -> tuple:
@@ -262,7 +275,9 @@ def _schedule(kind: ChainKind, level: int) -> _Schedule:
         target = {p: s for s, p in enumerate(merged)}
         stages.append(tuple((p[i - 1] and (p[i - 1], i), target[p[: i - 1]]) for p in current))
         current = merged
-    return _Schedule(streams, stream_of, tuple(stages))
+    words = tuple(tuple((p[i - 1], i) for i in range(level - 1, 0, -1) if p[i - 1])
+                  for p in streams)
+    return _Schedule(streams, stream_of, tuple(stages), words)
 
 
 # ---------------------------------------------------------------------------
@@ -310,116 +325,169 @@ def fft_sov(
     return FourierImage(f.kind, f.n, rep.dense_blocks(sparse, den * rep.scale())), counter
 
 
-# Block data maps each vertex to its nonzero columns: {lam: {col: {row: value}}}.
+# Block data is row-major, {lam: {row: {key: int}}}, nonzero entries only.  A key
+# is a column of the block, or in `_sov_level` a fiber's column packed into one int.
 
 
 def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
-    """Transform {basis position: integer coefficient} at the given level into block data:
-    each stream's fiber is transformed one level down and embedded, then `_run_level`."""
-    if level <= 1:
-        total = sum(coeffs.values())
-        return {(1,) if level else (): {0: {0: total}}} if total else {}
-    routes = _routing(rep.kind, level).routes
-    fibers: dict[int, dict] = {}
-    for j, c in coeffs.items():
-        stream, sub = routes[j]
-        fibers.setdefault(stream, {})[sub] = c
-    streams = {s: _embed_blocks(rep, level, _sov_level(rep, level - 1, fiber, counter))
-               for s, fiber in fibers.items()}
-    return _run_level(rep, level, streams, counter)
+    """Transform {basis position: integer coefficient} at the given level into block data,
+    in one pass per level over all fibers.
+
+    Down: a coefficient of fiber F at level L >= 2 routes to (stream s, position one
+    level down) in fiber F + s . K_L, K_L being the product of the stream counts of
+    the levels above L.  Level 1 then holds one coefficient per fiber, at key
+    fiber . M, with M bounding every vertex dimension.  Up: level L splits the table
+    below by the stream digit of its keys, s . K_L . M + (F . M + column), embeds
+    each stream's part and runs `_run_level`.  At the top K = 1: keys are columns.
+    """
+    entries = [(0, j, c) for j, c in coeffs.items()]  # (fiber, position, coefficient)
+    spans, span = [], 1
+    for lvl in range(level, 1, -1):
+        routes = _routing(rep.kind, lvl).routes
+        entries = [(f + s * span, sub, c) for f, j, c in entries for s, sub in (routes[j],)]
+        spans.append(span)
+        span *= len(_schedule(rep.kind, lvl).streams)
+    stride = max(max(dims) for dims in rep.B.dims[: level + 1])
+    row = {f * stride: c for f, _, c in entries if c}
+    data = {(1,) if level else (): {0: row}} if row else {}
+    for lvl in range(2, level + 1):
+        data = _run_level(rep, lvl, _split_streams(rep, lvl, data, spans.pop() * stride), counter)
+    return data
+
+
+def _split_streams(rep: AdaptedRep, level: int, below: dict, width: int) -> dict:
+    """{stream: embedded block data} for level >= 2 from the table of the level below,
+    whose keys are stream . width + key one level up: each row is split by its stream
+    digit, which is dropped, and each stream's part goes through `_embed_blocks`."""
+    count = len(_schedule(rep.kind, level).streams)
+    parts: dict[int, dict] = {}
+    for mu, block in below.items():
+        for r, row in block.items():
+            split: list[dict] = [{} for _ in range(count)]
+            for k, v in row.items():
+                split[k // width][k % width] = v
+            for s, part in enumerate(split):
+                if part:
+                    parts.setdefault(s, {}).setdefault(mu, {})[r] = part
+    return {s: _embed_blocks(rep, level, part) for s, part in parts.items()}
 
 
 def _run_level(rep: AdaptedRep, level: int, streams: dict, counter: OpCounter) -> dict:
     """Run the merge stages of level >= 2, highest index first, over its live streams
-    {stream: block data}, consuming them.  Merges may leave zeros, dropped at the end;
-    one live stream is never summed, so it skips that pass."""
-    single = len(streams) == 1
-    for moves in _schedule(rep.kind, level).stages:
+    {stream: block data}, consuming them.
+
+    A lone live stream only applies the tokens of its word.  Otherwise a merge may
+    leave a zero, which the stream's next token drops; if any merge sum was zero,
+    the zeros left at the end are dropped in one pass over the level.
+    """
+    schedule = _schedule(rep.kind, level)
+    if len(streams) == 1:
+        [(s, data)] = streams.items()
+        for token in schedule.words[s]:
+            data = _apply_token(rep, level, token, data, counter)
+        return data
+    zeros = False
+    for moves in schedule.stages:
         merged: dict[int, dict] = {}
         for s, data in streams.items():
             token, dest = moves[s]
             if token:
                 data = _apply_token(rep, level, token, data, counter)
             if dest in merged:
-                _merge_stream(merged[dest], data, counter)
+                zeros |= _merge_stream(merged[dest], data, counter)
             else:
                 merged[dest] = data
         streams = merged
     data = streams.get(0, {})
-    if single:
+    if not zeros:
         return data
     result: dict[Partition, dict] = {}
     for lam, block in data.items():
-        block = {c: kept for c, col in block.items()
-                 if (kept := {r: v for r, v in col.items() if v})}
+        block = {r: kept for r, row in block.items()
+                 if (kept := {k: v for k, v in row.items() if v})}
         if block:
             result[lam] = block
     return result
 
 
-def _merge_stream(dest_blocks: dict, data: dict, counter: OpCounter) -> None:
+def _merge_stream(dest_blocks: dict, data: dict, counter: OpCounter) -> bool:
     """Add block data into the block data of a stream, moving its dicts in; each sum
-    onto a present entry is one add."""
-    adds = 0
+    onto a present entry is one add.  True if a sum is zero."""
+    adds, zeros = 0, False
     for lam, block in data.items():
         dest = dest_blocks.get(lam)
         if dest is None:
             dest_blocks[lam] = block
             continue
-        for c, col in block.items():
-            dest_col = dest.get(c)
-            if dest_col is None:
-                dest[c] = col
+        for r, row in block.items():
+            acc = dest.get(r)
+            if acc is None:
+                dest[r] = row
                 continue
-            for r, v in col.items():
-                if r in dest_col:
-                    dest_col[r] += v
-                    adds += 1
+            size = len(acc)
+            for k, v in row.items():
+                if k in acc:
+                    acc[k] += v
                 else:
-                    dest_col[r] = v
+                    acc[k] = v
+            adds += size + len(row) - len(acc)
+            zeros = zeros or 0 in acc.values()
     counter.add += adds
+    return zeros
 
 
 def _embed_blocks(rep: AdaptedRep, level: int, sub: dict, factor: int = 1) -> dict:
-    """Reindex level-(L-1) blocks, times factor, into level L along shared extension edges."""
+    """Reindex level-(L-1) block data, times factor, into level L along shared extension
+    edges: rows and keys both move by the edge's offset."""
     extensions = rep.B.extensions(level)
     out: dict[Partition, dict] = {}
     for mu, block in sub.items():
         if factor != 1:
-            block = {c: {r: v * factor for r, v in col.items()} for c, col in block.items()}
+            block = {r: {k: v * factor for k, v in row.items()} for r, row in block.items()}
         for lam, offset in extensions[mu]:
             dest = out.setdefault(lam, {})
-            for c, col in block.items():
-                dest[c + offset] = {r + offset: v for r, v in col.items()}
+            for r, row in block.items():
+                dest[r + offset] = {k + offset: v for k, v in row.items()}
     return out
 
 
 def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCounter):
     """Left-multiply integer block data by D(i) times one generator, block-locally.
 
-    The generator is `rep.token_columns`, so ints stay ints.  Every scalar
-    product of the straight-line program is counted, and each accumulation
-    beyond a first assignment counts as one addition.
+    Column r of the generator (`rep.token_columns`, so ints stay ints) sends input
+    row r to its output rows rr: one pass over the row's keys, every fiber's at
+    once, per (live row, column entry).  Every scalar product of the straight-line program is counted, and
+    each accumulation beyond a first assignment counts as one addition.  Zero
+    entries of the result, and rows and blocks left empty, are dropped.
     """
     out: dict[Partition, dict] = {}
     muls = adds = 0
     for lam, block in data.items():
         cols = rep.token_columns(lam, token, level)
         dest: dict = {}
-        for c, col in block.items():
-            acc: dict = {}
-            for r, val in col.items():
-                images = cols[r]
-                muls += len(images)
-                for rr, s_val in images:
-                    if rr in acc:
-                        acc[rr] += s_val * val
-                        adds += 1
+        for r, row in block.items():
+            images = cols[r]
+            muls += len(images) * len(row)
+            for rr, g in images:
+                acc = dest.get(rr)
+                if acc is None:
+                    dest[rr] = acc = {}
+                    for k, v in row.items():
+                        acc[k] = g * v
+                    continue
+                size = len(acc)
+                for k, v in row.items():
+                    if k in acc:
+                        acc[k] += g * v
                     else:
-                        acc[rr] = s_val * val
-            acc = {r: v for r, v in acc.items() if v}
-            if acc:
-                dest[c] = acc
+                        acc[k] = g * v
+                adds += size + len(row) - len(acc)
+        for rr in [rr for rr, acc in dest.items() if 0 in acc.values()]:
+            kept = {k: v for k, v in dest[rr].items() if v}
+            if kept:
+                dest[rr] = kept
+            else:
+                del dest[rr]
         if dest:
             out[lam] = dest
     counter.mul += muls
@@ -436,10 +504,10 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     Traces and dual sums are ints; each output coefficient is one division."""
     _check_inputs(img, rep)
     keys, duals, dual_den = rep.gram_dual()
-    # f̂ as integer numerators over den, so each trace is one int sum
+    # the columns of f̂ as integer numerators over den, so each trace is one int sum
     den = lcm(*(x.denominator for _, m in img.blocks for row in m for x in row))
-    blocks = {
-        lam: [[x.numerator * (den // x.denominator) for x in row] for row in img.block(lam)]
+    columns = {
+        lam: [[x.numerator * (den // x.denominator) for x in col] for col in zip(*img.block(lam))]
         for lam in rep.vertices()
     }
     scale = den * rep.scale()
@@ -448,11 +516,11 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
         # Tr(f̂ rho(d)) over the nonzero entries rho(d)[r][c] = v / scale(n) of each block
         total = 0
         for lam, block in rep.rho_blocks(key).items():
-            m = blocks[lam]
-            for c, col in block.items():
-                row = m[c]
-                for r, v in col.items():
-                    total += row[r] * v
+            m = columns[lam]
+            for r, row in block.items():
+                col = m[r]
+                for c, v in row.items():
+                    total += col[c] * v
         traces[key] = total
     coeffs = []
     for key, dual in zip(keys, duals):

@@ -30,16 +30,14 @@ SN = ChainKind.SYMMETRIC_GROUP
 
 
 def sparse_blocks(img: FourierImage) -> dict:
-    """{vertex: {col: {row: value}}} of the nonzero entries, as _embed_blocks takes."""
+    """Row-major {vertex: {row: {col: value}}} of the nonzero entries, as _embed_blocks
+    takes."""
     out = {}
     for lam, m in img.blocks:
-        cols = {}
-        for r, row in enumerate(m):
-            for c, v in enumerate(row):
-                if v:
-                    cols.setdefault(c, {})[r] = v
-        if cols:
-            out[lam] = cols
+        rows = {r: kept for r, row in enumerate(m)
+                if (kept := {c: v for c, v in enumerate(row) if v})}
+        if rows:
+            out[lam] = rows
     return out
 
 

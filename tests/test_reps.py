@@ -266,12 +266,12 @@ def test_rho_entries_are_the_nonzero_entries_of_rho(kind, n, rep_cache):
         blocks = rep.rho_blocks(d.key())
         entries = [
             (lam, r, c, Fraction(v, scale)) for lam, block in blocks.items()
-            for c, col in block.items() for r, v in col.items()
+            for r, row in block.items() for c, v in row.items()
         ]
         assert len(entries) == len(dense) and set(entries) == dense
         assert all(block and all(block.values()) for block in blocks.values())
         assert all(type(v) is int for block in blocks.values()
-                   for col in block.values() for v in col.values())
+                   for row in block.values() for v in row.values())
 
 
 @pytest.mark.parametrize("kind", [SN, TL, BR])
@@ -467,15 +467,23 @@ def test_rho_tables_pinned(rep_cache):
 
     Relations, characters and op counts all survive a diagonal rescaling of the
     basis, so only a digest holds the tables.  It was taken from the recursion
-    that applied each route's tokens itself, before it ran the SOV level routine.
+    that applied each route's tokens itself, before it ran the SOV level routine,
+    over the column-major tables of that time: each row-major block is transposed.
     """
     h = hashlib.sha256()
     for kind, n_max in ((TL, 7), (SN, 5), (BR, 4)):
         for n in range(1, n_max + 1):
             rep = rep_cache(kind, n)
             for key in route_table(kind, n):
-                blocks = sorted((lam, sorted((c, sorted(col.items())) for c, col in block.items()))
-                                for lam, block in rep.rho_blocks(key).items())
+                blocks = []
+                for lam, block in rep.rho_blocks(key).items():
+                    cols: dict = {}
+                    for r, row in block.items():
+                        for c, v in row.items():
+                            cols.setdefault(c, {})[r] = v
+                    cols = sorted((c, sorted(col.items())) for c, col in cols.items())
+                    blocks.append((lam, cols))
+                blocks.sort()
                 h.update(json.dumps([kind.value, n, key, blocks]).encode())
     assert h.hexdigest() == "e104faca538411cac3d7b812bbd6dc5acee39aa1c8b5679701d289523ac46cd5"
 

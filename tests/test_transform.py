@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -116,6 +118,65 @@ def test_sov_op_counts_pinned(kind, n, rep_cache):
     """The counted straight-line program: (mul, add) of `chainfft bench` at seed 0."""
     _, ops = fft_sov(random_element(kind, n, 0), rep_cache(kind, n))
     assert (ops.mul, ops.add) == SOV_COUNTS[(kind, n)]
+
+
+def _route_tokens(kind, n, key):
+    """([tokens at level L for L = n, ..., 1], [key at level L for L = n, ..., 0])."""
+    tokens, keys = [], [key]
+    for level in range(n, 0, -1):
+        head, key = route_table(kind, level)[key]
+        tokens.append(head)
+        keys.append(key)
+    return tokens, keys
+
+
+def _cancelling_pair(kind, n, rng, rep_cache):
+    """Two keys whose routes agree down to a level m < n and split there into two
+    streams, weighted so that one entry of their level-m fiber sums to zero."""
+    routes = {key: _route_tokens(kind, n, key) for key in sorted(route_table(kind, n))}
+    while True:
+        m, k1 = rng.randint(2, n - 1), rng.choice(sorted(routes))
+        top = n - m  # routes[k][0][top] is the level-m head of k
+        heads = routes[k1][0]
+        split = [k for k, (t, _) in routes.items()
+                 if t[:top] == heads[:top] and t[top] != heads[top]]
+        if not split:
+            continue
+        k2 = rng.choice(split)
+        small = rep_cache(kind, m)
+        for lam in small.vertices():
+            rows = zip(small.rho(routes[k1][1][top], lam), small.rho(routes[k2][1][top], lam))
+            for v1, v2 in (pair for row1, row2 in rows for pair in zip(row1, row2)):
+                if v1 and v2:
+                    return AlgebraElement.from_dict(kind, n, {k1: v2, k2: -v1})
+
+
+SPARSE_DIGESTS = {
+    (TL, 6): "d5aae589414d8e4a4a9ffb6d78f7584f92ff66219502824c2b9c6c72d33e311e",
+    (SN, 5): "378340859947c9fe03770a3f2e23d04d25ad3f59dfdb0110dc9e5a9866c583d9",
+    (BR, 4): "ca9ffc0fd2b15092ef37a34fee4223ad334b03a01513db164c7ca71043a9bb97",
+}
+
+
+@pytest.mark.parametrize("kind,n", list(SPARSE_DIGESTS), ids=lambda x: getattr(x, "value", x))
+def test_sov_sparse_counts_pinned(kind, n, rep_cache):
+    """The counted program on sparse supports: sha256 of (table, mul, add, image) over
+    supports of 1..8 keys, deltas, and pairs that cancel in a merge below the top,
+    where only the level-end zero pass keeps the zero out of the levels above."""
+    rep, rng = rep_cache(kind, n), random.Random(7)
+    keys = sorted(route_table(kind, n))
+    values = [-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3)]
+    elements = [AlgebraElement.from_dict(kind, n, {k: rng.choice(values)
+                                                   for k in rng.sample(keys, size)})
+                for size in range(1, 9)]
+    elements += [AlgebraElement.from_dict(kind, n, {rng.choice(keys): 1}) for _ in range(3)]
+    elements += [_cancelling_pair(kind, n, rng, rep_cache) for _ in range(8)]
+    h = hashlib.sha256()
+    for f in elements:
+        img, ops = fft_sov(f, rep)
+        assert img == fft_naive(f, rep)[0]
+        h.update(repr((f.coeffs, ops.mul, ops.add, img.blocks)).encode())
+    assert h.hexdigest() == SPARSE_DIGESTS[(kind, n)]
 
 
 def test_warm_sov_builds_no_routing(rep_cache, monkeypatch):
@@ -575,6 +636,26 @@ def test_element_constructor_refuses_what_from_dict_never_builds(coeffs, key):
     """Both engines would read such a table differently, or fail with a bare error."""
     with pytest.raises(ArgumentError, match=re.escape(repr(key))):
         AlgebraElement(TL, 2, coeffs)
+
+
+@pytest.mark.parametrize("n,coeffs", [
+    (2, (("1-2,3-4",),)),
+    (2, (("1-2,3-4", 1, 2),)),
+    (2, ("1-2,3-4",)),
+    (2, [("1-2,3-4", 1)]),
+    (2, None),
+    (2, 5),
+    (-1, ()),
+    ("a", ()),
+    (True, ()),
+    (2.0, ()),
+], ids=["one-field", "three-fields", "bare-key", "list", "none", "int", "negative-n",
+        "str-n", "bool-n", "float-n"])
+def test_element_constructor_refuses_a_malformed_table(n, coeffs):
+    """An entry that is not a (key, value) pair, coeffs that are not a tuple and an n
+    that is not a non-negative int are refused, not left to a bare Python error."""
+    with pytest.raises(ArgumentError):
+        AlgebraElement(TL, n, coeffs)
 
 
 def test_element_constructor_takes_canonical_tables():
