@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from ..combinat import ChainKind, Partition, cached_bratteli
 from ..diagrams import (
@@ -46,8 +46,18 @@ Token = tuple[str, int]
 GRAM_LIMITS = {
     ChainKind.BRAUER: 4,
     ChainKind.TEMPERLEY_LIEB: 6,
-    ChainKind.SYMMETRIC_GROUP: 5,
+    ChainKind.SYMMETRIC_GROUP: 6,
 }
+
+
+def sn_permutation(key: str, n: int) -> tuple[int, ...]:
+    """The 0-based permutation s of a canonical S_n key, whose i-th pair is (i, n + s[i-1] + 1)."""
+    return tuple(int(pair.partition("-")[2]) - n - 1 for pair in key.split(",")) if key else ()
+
+
+def sn_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation of `diagram_mul` with x on top of y: top i runs to x[i], then to y[x[i]]."""
+    return tuple(map(y.__getitem__, x))
 
 
 def dense_matrix(d: int, block: dict, scale: int):
@@ -222,7 +232,11 @@ class AdaptedRep:
     def gram_dual(self):
         """Dual basis data (keys, duals, den): keys in canonical order, and the dual of
         keys[j] as {key k: Gram inverse [k][j] . den} over the nonzero entries, each an
-        integer numerator over the one denominator den of the whole table."""
+        integer numerator over the one denominator den of the whole table.
+
+        On S_n the inverse is in closed form (`_sn_dual`) and no Gram matrix is built;
+        on TL and Brauer the Gram matrix is inverted by `ratlinalg.invert`.
+        """
         if self._gram is not None:
             return self._gram
         limit = GRAM_LIMITS.get(self.kind)
@@ -230,6 +244,9 @@ class AdaptedRep:
             raise CapabilityError(
                 f"dual basis limited to n <= {limit} for {self.kind.value}"
             )
+        if self.kind is ChainKind.SYMMETRIC_GROUP:
+            self._gram = self._sn_dual()
+            return self._gram
         basis, gram = self.gram_matrix()
         size = len(basis)
         try:
@@ -247,6 +264,38 @@ class AdaptedRep:
         ]
         self._gram = (keys, duals, den)
         return self._gram
+
+    def _sn_dual(self):
+        """`gram_dual` on S_n by the Fourier inversion formula (Serre, Linear
+        Representations of Finite Groups, 6.2).  The central z = sum_lam d_lam e_lam has
+        tau(z a) = n! [a = 1], so the dual of g_j is z g_j^-1 / n!, that is
+        G^-1[k][j] = zeta(g_k g_j) / n!^2 with zeta = sum_lam d_lam^2 chi_lam (real on S_n).
+
+        zeta is read as integer numerators over `scale()` from the diagonals of
+        `rho_blocks`, the products are permutation tuples, and the table is reduced by
+        the gcd of its numerators with n!^2 . scale(), which leaves the lcm of the
+        denominators of G^-1, as on the Gram path.
+        """
+        n = self.n
+        keys = sorted(route_table(self.kind, n)) if n else [""]
+        perms = [sn_permutation(key, n) for key in keys]
+        zeta = {
+            perm: sum(self.dim(lam) ** 2 * sum(row.get(r, 0) for r, row in block.items())
+                      for lam, block in self.rho_blocks(key).items())
+            for perm, key in zip(perms, keys)
+        }
+        den = factorial(n) ** 2 * self.scale()
+        common = gcd(den, *zeta.values())
+        zeta = {perm: z // common for perm, z in zeta.items()}
+        duals = []
+        for sj in perms:
+            dual = {}
+            for key, sk in zip(keys, perms):
+                z = zeta[sn_product(sk, sj)]
+                if z:
+                    dual[key] = z
+            duals.append(dual)
+        return keys, duals, den // common
 
 
 @dataclass(frozen=True)

@@ -501,7 +501,10 @@ def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCoun
 
 def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     """Recover coefficients through the trace form: f(a_i) = Tr(f̂ rho(a_i*)).
-    Traces and dual sums are ints; each output coefficient is one division."""
+    Traces and dual sums are ints; each output coefficient is one division.
+
+    The duals are `AdaptedRep.gram_dual`: in closed form on S_n (up to n = 6),
+    from the inverse Gram matrix on TL and Brauer."""
     _check_inputs(img, rep)
     keys, duals, dual_den = rep.gram_dual()
     # the columns of f̂ as integer numerators over den, so each trace is one int sum

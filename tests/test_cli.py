@@ -133,6 +133,13 @@ def test_scoped_flags_keep_their_output(capsys):
     assert code == 0 and out == "roundtrip: pass\n"
 
 
+@pytest.mark.slow
+def test_verify_roundtrip_reaches_s6(capsys):
+    """S_6 inverts through the closed-form dual table: no size-limit skip note."""
+    code, out, _ = run(capsys, "verify", "--chain", "sn", "-n", "6", "--suite", "roundtrip")
+    assert code == 0 and out == "roundtrip: pass\n"
+
+
 def test_bmw_structural_commands(capsys):
     code, out, _ = run(capsys, "bratteli", "--chain", "bmw", "-n", "4")
     assert code == 0

@@ -33,6 +33,7 @@ from chainfft.reps import (
     tl_block_table,
     verify_semisimple,
 )
+from chainfft.reps.core import sn_permutation, sn_product
 from chainfft.reps.cells import _cell_matrix_of_diagram, brauer_semisimple, cell_matrix
 
 BR = ChainKind.BRAUER
@@ -353,7 +354,7 @@ def test_trace_central(rep_cache):
         assert tau_ab == tau_ba
 
 
-@pytest.mark.parametrize("kind,n", [(BR, 2), (BR, 3), (TL, 4), (TL, 5)])
+@pytest.mark.parametrize("kind,n", [(BR, 2), (BR, 3), (TL, 4), (TL, 5), (SN, 3), (SN, 4)])
 def test_gram_dual_delta_property(kind, n, rep_cache):
     rep = rep_cache(kind, n)
     keys, duals, den = rep.gram_dual()
@@ -373,6 +374,61 @@ def test_gram_capability_limit(rep_cache):
     rep = rep_cache(BR, 5)
     with pytest.raises(CapabilityError):
         rep.gram_dual()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_sn_gram_dual_equals_gram_inverse(n):
+    """The closed-form S_n table is the Gram path's (keys, duals, den), exactly."""
+    rep = adapted_rep.__wrapped__(SN, n, Q)
+    basis, gram = rep.gram_matrix()
+    ginv = invert(gram)
+    den = math.lcm(*(x.denominator for row in ginv for x in row))
+    keys = [d.key() for d in basis]
+    duals = [{keys[k]: ginv[k][j].numerator * (den // ginv[k][j].denominator)
+              for k in range(len(keys)) if ginv[k][j]}
+             for j in range(len(keys))]
+    assert keys == ([""] if n == 0 else sorted(route_table(SN, n)))
+    assert rep.gram_dual() == (keys, duals, den)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sn_product_matches_diagram_mul(n):
+    """The permutation product read off the keys is `diagram_mul` with x on top."""
+    basis = all_diagrams(SN, n)
+    key_of = {sn_permutation(d.key(), n): d.key() for d in basis}
+    assert len(key_of) == math.factorial(n)
+    for x in basis:
+        for y in basis:
+            prod = diagram_mul(x, y)
+            assert prod.loops == 0
+            px, py = sn_permutation(x.key(), n), sn_permutation(y.key(), n)
+            assert key_of[sn_product(px, py)] == prod.diagram.key()
+
+
+def test_sn_gram_dual_builds_no_gram_matrix(monkeypatch):
+    """On S_5 the dual table comes from characters: no product diagram, no Gram
+    matrix and no elimination."""
+    import chainfft.diagrams
+    import chainfft.reps.core as core
+
+    rep = adapted_rep.__wrapped__(SN, 5, Q)
+    calls = []
+
+    def spy(name):
+        return lambda *a, **k: calls.append(name)
+
+    monkeypatch.setattr(core, "diagram_mul", spy("diagram_mul"))
+    monkeypatch.setattr(chainfft.diagrams, "diagram_mul", spy("diagram_mul"))
+    monkeypatch.setattr(core, "invert", spy("invert"))
+    monkeypatch.setattr(core.AdaptedRep, "gram_matrix", spy("gram_matrix"))
+    keys, duals, den = rep.gram_dual()
+    assert calls == []
+    assert (len(keys), sum(map(len, duals)), den) == (120, 7200, 7200)
+
+
+def test_sn_dual_refused_beyond_6():
+    with pytest.raises(CapabilityError, match="n <= 6"):
+        adapted_rep.__wrapped__(SN, 7, Q).gram_dual()
 
 
 @pytest.mark.parametrize("kind,n", [(BR, 3), (TL, 4), (SN, 3)])

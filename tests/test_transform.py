@@ -710,6 +710,16 @@ def test_inverse_roundtrip(rep_cache):
             assert inverse_ft(img, rep).coeffs == f.coeffs
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sn6_inverse_roundtrip(seed, rep_cache):
+    """S_6 inverts through the closed-form dual table, which the Gram path refused."""
+    rep = rep_cache(SN, 6)
+    f = random_element(SN, 6, seed)
+    img, _ = fft_sov(f, rep)
+    assert inverse_ft(img, rep) == f
+
+
 def test_warm_inverse_makes_one_fraction_per_coefficient(rep_cache, monkeypatch):
     """Traces and dual sums stay integer: a warm S_4 inversion makes O(N) Fractions."""
     rep = rep_cache(SN, 4)
