@@ -1,6 +1,7 @@
 """Command-line surface: construction, transforms, verification, and benchmarks.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Identical
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 when stdout
+is closed before the output is written (nothing is printed to stderr).  Identical
 flags and seed produce byte-identical output; every number is emitted as an
 exact integer or a "p/q" string.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 from fractions import Fraction
@@ -40,6 +42,7 @@ from .transform import (
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+CLOSED_STDOUT = 141  # the status a shell reports for a process ended by SIGPIPE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,6 +116,18 @@ class UsageError(Exception):
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # stdout was closed before the output was written (`chainfft plan ... | head`).
+        # Point it at devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
+    return code
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

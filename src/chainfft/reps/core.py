@@ -16,8 +16,12 @@ index i, over D(i), the lcm of the denominators of its local blocks, is a tuple
 of sparse columns (`token_columns`), the form the kernel reads: column r sends
 row r to its output rows.  A level-L rho, over S_L = prod_{i<L} D(i)^(L-i)
 (`scale`), is row-major block data {lam: {row: {col: value}}} (`rho_blocks`),
-the form of every level table of the SOV kernel.  Readers divide once at the
-end; `token_matrix` and `rho` are uncached rational views.
+the form of every level table of the SOV kernel.  For inversion, the rho of every
+basis key at level n is compiled once more, on first use, into a trace row
+(`trace_rows`): the flat positions of its nonzero entries in the transposed image,
+and their numerators over the lcm of the denominators of rho, so that a trace is
+one dot product.  Readers divide once at the end; `token_matrix` and `rho` are
+uncached rational views.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ class AdaptedRep:
     _levels: dict = field(default_factory=dict, repr=False)
     _char: dict = field(default_factory=dict, repr=False)
     _gram: object = None
+    _rows: object = None
+    _inverses: object = None
 
     # -- basic structure -------------------------------------------------
     def vertices(self, level: int | None = None):
@@ -216,6 +222,68 @@ class AdaptedRep:
         return self._char[key]
 
     # -- trace form -------------------------------------------------------
+    def _check_inversion_limit(self) -> None:
+        limit = GRAM_LIMITS.get(self.kind)
+        if limit is not None and self.n > limit:
+            raise CapabilityError(
+                f"dual basis limited to n <= {limit} for {self.kind.value}"
+            )
+
+    def trace_rows(self):
+        """(keys, rows, den): the basis keys in canonical order, the trace row of each
+        key d, and den, the lcm of the denominators of every rho at level n.  A row
+        lists the nonzero entries of rho(d) as (positions, values), each value an
+        integer numerator over den.  Entry (r, c) of block lam sits at position
+        offset(lam) + r . dim(lam) + c, the blocks in vertex order: that is where entry
+        (c, r) of the image lands when the image is transposed block by block and
+        flattened.  For x that flat list,
+        Tr(f-hat rho(d)) . den = sum(map(mul, map(x.__getitem__, positions), values)).
+
+        Compiled from `rho_blocks` on first use and memoised.  The numerators are
+        reduced from `scale()` to den, which keeps most products inside a machine
+        word.  Beyond `GRAM_LIMITS` this raises `CapabilityError` before any rho is
+        built.
+        """
+        if self._rows is None:
+            self._check_inversion_limit()
+            keys = sorted(route_table(self.kind, self.n)) if self.n else [""]
+            data = [self.rho_blocks(key) for key in keys]
+            numerators = {v for blocks in data for block in blocks.values()
+                          for row in block.values() for v in row.values()}
+            common = gcd(self.scale(), *numerators)
+            offsets, size = {}, 0
+            for lam in self.vertices():
+                offsets[lam] = (size, self.dim(lam))
+                size += self.dim(lam) ** 2
+            # the rows share one int object per distinct value and per position
+            # (350,424 entries at S_6)
+            reduced = {v: v // common for v in numerators}
+            shared = list(range(size))
+            rows = []
+            for blocks in data:
+                positions, values = [], []
+                for lam, block in blocks.items():
+                    base, d = offsets[lam]
+                    for r, row in block.items():
+                        at = base + r * d
+                        positions.extend([shared[at + c] for c in row])
+                        values.extend(map(reduced.__getitem__, row.values()))
+                rows.append((tuple(positions), tuple(values)))
+            self._rows = (keys, rows, self.scale() // common)
+        return self._rows
+
+    def sn_inverses(self) -> tuple[int, ...]:
+        """On S_n: for each key of `trace_rows`, the index there of its inverse
+        permutation (read with `sn_permutation`), memoised."""
+        if self._inverses is None:
+            keys = self.trace_rows()[0]
+            perms = [sn_permutation(key, self.n) for key in keys]
+            index = {perm: j for j, perm in enumerate(perms)}
+            self._inverses = tuple(
+                index[tuple(sorted(range(self.n), key=perm.__getitem__))] for perm in perms
+            )
+        return self._inverses
+
     def gram_matrix(self):
         """(basis diagrams, Gram matrix of the trace form tau(b_i b_j))."""
         basis = all_diagrams(self.kind, self.n)
@@ -236,14 +304,12 @@ class AdaptedRep:
 
         On S_n the inverse is in closed form (`_sn_dual`) and no Gram matrix is built;
         on TL and Brauer the Gram matrix is inverted by `ratlinalg.invert`.
+        `inverse_ft` reads this table on TL and Brauer only; on S_n it applies the
+        inversion formula to `trace_rows` itself.
         """
         if self._gram is not None:
             return self._gram
-        limit = GRAM_LIMITS.get(self.kind)
-        if limit is not None and self.n > limit:
-            raise CapabilityError(
-                f"dual basis limited to n <= {limit} for {self.kind.value}"
-            )
+        self._check_inversion_limit()
         if self.kind is ChainKind.SYMMETRIC_GROUP:
             self._gram = self._sn_dual()
             return self._gram

@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .combinat import (
@@ -500,37 +501,41 @@ def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCoun
 
 
 def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
-    """Recover coefficients through the trace form: f(a_i) = Tr(f̂ rho(a_i*)).
-    Traces and dual sums are ints; each output coefficient is one division.
+    """Recover the coefficients from traces against the basis, in ints, with one
+    `Fraction` per output coefficient.
 
-    The duals are `AdaptedRep.gram_dual`: in closed form on S_n (up to n = 6),
-    from the inverse Gram matrix on TL and Brauer."""
+    The image is flattened once, transposed block by block, into integer numerators
+    over its common denominator, so each trace w(d) = Tr(f-hat rho(d)) is one dot
+    product with a trace row of `AdaptedRep.trace_rows`.  On S_n, block lam is
+    weighted by d_lam, and the Fourier inversion formula (Serre, Linear
+    Representations of Finite Groups, 6.2) gives
+    f(s) = sum_lam d_lam Tr(f-hat_lam rho_lam(s^-1)) / n!: no dual table is read.
+    On TL and Brauer, f(a_j) = sum_k G^-1[k][j] w(a_k) over the dual table of
+    `AdaptedRep.gram_dual`.  Beyond `GRAM_LIMITS` this raises `CapabilityError`
+    before any rho is built."""
     _check_inputs(img, rep)
-    keys, duals, dual_den = rep.gram_dual()
-    # the columns of f̂ as integer numerators over den, so each trace is one int sum
+    keys, rows, rows_den = rep.trace_rows()
+    sn = rep.kind is ChainKind.SYMMETRIC_GROUP
     den = lcm(*(x.denominator for _, m in img.blocks for row in m for x in row))
-    columns = {
-        lam: [[x.numerator * (den // x.denominator) for x in col] for col in zip(*img.block(lam))]
-        for lam in rep.vertices()
-    }
-    scale = den * rep.scale()
-    traces = {}  # key -> Tr(f̂ rho(key)) . scale
-    for key in keys:
-        # Tr(f̂ rho(d)) over the nonzero entries rho(d)[r][c] = v / scale(n) of each block
-        total = 0
-        for lam, block in rep.rho_blocks(key).items():
-            m = columns[lam]
-            for r, row in block.items():
-                col = m[r]
-                for c, v in row.items():
-                    total += col[c] * v
-        traces[key] = total
-    coeffs = []
-    for key, dual in zip(keys, duals):
-        val = sum(g * traces[k] for k, g in dual.items())
-        if val:
-            coeffs.append((key, Fraction(val, dual_den * scale)))
-    return AlgebraElement(img.kind, img.n, tuple(coeffs))
+    flat = []
+    for lam in rep.vertices():
+        d, block = rep.dim(lam), img.block(lam)
+        if len(block) != d or any(len(row) != d for row in block):
+            raise ArgumentError(f"block {lam!r} of the image is not {d} x {d}")
+        weight = den * d if sn else den
+        flat.extend(x.numerator * (weight // x.denominator) for col in zip(*block) for x in col)
+    at = flat.__getitem__
+    traces = [sum(map(mul, map(at, positions), values)) for positions, values in rows]
+    if sn:
+        sums = map(traces.__getitem__, rep.sn_inverses())
+        total = factorial(rep.n) * den * rows_den
+    else:
+        _, duals, dual_den = rep.gram_dual()
+        by_key = dict(zip(keys, traces)).__getitem__
+        sums = (sum(map(mul, map(by_key, dual), dual.values())) for dual in duals)
+        total = dual_den * den * rows_den
+    coeffs = tuple((key, Fraction(v, total)) for key, v in zip(keys, sums) if v)
+    return AlgebraElement(img.kind, img.n, coeffs)
 
 
 def multiply_elements(f: AlgebraElement, g: AlgebraElement, q: Fraction) -> AlgebraElement:

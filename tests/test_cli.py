@@ -133,9 +133,8 @@ def test_scoped_flags_keep_their_output(capsys):
     assert code == 0 and out == "roundtrip: pass\n"
 
 
-@pytest.mark.slow
 def test_verify_roundtrip_reaches_s6(capsys):
-    """S_6 inverts through the closed-form dual table: no size-limit skip note."""
+    """S_6 inverts by the Fourier inversion formula: no size-limit skip note."""
     code, out, _ = run(capsys, "verify", "--chain", "sn", "-n", "6", "--suite", "roundtrip")
     assert code == 0 and out == "roundtrip: pass\n"
 
@@ -307,6 +306,25 @@ def test_cli_import_without_numpy():
     code = 'import sys, chainfft.cli; sys.exit("numpy" in sys.modules)'
     env = dict(os.environ, PYTHONPATH=str(Path(chainfft.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("plan", "--chain", "bmw", "-n", "4"),
+    ("bratteli", "--chain", "tl", "-n", "10"),
+    ("verify", "--chain", "tl", "-n", "3", "--suite", "hom-counts"),
+], ids=lambda a: a[0])
+def test_closed_stdout_ends_quietly(args):
+    """A reader that is gone before the output is written (`chainfft plan ... | head`)
+    ends the run with exit status 141 and nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(chainfft.__file__).parents[1]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "chainfft.cli", *args], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 # ---------------------------------------------------------------------------

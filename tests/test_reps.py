@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -429,6 +430,27 @@ def test_sn_gram_dual_builds_no_gram_matrix(monkeypatch):
 def test_sn_dual_refused_beyond_6():
     with pytest.raises(CapabilityError, match="n <= 6"):
         adapted_rep.__wrapped__(SN, 7, Q).gram_dual()
+
+
+@pytest.mark.parametrize("kind,n", [(SN, 4), (TL, 4), (BR, 3)])
+def test_trace_rows_reproduce_the_traces_of_rho_blocks(kind, n, rep_cache):
+    """One dot product per trace row gives Tr(f-hat rho(d)), summed from `rho_blocks`."""
+    rep = rep_cache(kind, n)
+    rng = random.Random(n)
+    image = {lam: [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rep.dim(lam))]
+                   for _ in range(rep.dim(lam))] for lam in rep.vertices()}
+    flat = [x for lam in rep.vertices() for col in zip(*image[lam]) for x in col]
+    keys, rows, den = rep.trace_rows()
+    assert keys == [d.key() for d in all_diagrams(kind, n)]
+    for key, (positions, values) in zip(keys, rows):
+        trace = sum(image[lam][c][r] * Fraction(v, rep.scale())
+                    for lam, block in rep.rho_blocks(key).items()
+                    for r, row in block.items() for c, v in row.items())
+        assert Fraction(sum(map(operator.mul, map(flat.__getitem__, positions), values)),
+                        den) == trace
+        assert len(positions) == sum(len(row) for block in rep.rho_blocks(key).values()
+                                     for row in block.values())
+    assert rep.scale() % den == 0
 
 
 @pytest.mark.parametrize("kind,n", [(BR, 3), (TL, 4), (SN, 3)])

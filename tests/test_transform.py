@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from chainfft.combinat import ChainKind, cached_bratteli, hom_count_closed, paper_bounds
 from chainfft.diagrams import all_diagrams, factor_set, generator, identity_diagram, route_table
-from chainfft.errors import ArgumentError, FactorizationError
+from chainfft.errors import ArgumentError, CapabilityError, FactorizationError
 from chainfft.reps import DEFAULT_Q, adapted_rep
 from chainfft.transform import (
     AlgebraElement,
+    FourierImage,
     OpCounter,
     _schedule,
     convolution_check,
@@ -457,9 +458,9 @@ FRACTION_CASES = [(TL, 5), (SN, 4), (BR, 3), (TL, 0), (SN, 0), (BR, 0), (TL, 1),
 
 
 @st.composite
-def fractional_sparse_elements(draw):
+def fractional_sparse_elements(draw, cases=FRACTION_CASES):
     """A case and a support of 1..8 basis keys with values p/q, 0 < |p| <= 50, 1 <= q <= 12."""
-    kind, n = draw(st.sampled_from(FRACTION_CASES))
+    kind, n = draw(st.sampled_from(cases))
     keys = [d.key() for d in all_diagrams(kind, n)]
     values = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12))
     table = draw(st.dictionaries(
@@ -474,6 +475,18 @@ def test_property_sov_equals_naive_on_fractional_sparse_inputs(f):
     """Inputs with denominators: the SOV kernel's common denominator comes back out."""
     rep = adapted_rep(f.kind, f.n, Q)
     assert fft_sov(f, rep)[0] == fft_naive(f, rep)[0]
+
+
+ROUNDTRIP_CASES = [(SN, n) for n in range(6)] + [(TL, n) for n in range(6)] + [
+    (BR, n) for n in range(4)]
+
+
+@settings(max_examples=150)
+@given(fractional_sparse_elements(ROUNDTRIP_CASES))
+def test_property_inverse_roundtrip_on_fractional_sparse_inputs(f):
+    """inverse_ft(fft_sov(f)) == f with input denominators, at the edge sizes 0 and 1 too."""
+    rep = adapted_rep(f.kind, f.n, Q)
+    assert inverse_ft(fft_sov(f, rep)[0], rep) == f
 
 
 def test_sov_scaling_equivariance(rep_cache):
@@ -700,6 +713,19 @@ def test_inverse_checks_the_image_before_the_dual_basis(rep_cache, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("reshape", [
+    lambda m: m[:-1],
+    lambda m: m + m[:1],
+    lambda m: (m[0][:-1],) + m[1:],
+], ids=["missing-row", "extra-row", "short-row"])
+def test_inverse_refuses_a_misshapen_image(reshape, rep_cache):
+    rep = rep_cache(TL, 3)
+    img, _ = fft_sov(random_element(TL, 3, 0), rep)
+    bad = FourierImage(TL, 3, tuple((lam, reshape(m)) for lam, m in img.blocks))
+    with pytest.raises(ArgumentError, match=r"block \(3,\) of the image is not 1 x 1"):
+        inverse_ft(bad, rep)
+
+
 def test_inverse_roundtrip(rep_cache):
     for kind, n, seeds in [(BR, 2, 4), (BR, 3, 4), (TL, 4, 4), (TL, 5, 2)]:
         rep = rep_cache(kind, n)
@@ -710,10 +736,9 @@ def test_inverse_roundtrip(rep_cache):
             assert inverse_ft(img, rep).coeffs == f.coeffs
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sn6_inverse_roundtrip(seed, rep_cache):
-    """S_6 inverts through the closed-form dual table, which the Gram path refused."""
+    """S_6 inverts by the Fourier inversion formula over its trace rows."""
     rep = rep_cache(SN, 6)
     f = random_element(SN, 6, seed)
     img, _ = fft_sov(f, rep)
@@ -721,19 +746,88 @@ def test_sn6_inverse_roundtrip(seed, rep_cache):
 
 
 def test_warm_inverse_makes_one_fraction_per_coefficient(rep_cache, monkeypatch):
-    """Traces and dual sums stay integer: a warm S_4 inversion makes O(N) Fractions."""
-    rep = rep_cache(SN, 4)
-    f = random_element(SN, 4, 0)
-    img, _ = fft_sov(f, rep)
-    assert inverse_ft(img, rep) == f
-    made = []
-    new = Fraction.__new__
-    monkeypatch.setattr(Fraction, "__new__",
-                        lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
-    back = inverse_ft(img, rep)
-    monkeypatch.undo()
-    assert back == f
-    assert 0 < len(made) <= 2 * rep.algebra_dim()
+    """Traces, and the dual sums of TL, stay integer: a warm S_4 or TL 4 inversion
+    makes O(N) Fractions."""
+    for kind in (SN, TL):
+        rep = rep_cache(kind, 4)
+        f = random_element(kind, 4, 0)
+        img, _ = fft_sov(f, rep)
+        assert inverse_ft(img, rep) == f
+        made = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+        back = inverse_ft(img, rep)
+        monkeypatch.undo()
+        assert back == f
+        assert 0 < len(made) <= 2 * rep.algebra_dim()
+
+
+def _dual_table_inverse(img, rep):
+    """The inverse through the dual table of `gram_dual`, in Fractions: f(a_j) =
+    sum_k G^-1[k][j] Tr(f-hat rho(a_k)), each trace summed from `rho_blocks`."""
+    keys, duals, den = rep.gram_dual()
+    traces = {}
+    for key in keys:
+        traces[key] = sum(
+            img.block(lam)[c][r] * Fraction(v, rep.scale())
+            for lam, block in rep.rho_blocks(key).items()
+            for r, row in block.items() for c, v in row.items()
+        )
+    table = {key: sum(Fraction(g, den) * traces[k] for k, g in dual.items())
+             for key, dual in zip(keys, duals)}
+    return AlgebraElement.from_dict(img.kind, img.n, table)
+
+
+def _random_image(rep, seed):
+    """A dense image with random entries p/q: the image of some element, since the
+    transform is an isomorphism."""
+    rng = random.Random(seed)
+    return FourierImage(rep.kind, rep.n, tuple(
+        (lam, tuple(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                          for _ in range(rep.dim(lam))) for _ in range(rep.dim(lam))))
+        for lam in rep.vertices()
+    ))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_sn_inverse_equals_the_dual_table_inverse(n, rep_cache):
+    """The inversion formula on S_n gives exactly what the dual table gives, on round
+    trips and on random dense images."""
+    rep = rep_cache(SN, n)
+    images = [fft_sov(random_element(SN, n, seed), rep)[0] for seed in range(2)]
+    images += [_random_image(rep, seed) for seed in range(2)]
+    for img in images:
+        assert inverse_ft(img, rep) == _dual_table_inverse(img, rep)
+
+
+def test_sn_inverse_reads_no_dual_table(monkeypatch):
+    """A fresh S_5 inversion builds no dual table and calls no `gram_dual`."""
+    from chainfft.reps.core import AdaptedRep
+
+    rep = adapted_rep.__wrapped__(SN, 5, Q)
+    calls = []
+    for name in ("gram_dual", "_sn_dual", "gram_matrix"):
+        monkeypatch.setattr(AdaptedRep, name, lambda self, _name=name: calls.append(_name))
+    for seed in range(3):
+        f = random_element(SN, 5, seed)
+        assert inverse_ft(fft_sov(f, rep)[0], rep) == f
+    assert calls == []
+
+
+def test_inverse_refused_at_s7_before_any_rho(monkeypatch):
+    """S_7 is beyond `GRAM_LIMITS`: refused before any rho or trace row is built."""
+    from chainfft.reps.core import AdaptedRep
+
+    rep = adapted_rep.__wrapped__(SN, 7, Q)
+    img = FourierImage(SN, 7, tuple(
+        (lam, ((Fraction(0),) * rep.dim(lam),) * rep.dim(lam)) for lam in rep.vertices()
+    ))
+    calls = []
+    monkeypatch.setattr(AdaptedRep, "_block_data", lambda self, *a: calls.append(a))
+    with pytest.raises(CapabilityError, match="n <= 6"):
+        inverse_ft(img, rep)
+    assert calls == [] and rep._rows is None
 
 
 def test_inverse_of_identity_blocks(rep_cache):
