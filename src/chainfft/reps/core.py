@@ -14,22 +14,25 @@ at every level.
 Everything is stored as integer numerators, in one form each.  A generator at
 index i, over D(i), the lcm of the denominators of its local blocks, is a tuple
 of sparse columns (`token_columns`), the form the kernel reads: column r sends
-row r to its output rows.  A level-L rho, over S_L = prod_{i<L} D(i)^(L-i)
-(`scale`), is row-major block data {lam: {row: {col: value}}} (`rho_blocks`),
-the form of every level table of the SOV kernel.  For inversion, the rho of every
-basis key at level n is compiled once more, on first use, into a trace row
-(`trace_rows`): the flat positions of its nonzero entries in the transposed image,
-and their numerators over the lcm of the denominators of rho, so that a trace is
-one dot product.  Readers divide once at the end; `token_matrix` and `rho` are
-uncached rational views.
+row r to its output rows.  A level-L rho below n, over S_L = prod_{i<L} D(i)^(L-i)
+(`scale`), is row-major block data {lam: {row: {col: value}}} (`_block_data`),
+the form of every level table of the SOV kernel, memoised for the recursion.
+A rho at level n is stored only as its compiled row (`rho_row`), built per basis
+key on first use: the flat positions of its nonzero entries and their numerators
+over a denominator of its own, so that the naive sum is one scatter per row and
+a trace one dot product (`trace_rows`).  Readers divide once at the end;
+`rho_blocks` and `character` are views decoded from the row, and `token_matrix`
+and `rho` are uncached rational views.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
+from operator import mul
 
 from ..combinat import ChainKind, Partition, cached_bratteli
 from ..diagrams import (
@@ -87,9 +90,12 @@ class AdaptedRep:
     _scales: dict = field(default_factory=dict, repr=False)
     _pre: dict = field(default_factory=dict, repr=False)
     _levels: dict = field(default_factory=dict, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False)
+    _ints: dict = field(default_factory=dict, repr=False)
     _char: dict = field(default_factory=dict, repr=False)
+    _flat: object = None
+    _trace: object = None
     _gram: object = None
-    _rows: object = None
     _inverses: object = None
 
     # -- basic structure -------------------------------------------------
@@ -175,9 +181,12 @@ class AdaptedRep:
 
     # -- representation of basis diagrams --------------------------------
     def _block_data(self, key: str, level: int) -> dict:
-        """Row-major block data {lam: {row: {col: numerator over S_level}}} of a basis key,
-        memoised: the SOV level routine on the route's one stream, rho_{level-1}(sub)
-        embedded times its identity factor, which applies only that stream's tokens."""
+        """Row-major block data {lam: {row: {col: numerator over S_level}}} of a basis key:
+        the SOV level routine on the route's one stream, rho_{level-1}(sub) embedded
+        times its identity factor, which applies only that stream's tokens.
+
+        Memoised below level n, which is all that the recursion reads; at level n it is
+        built afresh, and `rho_row` keeps the one stored form."""
         if level <= 1:
             return {(1,) if level else (): {0: {0: 1}}}
         if (level, key) in self._levels:
@@ -189,16 +198,80 @@ class AdaptedRep:
         data = _embed_blocks(self, level, self._block_data(sub, level - 1), factor)
         stream = _schedule(self.kind, level).stream_of[tokens]
         data = _run_level(self, level, {stream: data}, OpCounter())
-        self._levels[(level, key)] = data
+        if level < self.n:
+            self._levels[(level, key)] = data
         return data
+
+    def _layout(self):
+        """(offsets, positions) of the flat level-n image, memoised: the blocks in
+        vertex order, each row-major, offsets[lam] = (offset(lam), dim(lam)), and one
+        shared int object per position."""
+        if self._flat is None:
+            offsets, size = {}, 0
+            for lam in self.vertices():
+                d = self.dim(lam)
+                offsets[lam] = (size, d)
+                size += d * d
+            self._flat = (offsets, list(range(size)))
+        return self._flat
+
+    def _weighted_identity(self, power: int) -> list[int]:
+        """The flat level-n image whose block lam is dim(lam)^power times the identity."""
+        offsets, positions = self._layout()
+        flat = [0] * len(positions)
+        for base, d in offsets.values():
+            flat[base : base + d * d : d + 1] = [d**power] * d
+        return flat
+
+    def rho_row(self, key: str) -> tuple:
+        """(positions, values, den): rho(key) at level n for a canonical basis key, the
+        one stored form of a level-n rho, which the naive sum, the traces and the views
+        all read.  Entry (r, c) of block lam sits at position
+        offset(lam) + r . dim(lam) + c, the blocks in vertex order (`_layout`), and
+        its value is an integer numerator over den: the numerators over `scale()`
+        divided by their gcd with `scale()`, and den = `scale()` over that gcd.
+
+        Compiled from `_block_data` on first use and memoised per key, so a sparse
+        caller compiles only the rows of its support.  The per-key reduction keeps the
+        values small (at most 21 bits at S_6, against 38 for `scale()`).  Positions
+        and distinct values share one int object each across the rows.  The result is
+        shared; do not mutate it.
+        """
+        row = self._rows.get(key)
+        if row is None:
+            offsets, shared = self._layout()
+            positions, numerators = [], []
+            for lam, block in self._block_data(key, self.n).items():
+                base, d = offsets[lam]
+                for r, line in block.items():
+                    at = base + r * d
+                    positions.extend([shared[at + c] for c in line])
+                    numerators.extend(line.values())
+            scale = self.scale()
+            common = gcd(scale, *numerators)
+            values = [v // common for v in numerators]
+            row = (tuple(positions), tuple(map(self._ints.setdefault, values, values)),
+                   scale // common)
+            self._rows[key] = row
+        return row
 
     def rho_blocks(self, key: str) -> dict:
         """rho(key) as row-major block data {lam: {row: {col: value}}}: nonzero entries
         only, each an integer numerator over `scale(n)`, with no empty row or block.
 
-        Any spelling of a diagram is accepted.  The result is shared; do not mutate it.
+        Any spelling of a diagram is accepted.  A fresh view decoded from `rho_row`
+        (numerator = value . scale() / den); nothing of it is kept.
         """
-        return self._block_data(basis_key(self.kind, self.n, key), self.n)
+        positions, values, den = self.rho_row(basis_key(self.kind, self.n, key))
+        up, offsets = self.scale() // den, self._layout()[0]
+        vertices, bases = list(offsets), [base for base, _ in offsets.values()]
+        out: dict = {}
+        for p, v in zip(positions, values):
+            lam = vertices[bisect_right(bases, p) - 1]
+            base, d = offsets[lam]
+            r, c = divmod(p - base, d)
+            out.setdefault(lam, {}).setdefault(r, {})[c] = v * up
+        return out
 
     def rho(self, d: Diagram | str, lam: Partition):
         """Dense view of `rho_blocks` on the vertex lam; not cached."""
@@ -215,10 +288,11 @@ class AdaptedRep:
         )
 
     def character(self, key: str) -> Fraction:
+        """The trace of rho(key), read off the diagonal of its row; memoised."""
         if key not in self._char:
-            trace = sum(row[r] for block in self.rho_blocks(key).values()
-                        for r, row in block.items() if r in row)
-            self._char[key] = Fraction(trace, self.scale())
+            positions, values, den = self.rho_row(basis_key(self.kind, self.n, key))
+            ones = self._weighted_identity(0).__getitem__
+            self._char[key] = Fraction(sum(map(mul, map(ones, positions), values)), den)
         return self._char[key]
 
     # -- trace form -------------------------------------------------------
@@ -230,47 +304,22 @@ class AdaptedRep:
             )
 
     def trace_rows(self):
-        """(keys, rows, den): the basis keys in canonical order, the trace row of each
-        key d, and den, the lcm of the denominators of every rho at level n.  A row
-        lists the nonzero entries of rho(d) as (positions, values), each value an
-        integer numerator over den.  Entry (r, c) of block lam sits at position
-        offset(lam) + r . dim(lam) + c, the blocks in vertex order: that is where entry
-        (c, r) of the image lands when the image is transposed block by block and
-        flattened.  For x that flat list,
-        Tr(f-hat rho(d)) . den = sum(map(mul, map(x.__getitem__, positions), values)).
+        """(keys, rows, den): the basis keys in canonical order, the `rho_row` of each
+        key d, and den, the lcm of the rows' dens.  Entry (r, c) of a row's block lam
+        sits where entry (c, r) of the image lands when the image is transposed block
+        by block and flattened.  So for x that flat list and (positions, values, den_d)
+        the row of d, Tr(f-hat rho(d)) . den_d = sum(map(mul, map(x.__getitem__,
+        positions), values)).
 
-        Compiled from `rho_blocks` on first use and memoised.  The numerators are
-        reduced from `scale()` to den, which keeps most products inside a machine
-        word.  Beyond `GRAM_LIMITS` this raises `CapabilityError` before any rho is
-        built.
+        Memoised.  Beyond `GRAM_LIMITS` this raises `CapabilityError` before any row
+        is compiled.
         """
-        if self._rows is None:
+        if self._trace is None:
             self._check_inversion_limit()
             keys = sorted(route_table(self.kind, self.n)) if self.n else [""]
-            data = [self.rho_blocks(key) for key in keys]
-            numerators = {v for blocks in data for block in blocks.values()
-                          for row in block.values() for v in row.values()}
-            common = gcd(self.scale(), *numerators)
-            offsets, size = {}, 0
-            for lam in self.vertices():
-                offsets[lam] = (size, self.dim(lam))
-                size += self.dim(lam) ** 2
-            # the rows share one int object per distinct value and per position
-            # (350,424 entries at S_6)
-            reduced = {v: v // common for v in numerators}
-            shared = list(range(size))
-            rows = []
-            for blocks in data:
-                positions, values = [], []
-                for lam, block in blocks.items():
-                    base, d = offsets[lam]
-                    for r, row in block.items():
-                        at = base + r * d
-                        positions.extend([shared[at + c] for c in row])
-                        values.extend(map(reduced.__getitem__, row.values()))
-                rows.append((tuple(positions), tuple(values)))
-            self._rows = (keys, rows, self.scale() // common)
-        return self._rows
+            rows = [self.rho_row(key) for key in keys]
+            self._trace = (keys, rows, lcm(*(den for _, _, den in rows)))
+        return self._trace
 
     def sn_inverses(self) -> tuple[int, ...]:
         """On S_n: for each key of `trace_rows`, the index there of its inverse
@@ -337,20 +386,21 @@ class AdaptedRep:
         tau(z a) = n! [a = 1], so the dual of g_j is z g_j^-1 / n!, that is
         G^-1[k][j] = zeta(g_k g_j) / n!^2 with zeta = sum_lam d_lam^2 chi_lam (real on S_n).
 
-        zeta is read as integer numerators over `scale()` from the diagonals of
-        `rho_blocks`, the products are permutation tuples, and the table is reduced by
-        the gcd of its numerators with n!^2 . scale(), which leaves the lcm of the
-        denominators of G^-1, as on the Gram path.
+        zeta(g) is one dot product of g's `rho_row` with the d_lam^2-weighted identity,
+        brought to integer numerators over `scale()`; the products are permutation
+        tuples, and the table is reduced by the gcd of its numerators with
+        n!^2 . scale(), which leaves the lcm of the denominators of G^-1, as on the
+        Gram path.
         """
-        n = self.n
-        keys = sorted(route_table(self.kind, n)) if n else [""]
+        n, scale = self.n, self.scale()
+        keys, rows, _ = self.trace_rows()
         perms = [sn_permutation(key, n) for key in keys]
+        weights = self._weighted_identity(2).__getitem__
         zeta = {
-            perm: sum(self.dim(lam) ** 2 * sum(row.get(r, 0) for r, row in block.items())
-                      for lam, block in self.rho_blocks(key).items())
-            for perm, key in zip(perms, keys)
+            perm: sum(map(mul, map(weights, positions), values)) * (scale // den)
+            for perm, (positions, values, den) in zip(perms, rows)
         }
-        den = factorial(n) ** 2 * self.scale()
+        den = factorial(n) ** 2 * scale
         common = gcd(den, *zeta.values())
         zeta = {perm: z // common for perm, z in zeta.items()}
         duals = []
@@ -400,11 +450,16 @@ def adapted_rep(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q) -> AdaptedRep:
 
 
 def naive_transform_matrix(rep: AdaptedRep):
-    """dim x dim matrix of the naive transform: columns are basis diagrams."""
+    """dim x dim matrix of the naive transform: columns are basis diagrams, each the
+    flat image of its `rho_row`."""
+    size, zero = rep.algebra_dim(), Fraction(0)
     columns = []
     for b in all_diagrams(rep.kind, rep.n):
-        dense = rep.dense_blocks(rep.rho_blocks(b.key()), rep.scale())
-        columns.append([x for _, mat in dense for row in mat for x in row])
+        positions, values, den = rep.rho_row(b.key())
+        column = [zero] * size
+        for p, v in zip(positions, values):
+            column[p] = Fraction(v, den)
+        columns.append(column)
     return [list(row) for row in zip(*columns)]
 
 

@@ -17,11 +17,14 @@ them stage by stage.  Operation counters track scalar multiplications and
 additions of the transform proper; representation data, schedules and routing
 are precomputed and free.
 
-Both engines run on Python ints, over the integer block data of `AdaptedRep`.
-The inputs are scaled by their common denominator, and in the SOV engine by
-`AdaptedRep.prescale`, so that every stream carries one scale; each engine ends
-in one division per output entry.  Scaling keeps the zero pattern, so the
-operation counts are those of the rational program.
+Both engines run on Python ints: the SOV engine over the integer generator
+columns of `AdaptedRep`, the naive engine over its compiled rho rows
+(`AdaptedRep.rho_row`), which the inverse reads too.  The inputs are scaled by
+their common denominator, in the SOV engine by `AdaptedRep.prescale` as well, so
+that every stream carries one scale, and in the naive engine to the lcm of the
+support rows' denominators; each engine ends in one division per nonzero output
+entry.  Scaling keeps the zero pattern, so the operation counts are those of the
+rational program.
 """
 
 from __future__ import annotations
@@ -133,22 +136,33 @@ class FourierImage:
 
 
 def fft_naive(f: AlgebraElement, rep: AdaptedRep) -> tuple[FourierImage, OpCounter]:
-    """Direct matrix sum in ints; counters follow the dense straightforward program,
-    one multiplication per (support key, matrix entry) and the matching adds."""
+    """Direct matrix sum in ints over the compiled rows of `AdaptedRep.rho_row`.
+
+    With den the lcm of the input denominators and L the lcm of the dens of the
+    support's rows, each coefficient c_d becomes the int c_d . den . L / den_d, and
+    its row is scattered into one flat integer image, flat[p] += c_d . v.  Each
+    nonzero entry is then one `Fraction` over den . L; the zero entries share one.
+    The counters follow the dense straightforward program, one multiplication per
+    (support key, matrix entry) and the matching adds."""
     _check_inputs(f, rep)
     den = lcm(*(c.denominator for _, c in f.coeffs))
-    sums: dict[Partition, dict] = {}
-    for key, c in f.coeffs:
-        c = c.numerator * (den // c.denominator)
-        for lam, block in rep.rho_blocks(key).items():
-            dest = sums.setdefault(lam, {})
-            for r, row in block.items():
-                acc = dest.setdefault(r, {})
-                for k, v in row.items():
-                    acc[k] = acc.get(k, 0) + c * v
+    rows = [rep.rho_row(key) for key, _ in f.coeffs]
+    top = lcm(*(row_den for _, _, row_den in rows))
     support, dim_a = f.support(), rep.algebra_dim()
+    flat = [0] * dim_a
+    for (_, c), (positions, values, row_den) in zip(f.coeffs, rows):
+        c = c.numerator * (den // c.denominator) * (top // row_den)
+        for p, v in zip(positions, values):
+            flat[p] += c * v
+    total, zero = den * top, Fraction(0)
+    entries = [Fraction(x, total) if x else zero for x in flat]
+    blocks, at = [], 0
+    for lam in rep.vertices():
+        d = rep.dim(lam)
+        blocks.append((lam, tuple(tuple(entries[i : i + d]) for i in range(at, at + d * d, d))))
+        at += d * d
     counter = OpCounter(support * dim_a, max(0, support - 1) * dim_a)
-    return FourierImage(f.kind, f.n, rep.dense_blocks(sums, den * rep.scale())), counter
+    return FourierImage(f.kind, f.n, tuple(blocks)), counter
 
 
 def _check_inputs(f: AlgebraElement | FourierImage, rep: AdaptedRep) -> None:
@@ -504,37 +518,52 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     """Recover the coefficients from traces against the basis, in ints, with one
     `Fraction` per output coefficient.
 
-    The image is flattened once, transposed block by block, into integer numerators
-    over its common denominator, so each trace w(d) = Tr(f-hat rho(d)) is one dot
-    product with a trace row of `AdaptedRep.trace_rows`.  On S_n, block lam is
+    The image must hold one dim(lam) x dim(lam) block per vertex of `rep`, in
+    vertex order, with entries of type int or `Fraction`; anything else is
+    refused with `ArgumentError`.  It is flattened once, transposed block by block,
+    into integer numerators over its common denominator, so each trace
+    w(d) = Tr(f-hat rho(d)) . den_d is one dot product with the row of d in
+    `AdaptedRep.trace_rows`, den_d the row's own denominator.  On S_n, block lam is
     weighted by d_lam, and the Fourier inversion formula (Serre, Linear
     Representations of Finite Groups, 6.2) gives
-    f(s) = sum_lam d_lam Tr(f-hat_lam rho_lam(s^-1)) / n!: no dual table is read.
-    On TL and Brauer, f(a_j) = sum_k G^-1[k][j] w(a_k) over the dual table of
-    `AdaptedRep.gram_dual`.  Beyond `GRAM_LIMITS` this raises `CapabilityError`
-    before any rho is built."""
+    f(s) = sum_lam d_lam Tr(f-hat_lam rho_lam(s^-1)) / n!, so f(s) is w(s^-1) over
+    n! . den_(s^-1) and the image's denominator: no dual table is read.  On TL and
+    Brauer each trace is scaled by den / den_d to the rows' common den, and
+    f(a_j) = sum_k G^-1[k][j] w(a_k) over the dual table of `AdaptedRep.gram_dual`.
+    Beyond `GRAM_LIMITS` this raises `CapabilityError` before any row is compiled."""
     _check_inputs(img, rep)
-    keys, rows, rows_den = rep.trace_rows()
-    sn = rep.kind is ChainKind.SYMMETRIC_GROUP
-    den = lcm(*(x.denominator for _, m in img.blocks for row in m for x in row))
-    flat = []
-    for lam in rep.vertices():
-        d, block = rep.dim(lam), img.block(lam)
+    if tuple(lam for lam, _ in img.blocks) != rep.vertices():
+        raise ArgumentError(
+            f"the image's blocks are not one per vertex of {rep.kind.value} n={rep.n}, in order")
+    for lam, block in img.blocks:
+        d = rep.dim(lam)
         if len(block) != d or any(len(row) != d for row in block):
             raise ArgumentError(f"block {lam!r} of the image is not {d} x {d}")
-        weight = den * d if sn else den
+    entries = [x for _, m in img.blocks for row in m for x in row]
+    if not set(map(type, entries)) <= {int, Fraction}:
+        x = next(x for x in entries if type(x) not in (int, Fraction))
+        raise ArgumentError(f"entry {x!r} of the image is not an int or a Fraction")
+    keys, rows, rows_den = rep.trace_rows()
+    sn = rep.kind is ChainKind.SYMMETRIC_GROUP
+    den = lcm(*(x.denominator for x in entries))
+    flat = []
+    for _, block in img.blocks:
+        weight = den * len(block) if sn else den
         flat.extend(x.numerator * (weight // x.denominator) for col in zip(*block) for x in col)
     at = flat.__getitem__
-    traces = [sum(map(mul, map(at, positions), values)) for positions, values in rows]
+    traces = [sum(map(mul, map(at, positions), values)) for positions, values, _ in rows]
     if sn:
-        sums = map(traces.__getitem__, rep.sn_inverses())
-        total = factorial(rep.n) * den * rows_den
+        scale = factorial(rep.n) * den
+        outputs = ((key, traces[j], scale * rows[j][2])
+                   for key, j in zip(keys, rep.sn_inverses()))
     else:
         _, duals, dual_den = rep.gram_dual()
-        by_key = dict(zip(keys, traces)).__getitem__
-        sums = (sum(map(mul, map(by_key, dual), dual.values())) for dual in duals)
+        scaled = (w * (rows_den // row_den) for w, (_, _, row_den) in zip(traces, rows))
+        by_key = dict(zip(keys, scaled)).__getitem__
         total = dual_den * den * rows_den
-    coeffs = tuple((key, Fraction(v, total)) for key, v in zip(keys, sums) if v)
+        outputs = ((key, sum(map(mul, map(by_key, dual), dual.values())), total)
+                   for key, dual in zip(keys, duals))
+    coeffs = tuple((key, Fraction(v, out_den)) for key, v, out_den in outputs if v)
     return AlgebraElement(img.kind, img.n, coeffs)
 
 

@@ -434,7 +434,8 @@ def test_sn_dual_refused_beyond_6():
 
 @pytest.mark.parametrize("kind,n", [(SN, 4), (TL, 4), (BR, 3)])
 def test_trace_rows_reproduce_the_traces_of_rho_blocks(kind, n, rep_cache):
-    """One dot product per trace row gives Tr(f-hat rho(d)), summed from `rho_blocks`."""
+    """One dot product per trace row gives Tr(f-hat rho(d)) over the row's own den,
+    summed from `rho_blocks`; the table's den is the lcm of the rows' dens."""
     rep = rep_cache(kind, n)
     rng = random.Random(n)
     image = {lam: [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rep.dim(lam))]
@@ -442,15 +443,16 @@ def test_trace_rows_reproduce_the_traces_of_rho_blocks(kind, n, rep_cache):
     flat = [x for lam in rep.vertices() for col in zip(*image[lam]) for x in col]
     keys, rows, den = rep.trace_rows()
     assert keys == [d.key() for d in all_diagrams(kind, n)]
-    for key, (positions, values) in zip(keys, rows):
+    for key, (positions, values, row_den) in zip(keys, rows):
         trace = sum(image[lam][c][r] * Fraction(v, rep.scale())
                     for lam, block in rep.rho_blocks(key).items()
                     for r, row in block.items() for c, v in row.items())
         assert Fraction(sum(map(operator.mul, map(flat.__getitem__, positions), values)),
-                        den) == trace
+                        row_den) == trace
         assert len(positions) == sum(len(row) for block in rep.rho_blocks(key).values()
                                      for row in block.values())
-    assert rep.scale() % den == 0
+        assert rep.scale() % row_den == 0 and math.gcd(row_den, *values) == 1
+    assert den == math.lcm(*(row_den for _, _, row_den in rows))
 
 
 @pytest.mark.parametrize("kind,n", [(BR, 3), (TL, 4), (SN, 3)])

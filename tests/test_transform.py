@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -260,6 +261,89 @@ def test_rho_recursion_and_sov_kernel_create_no_fraction(kind, n, monkeypatch):
     values.extend(v for blocks in (*rhos, sov) for block in blocks.values()
                   for col in block.values() for v in col.values())
     assert all(type(v) is int for v in values)
+
+
+def _nested_dict_naive(f, rep):
+    """The nested-dict naive sum that the row scatter of `fft_naive` replaced, kept as
+    its reference: c . den . rho summed entry by entry from `rho_blocks`, over
+    S_n . den, with the dense program's counts."""
+    den = math.lcm(*(c.denominator for _, c in f.coeffs))
+    sums: dict = {}
+    for key, c in f.coeffs:
+        c = c.numerator * (den // c.denominator)
+        for lam, block in rep.rho_blocks(key).items():
+            dest = sums.setdefault(lam, {})
+            for r, row in block.items():
+                acc = dest.setdefault(r, {})
+                for k, v in row.items():
+                    acc[k] = acc.get(k, 0) + c * v
+    support, dim_a = f.support(), rep.algebra_dim()
+    counter = OpCounter(support * dim_a, max(0, support - 1) * dim_a)
+    return FourierImage(f.kind, f.n, rep.dense_blocks(sums, den * rep.scale())), counter
+
+
+NAIVE_CASES = ([(TL, n) for n in range(9)] + [(SN, n) for n in range(6)]
+               + [(BR, n) for n in range(5)])
+
+
+@pytest.mark.parametrize("kind,n", NAIVE_CASES, ids=lambda x: getattr(x, "value", x))
+def test_naive_rows_equal_the_nested_dict_sum(kind, n, rep_cache):
+    """On dense, sparse (supports 1..8, deltas among them) and fractional inputs, the
+    row scatter gives the image and the counts of the nested-dict sum."""
+    rep = rep_cache(kind, n)
+    keys = sorted(route_table(kind, n)) if n else [""]
+    rng = random.Random(f"{kind.value} {n}")
+    dense = random_element(kind, n, 0)
+    tables = [dense.table(), {k: v / 7 for k, v in dense.coeffs}, {rng.choice(keys): 1}]
+    for support in range(1, 9):
+        chosen = rng.sample(keys, min(support, len(keys)))
+        tables.append({k: rng.randint(1, 9) * rng.choice((-1, 1)) for k in chosen})
+        tables.append({k: Fraction(rng.randint(1, 50) * rng.choice((-1, 1)), rng.randint(1, 12))
+                       for k in chosen})
+    for table in tables:
+        f = AlgebraElement.from_dict(kind, n, table)
+        assert fft_naive(f, rep) == _nested_dict_naive(f, rep), table
+
+
+@pytest.mark.parametrize("kind,n,entry", [
+    (kind, n, entry)
+    for kind, n in [(SN, 4), (TL, 5), (BR, 3)] for entry in ("fft_naive", "inverse_ft")
+] + [(SN, 4, "gram_dual")], ids=lambda x: getattr(x, "value", x))
+def test_level_n_rho_is_kept_only_as_rows(kind, n, entry):
+    """No reader of rho on a fresh representation leaves a level-n block table in
+    `_levels`: the recursion's tables below n are memoised, level n only as rows."""
+    rep = adapted_rep.__wrapped__(kind, n, Q)
+    f = random_element(kind, n, 0)
+    if entry == "fft_naive":
+        fft_naive(f, rep)
+        compiled = {key for key, _ in f.coeffs}
+    else:
+        if entry == "inverse_ft":
+            assert inverse_ft(fft_sov(f, rep)[0], rep) == f
+        else:
+            rep.gram_dual()
+        compiled = set(route_table(kind, n))
+    assert {level for level, _ in rep._levels} == set(range(2, n))
+    assert set(rep._rows) == compiled
+
+
+def test_cold_sparse_naive_compiles_only_its_support():
+    rep = adapted_rep.__wrapped__(TL, 6, Q)
+    keys = sorted(route_table(TL, 6))
+    f = AlgebraElement.from_dict(TL, 6, {keys[0]: 1, keys[50]: Fraction(2, 3), keys[-1]: -4})
+    assert fft_naive(f, rep) == _nested_dict_naive(f, rep)
+    assert set(rep._rows) == {keys[0], keys[50], keys[-1]}
+
+
+def test_naive_transform_matrix_columns_are_delta_images(rep_cache):
+    """Column j of the naive transform matrix is the flat image of the j-th basis delta."""
+    from chainfft.reps import naive_transform_matrix
+
+    rep = rep_cache(TL, 4)
+    columns = list(zip(*naive_transform_matrix(rep)))
+    for d, column in zip(all_diagrams(TL, 4), columns):
+        img, _ = _nested_dict_naive(AlgebraElement.from_dict(TL, 4, {d.key(): 1}), rep)
+        assert column == tuple(x for _, m in img.blocks for row in m for x in row)
 
 
 def test_warm_naive_applies_no_token(rep_cache, monkeypatch):
@@ -726,6 +810,18 @@ def test_inverse_refuses_a_misshapen_image(reshape, rep_cache):
         inverse_ft(bad, rep)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda blocks: blocks + (((9,), ((Fraction(1),),)),), "one per vertex"),
+    (lambda blocks: blocks[:1] + blocks, "one per vertex"),
+    (lambda blocks: ((blocks[0][0], (("1",),)),) + blocks[1:], "entry '1' of the image is not"),
+], ids=["extra-block", "duplicated-block", "str-entry"])
+def test_inverse_refuses_a_malformed_image(edit, message, rep_cache):
+    rep = rep_cache(SN, 3)
+    img, _ = fft_sov(random_element(SN, 3, 0), rep)
+    with pytest.raises(ArgumentError, match=message):
+        inverse_ft(FourierImage(SN, 3, edit(img.blocks)), rep)
+
+
 def test_inverse_roundtrip(rep_cache):
     for kind, n, seeds in [(BR, 2, 4), (BR, 3, 4), (TL, 4, 4), (TL, 5, 2)]:
         rep = rep_cache(kind, n)
@@ -816,7 +912,7 @@ def test_sn_inverse_reads_no_dual_table(monkeypatch):
 
 
 def test_inverse_refused_at_s7_before_any_rho(monkeypatch):
-    """S_7 is beyond `GRAM_LIMITS`: refused before any rho or trace row is built."""
+    """S_7 is beyond `GRAM_LIMITS`: refused before any rho is built or row compiled."""
     from chainfft.reps.core import AdaptedRep
 
     rep = adapted_rep.__wrapped__(SN, 7, Q)
@@ -827,7 +923,7 @@ def test_inverse_refused_at_s7_before_any_rho(monkeypatch):
     monkeypatch.setattr(AdaptedRep, "_block_data", lambda self, *a: calls.append(a))
     with pytest.raises(CapabilityError, match="n <= 6"):
         inverse_ft(img, rep)
-    assert calls == [] and rep._rows is None
+    assert calls == [] and rep._rows == {}
 
 
 def test_inverse_of_identity_blocks(rep_cache):
