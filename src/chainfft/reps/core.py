@@ -16,13 +16,17 @@ index i, over D(i), the lcm of the denominators of its local blocks, is a tuple
 of sparse columns (`token_columns`), the form the kernel reads: column r sends
 row r to its output rows.  A level-L rho below n, over S_L = prod_{i<L} D(i)^(L-i)
 (`scale`), is row-major block data {lam: {row: {col: value}}} (`_block_data`),
-the form of every level table of the SOV kernel, memoised for the recursion.
-A rho at level n is stored only as its compiled row (`rho_row`), built per basis
-key on first use: the flat positions of its nonzero entries and their numerators
-over a denominator of its own, so that the naive sum is one scatter per row and
-a trace one dot product (`trace_rows`).  Readers divide once at the end;
-`rho_blocks` and `character` are views decoded from the row, and `token_matrix`
-and `rho` are uncached rational views.
+the form of every level table of the SOV kernel, memoised for the recursion
+until every level-n row is compiled; then nothing reads those tables, and they
+are dropped.  A rho at level n is stored only as its compiled row (`rho_row`),
+built per basis key on first use: the flat positions of its nonzero entries and
+their numerators over a denominator of its own, so that the naive sum is one
+scatter per row.  The rows of all basis keys (`trace_rows`) have one derived
+form, for inversion: transposed and Kronecker-packed into one big int per flat
+image position (`packed_traces`), so that every trace of an image comes out of
+one packed sum (`traces`).  Readers divide once at the end; `rho_blocks` and
+`character` are views decoded from the row, and `token_matrix` and `rho` are
+uncached rational views.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
@@ -55,6 +60,12 @@ GRAM_LIMITS = {
     ChainKind.TEMPERLEY_LIEB: 6,
     ChainKind.SYMMETRIC_GROUP: 6,
 }
+
+# Image numerators wider than this are split into limbs before the packed trace
+# sum (`AdaptedRep.traces`), which bounds the width of the packed table.
+LIMB_BITS = 64
+# The packed table is built this many bytes of rows at a time.
+PACK_CHUNK_BYTES = 1 << 20
 
 
 def sn_permutation(key: str, n: int) -> tuple[int, ...]:
@@ -95,6 +106,7 @@ class AdaptedRep:
     _char: dict = field(default_factory=dict, repr=False)
     _flat: object = None
     _trace: object = None
+    _packed: object = None
     _gram: object = None
     _inverses: object = None
 
@@ -185,8 +197,9 @@ class AdaptedRep:
         the SOV level routine on the route's one stream, rho_{level-1}(sub) embedded
         times its identity factor, which applies only that stream's tokens.
 
-        Memoised below level n, which is all that the recursion reads; at level n it is
-        built afresh, and `rho_row` keeps the one stored form."""
+        Memoised below level n, which is all that the recursion reads, until `rho_row`
+        has compiled every level-n row; at level n it is built afresh, and `rho_row`
+        keeps the one stored form."""
         if level <= 1:
             return {(1,) if level else (): {0: {0: 1}}}
         if (level, key) in self._levels:
@@ -232,10 +245,11 @@ class AdaptedRep:
         divided by their gcd with `scale()`, and den = `scale()` over that gcd.
 
         Compiled from `_block_data` on first use and memoised per key, so a sparse
-        caller compiles only the rows of its support.  The per-key reduction keeps the
-        values small (at most 21 bits at S_6, against 38 for `scale()`).  Positions
-        and distinct values share one int object each across the rows.  The result is
-        shared; do not mutate it.
+        caller compiles only the rows of its support; compiling the last row drops the
+        memoised tables below level n, which nothing reads after.  The per-key
+        reduction keeps the values small (at most 21 bits at S_6, against 38 for
+        `scale()`).  Positions and distinct values share one int object each across
+        the rows.  The result is shared; do not mutate it.
         """
         row = self._rows.get(key)
         if row is None:
@@ -253,6 +267,8 @@ class AdaptedRep:
             row = (tuple(positions), tuple(map(self._ints.setdefault, values, values)),
                    scale // common)
             self._rows[key] = row
+            if len(self._rows) == self.algebra_dim():
+                self._levels.clear()
         return row
 
     def rho_blocks(self, key: str) -> dict:
@@ -308,8 +324,9 @@ class AdaptedRep:
         key d, and den, the lcm of the rows' dens.  Entry (r, c) of a row's block lam
         sits where entry (c, r) of the image lands when the image is transposed block
         by block and flattened.  So for x that flat list and (positions, values, den_d)
-        the row of d, Tr(f-hat rho(d)) . den_d = sum(map(mul, map(x.__getitem__,
-        positions), values)).
+        the row of d, Tr(f-hat rho(d)) . den_d = sum_i x[positions[i]] . values[i].
+        Inversion reads these sums from the packed form of the rows
+        (`packed_traces`, `traces`), not row by row.
 
         Memoised.  Beyond `GRAM_LIMITS` this raises `CapabilityError` before any row
         is compiled.
@@ -320,6 +337,101 @@ class AdaptedRep:
             rows = [self.rho_row(key) for key in keys]
             self._trace = (keys, rows, lcm(*(den for _, _, den in rows)))
         return self._trace
+
+    def packed_traces(self, x_bits: int) -> tuple:
+        """(width, columns, bias): the rows of `trace_rows` transposed and
+        Kronecker-packed (Harvey, J. Symb. Comp. 44, 2009), for flat images whose
+        integer numerators have at most x_bits bits.  columns[p] is
+        sum_j R'[j][p] . 2^(width . j), where R'[j] is row j with its values scaled
+        by den / den_j, so sum_p x_p . columns[p] holds the trace of every key over
+        the rows' common den, each in its own width-bit slot.  width is x_bits, plus
+        the bits of max |R'|, plus the bits of the longest row, plus 1, rounded up
+        to a whole byte: then |trace| < 2^(width-1), and a slot biased by
+        2^(width-1) never carries.  bias is that 2^(width-1) in every slot.
+
+        Memoised at the widest width asked for so far; a narrower call reads the
+        wider table.  Beyond `GRAM_LIMITS` this raises `CapabilityError` before any
+        row is compiled.
+        """
+        _, rows, den = self.trace_rows()
+        if self._packed is None:
+            row_bits = max(
+                (max(map(abs, values)) * (den // row_den)).bit_length()
+                + len(positions).bit_length()
+                for positions, values, row_den in rows
+            )
+            self._packed = (row_bits, 0, None, None)
+        row_bits, width, columns, bias = self._packed
+        need = -(-(x_bits + row_bits + 1) // 8) * 8
+        if need > width:
+            width = need
+            bias = int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little")
+                                  * len(rows), "little")
+            columns = self._pack_traces(width, bias)
+            self._packed = (row_bits, width, columns, bias)
+        return width, columns, bias
+
+    def _pack_traces(self, width: int, bias: int) -> list[int]:
+        """The columns of `packed_traces` at width bits a slot, built in linear time.
+        Each row is written as width/8 little-endian bytes a slot, value plus
+        2^(width-1), into a row-major byte matrix of about `PACK_CHUNK_BYTES`, whose
+        columns are copied into one byte string per position with width/8 strided
+        slices; each string is then converted to an int once and unbiased.  So the
+        build holds little more than the finished table."""
+        _, rows, den = self.trace_rows()
+        size, w8 = len(rows), width // 8
+        half, stride = 1 << (width - 1), size * w8
+        empty = half.to_bytes(w8, "little")
+        distinct = set().union(*(values for _, values, _ in rows))
+        codes = {up: {v: (v * up + half).to_bytes(w8, "little") for v in distinct}
+                 for up in {den // row_den for _, _, row_den in rows}}
+        columns = [bytearray(stride) for _ in range(size)]
+        chunk = max(1, PACK_CHUNK_BYTES // stride)
+        for first in range(0, size, chunk):
+            matrix = bytearray()
+            for positions, values, row_den in rows[first : first + chunk]:
+                slots = [empty] * size
+                for p, code in zip(positions, map(codes[den // row_den].__getitem__, values)):
+                    slots[p] = code
+                matrix += b"".join(slots)
+            start, stop = first * w8, min(first + chunk, size) * w8
+            for p, column in enumerate(columns):
+                for k in range(w8):
+                    column[start + k : stop : w8] = matrix[p * w8 + k :: stride]
+        for p, column in enumerate(columns):
+            columns[p] = int.from_bytes(column, "little") - bias
+        return columns
+
+    def traces(self, flat: list[int]) -> list[int]:
+        """Tr(f-hat rho(d)) . den for every key d of `trace_rows`, den the rows'
+        common denominator, where flat holds the integer numerators of the image
+        transposed block by block (the layout of the rows).
+
+        Numerators wider than `LIMB_BITS` are cut into limbs of that many bits, the
+        top one signed, and the traces of the limbs are joined by Horner's rule, so
+        the packed table stays at most LIMB_BITS + 1 bits wider than its rows;
+        most images are one limb.  The traces of one limb vector x come from one
+        packed sum, bias + sum over x_p != 0 of x_p . columns[p]
+        (`packed_traces`), whose bytes are read once, slot by slot.
+        """
+        top = max(max(map(abs, flat)).bit_length() - 1, 0) // LIMB_BITS * LIMB_BITS
+        out = self._packed_sum([x >> top for x in flat] if top else flat)
+        mask = (1 << LIMB_BITS) - 1
+        for shift in range(top - LIMB_BITS, -1, -LIMB_BITS):
+            low = self._packed_sum([x >> shift & mask for x in flat])
+            out = [(t << LIMB_BITS) + u for t, u in zip(out, low)]
+        return out
+
+    def _packed_sum(self, x: list[int]) -> list[int]:
+        """The traces of one limb vector x, decoded from its packed sum."""
+        width, columns, bias = self.packed_traces(max(map(abs, x)).bit_length())
+        size, w8, half = len(columns), width // 8, 1 << (width - 1)
+        total = sum(map(mul, compress(x, x), compress(columns, x)), bias)
+        if not 0 <= total < 1 << (width * size):
+            raise OverflowError(f"packed traces overflow their {width}-bit slots")
+        data = total.to_bytes(size * w8, "little")
+        return [int.from_bytes(data[at : at + w8], "little") - half
+                for at in range(0, size * w8, w8)]
 
     def sn_inverses(self) -> tuple[int, ...]:
         """On S_n: for each key of `trace_rows`, the index there of its inverse

@@ -19,12 +19,12 @@ are precomputed and free.
 
 Both engines run on Python ints: the SOV engine over the integer generator
 columns of `AdaptedRep`, the naive engine over its compiled rho rows
-(`AdaptedRep.rho_row`), which the inverse reads too.  The inputs are scaled by
-their common denominator, in the SOV engine by `AdaptedRep.prescale` as well, so
-that every stream carries one scale, and in the naive engine to the lcm of the
-support rows' denominators; each engine ends in one division per nonzero output
-entry.  Scaling keeps the zero pattern, so the operation counts are those of the
-rational program.
+(`AdaptedRep.rho_row`), which the inverse reads packed (`AdaptedRep.traces`).
+The inputs are scaled by their common denominator, in the SOV engine by
+`AdaptedRep.prescale` as well, so that every stream carries one scale, and in
+the naive engine to the lcm of the support rows' denominators; each engine ends
+in one division per nonzero output entry.  Scaling keeps the zero pattern, so
+the operation counts are those of the rational program.
 """
 
 from __future__ import annotations
@@ -521,14 +521,13 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     The image must hold one dim(lam) x dim(lam) block per vertex of `rep`, in
     vertex order, with entries of type int or `Fraction`; anything else is
     refused with `ArgumentError`.  It is flattened once, transposed block by block,
-    into integer numerators over its common denominator, so each trace
-    w(d) = Tr(f-hat rho(d)) . den_d is one dot product with the row of d in
-    `AdaptedRep.trace_rows`, den_d the row's own denominator.  On S_n, block lam is
-    weighted by d_lam, and the Fourier inversion formula (Serre, Linear
-    Representations of Finite Groups, 6.2) gives
+    into integer numerators over its common denominator, and every trace
+    w(d) = Tr(f-hat rho(d)) . den, den the common denominator of the rows of
+    `AdaptedRep.trace_rows`, comes out of one packed sum over the flat image
+    (`AdaptedRep.traces`).  On S_n, block lam is weighted by d_lam, and the Fourier
+    inversion formula (Serre, Linear Representations of Finite Groups, 6.2) gives
     f(s) = sum_lam d_lam Tr(f-hat_lam rho_lam(s^-1)) / n!, so f(s) is w(s^-1) over
-    n! . den_(s^-1) and the image's denominator: no dual table is read.  On TL and
-    Brauer each trace is scaled by den / den_d to the rows' common den, and
+    n! . den and the image's denominator: no dual table is read.  On TL and Brauer,
     f(a_j) = sum_k G^-1[k][j] w(a_k) over the dual table of `AdaptedRep.gram_dual`.
     Beyond `GRAM_LIMITS` this raises `CapabilityError` before any row is compiled."""
     _check_inputs(img, rep)
@@ -543,23 +542,20 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     if not set(map(type, entries)) <= {int, Fraction}:
         x = next(x for x in entries if type(x) not in (int, Fraction))
         raise ArgumentError(f"entry {x!r} of the image is not an int or a Fraction")
-    keys, rows, rows_den = rep.trace_rows()
     sn = rep.kind is ChainKind.SYMMETRIC_GROUP
     den = lcm(*(x.denominator for x in entries))
     flat = []
     for _, block in img.blocks:
         weight = den * len(block) if sn else den
         flat.extend(x.numerator * (weight // x.denominator) for col in zip(*block) for x in col)
-    at = flat.__getitem__
-    traces = [sum(map(mul, map(at, positions), values)) for positions, values, _ in rows]
+    traces = rep.traces(flat)
+    keys, _, rows_den = rep.trace_rows()
     if sn:
-        scale = factorial(rep.n) * den
-        outputs = ((key, traces[j], scale * rows[j][2])
-                   for key, j in zip(keys, rep.sn_inverses()))
+        scale = factorial(rep.n) * den * rows_den
+        outputs = ((key, traces[j], scale) for key, j in zip(keys, rep.sn_inverses()))
     else:
         _, duals, dual_den = rep.gram_dual()
-        scaled = (w * (rows_den // row_den) for w, (_, _, row_den) in zip(traces, rows))
-        by_key = dict(zip(keys, scaled)).__getitem__
+        by_key = dict(zip(keys, traces)).__getitem__
         total = dual_den * den * rows_den
         outputs = ((key, sum(map(mul, map(by_key, dual), dual.values())), total)
                    for key, dual in zip(keys, duals))

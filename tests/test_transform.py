@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -307,24 +308,32 @@ def test_naive_rows_equal_the_nested_dict_sum(kind, n, rep_cache):
 
 @pytest.mark.parametrize("kind,n,entry", [
     (kind, n, entry)
-    for kind, n in [(SN, 4), (TL, 5), (BR, 3)] for entry in ("fft_naive", "inverse_ft")
+    for kind, n in [(SN, 4), (TL, 5), (BR, 3)]
+    for entry in ("fft_naive", "sparse_fft_naive", "inverse_ft")
 ] + [(SN, 4, "gram_dual")], ids=lambda x: getattr(x, "value", x))
 def test_level_n_rho_is_kept_only_as_rows(kind, n, entry):
     """No reader of rho on a fresh representation leaves a level-n block table in
-    `_levels`: the recursion's tables below n are memoised, level n only as rows."""
+    `_levels`: level n is kept only as rows, and the recursion's tables below n only
+    until every row is compiled.  A sparse naive sum keeps levels 2..n-1; a dense
+    one, an inverse or the S_n dual table keeps none."""
     rep = adapted_rep.__wrapped__(kind, n, Q)
-    f = random_element(kind, n, 0)
-    if entry == "fft_naive":
+    keys = sorted(route_table(kind, n))
+    if entry == "sparse_fft_naive":
+        f = AlgebraElement.from_dict(kind, n, {keys[0]: 1, keys[-1]: Fraction(-2, 3)})
         fft_naive(f, rep)
-        compiled = {key for key, _ in f.coeffs}
+        assert set(rep._rows) == {keys[0], keys[-1]}
+        assert {level for level, _ in rep._levels} == set(range(2, n))
+        return
+    if entry == "fft_naive":
+        fft_naive(AlgebraElement.from_dict(kind, n, {k: 1 + j % 5 for j, k in enumerate(keys)}),
+                  rep)
+    elif entry == "inverse_ft":
+        f = random_element(kind, n, 0)
+        assert inverse_ft(fft_sov(f, rep)[0], rep) == f
     else:
-        if entry == "inverse_ft":
-            assert inverse_ft(fft_sov(f, rep)[0], rep) == f
-        else:
-            rep.gram_dual()
-        compiled = set(route_table(kind, n))
-    assert {level for level, _ in rep._levels} == set(range(2, n))
-    assert set(rep._rows) == compiled
+        rep.gram_dual()
+    assert set(rep._rows) == set(keys)
+    assert rep._levels == {}
 
 
 def test_cold_sparse_naive_compiles_only_its_support():
@@ -875,12 +884,12 @@ def _dual_table_inverse(img, rep):
     return AlgebraElement.from_dict(img.kind, img.n, table)
 
 
-def _random_image(rep, seed):
-    """A dense image with random entries p/q: the image of some element, since the
-    transform is an isomorphism."""
+def _random_image(rep, seed, bound=5, dens=4):
+    """A dense image with random entries p/q, |p| <= bound and 1 <= q <= dens: the
+    image of some element, since the transform is an isomorphism."""
     rng = random.Random(seed)
     return FourierImage(rep.kind, rep.n, tuple(
-        (lam, tuple(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        (lam, tuple(tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, dens))
                           for _ in range(rep.dim(lam))) for _ in range(rep.dim(lam))))
         for lam in rep.vertices()
     ))
@@ -909,6 +918,109 @@ def test_sn_inverse_reads_no_dual_table(monkeypatch):
         f = random_element(SN, 5, seed)
         assert inverse_ft(fft_sov(f, rep)[0], rep) == f
     assert calls == []
+
+
+def _dot_product_inverse(img, rep):
+    """The inverse that the packed trace sum replaced, kept as its reference: each
+    trace one dot product of a `trace_rows` row with the flat image, over the row's
+    own den."""
+    keys, rows, rows_den = rep.trace_rows()
+    sn = rep.kind is SN
+    den = math.lcm(*(x.denominator for _, m in img.blocks for row in m for x in row))
+    flat = []
+    for _, block in img.blocks:
+        weight = den * len(block) if sn else den
+        flat.extend(x.numerator * (weight // x.denominator) for col in zip(*block) for x in col)
+    at = flat.__getitem__
+    traces = [sum(map(operator.mul, map(at, positions), values)) for positions, values, _ in rows]
+    if sn:
+        scale = math.factorial(rep.n) * den
+        outputs = ((key, traces[j], scale * rows[j][2])
+                   for key, j in zip(keys, rep.sn_inverses()))
+    else:
+        _, duals, dual_den = rep.gram_dual()
+        scaled = (w * (rows_den // row_den) for w, (_, _, row_den) in zip(traces, rows))
+        by_key = dict(zip(keys, scaled)).__getitem__
+        total = dual_den * den * rows_den
+        outputs = ((key, sum(map(operator.mul, map(by_key, dual), dual.values())), total)
+                   for key, dual in zip(keys, duals))
+    return AlgebraElement(img.kind, img.n, tuple((key, Fraction(v, d)) for key, v, d in outputs if v))
+
+
+PACKED_CASES = ([(SN, n) for n in range(7)] + [(TL, n) for n in range(6)]
+                + [(BR, n) for n in range(5)])
+
+
+@pytest.mark.parametrize("kind,n", PACKED_CASES, ids=lambda x: getattr(x, "value", x))
+def test_packed_inverse_equals_the_dot_product_inverse(kind, n, rep_cache):
+    """The packed trace sum gives what one dot product per row gives: on round trips,
+    and on random dense images with numerators up to 2^60, wider than one limb
+    once scaled to their common denominator."""
+    rep = rep_cache(kind, n)
+    images = [fft_sov(random_element(kind, n, seed), rep)[0] for seed in range(2)]
+    images += [_random_image(rep, seed, 2**60) for seed in range(2)]
+    for img in images:
+        assert inverse_ft(img, rep) == _dot_product_inverse(img, rep)
+
+
+@pytest.mark.parametrize("kind,n", [(SN, 4), (TL, 4), (BR, 3)],
+                         ids=lambda x: getattr(x, "value", x))
+def test_packed_inverse_of_many_limbs(kind, n, rep_cache):
+    """An image over many distinct denominators has numerators of hundreds of bits:
+    they are cut into limbs, and the traces equal the dot products."""
+    rep = rep_cache(kind, n)
+    img = _random_image(rep, 7, 2**40, 10**6)
+    den = math.lcm(*(x.denominator for _, m in img.blocks for row in m for x in row))
+    assert den.bit_length() > 2 * 64
+    assert inverse_ft(img, rep) == _dot_product_inverse(img, rep)
+
+
+def test_packed_table_grows_to_the_widest_call(monkeypatch):
+    """A narrow call, a wide one and a narrow one build the table twice: the wide
+    call rebuilds it, and the narrow one after reads the wider table."""
+    from chainfft.reps.core import AdaptedRep
+
+    rep = adapted_rep.__wrapped__(SN, 4, Q)
+    built = []
+    pack = AdaptedRep._pack_traces
+    monkeypatch.setattr(AdaptedRep, "_pack_traces",
+                        lambda self, width, bias: built.append(width) or pack(self, width, bias))
+    narrow = fft_sov(random_element(SN, 4, 0), rep)[0]
+    wide = _random_image(rep, 0, 2**50, 1)
+    for img in (narrow, wide, narrow):
+        assert inverse_ft(img, rep) == _dot_product_inverse(img, rep)
+    assert len(built) == 2 and built[0] < built[1]
+    assert rep._packed[1] == built[1]
+
+
+def test_warm_inverse_builds_no_table(monkeypatch):
+    """Once an inverse has packed the trace rows, inverses no wider build nothing."""
+    from chainfft.reps.core import AdaptedRep
+
+    rep = adapted_rep.__wrapped__(SN, 5, Q)
+    f = random_element(SN, 5, 0)
+    img = fft_sov(f, rep)[0]
+    assert inverse_ft(img, rep) == f
+    calls = []
+    for name in ("_pack_traces", "_block_data"):
+        monkeypatch.setattr(AdaptedRep, name, lambda self, *a, _name=name: calls.append(_name))
+    assert inverse_ft(img, rep) == f
+    keys = sorted(route_table(SN, 5))
+    g = AlgebraElement.from_dict(SN, 5, {keys[3]: 1, keys[70]: Fraction(-5, 2)})
+    assert inverse_ft(fft_sov(g, rep)[0], rep) == g
+    assert calls == []
+
+
+def test_packed_traces_refuse_to_decode_an_overflow(monkeypatch):
+    """A table too narrow for its image is refused, not decoded: both traces of S_2
+    at x = (1000, 0) are 1000, which overflows 8-bit slots."""
+    rep = adapted_rep.__wrapped__(SN, 2, Q)
+    width, columns, bias = rep.packed_traces(0)
+    assert width == 8
+    monkeypatch.setattr(rep, "packed_traces", lambda bits: (width, columns, bias))
+    assert rep.traces([3, 0]) == [3, 3]
+    with pytest.raises(OverflowError, match="8-bit slots"):
+        rep.traces([1000, 0])
 
 
 def test_inverse_refused_at_s7_before_any_rho(monkeypatch):
