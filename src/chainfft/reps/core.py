@@ -64,8 +64,6 @@ GRAM_LIMITS = {
 # Image numerators wider than this are split into limbs before the packed trace
 # sum (`AdaptedRep.traces`), which bounds the width of the packed table.
 LIMB_BITS = 64
-# The packed table is built this many bytes of rows at a time.
-PACK_CHUNK_BYTES = 1 << 20
 
 
 def sn_permutation(key: str, n: int) -> tuple[int, ...]:
@@ -374,32 +372,30 @@ class AdaptedRep:
     def _pack_traces(self, width: int, bias: int) -> list[int]:
         """The columns of `packed_traces` at width bits a slot, built in linear time.
         Each row is written as width/8 little-endian bytes a slot, value plus
-        2^(width-1), into a row-major byte matrix of about `PACK_CHUNK_BYTES`, whose
-        columns are copied into one byte string per position with width/8 strided
-        slices; each string is then converted to an int once and unbiased.  So the
-        build holds little more than the finished table."""
+        2^(width-1), into one row-major byte matrix; each value is encoded once per
+        scale den / den_j of the rows that hold it, so no slot is asked to hold a
+        product wider than the width allows.  Each column is copied out with width/8
+        strided slices and converted to an int once, and unbiased."""
         _, rows, den = self.trace_rows()
         size, w8 = len(rows), width // 8
         half, stride = 1 << (width - 1), size * w8
         empty = half.to_bytes(w8, "little")
-        distinct = set().union(*(values for _, values, _ in rows))
-        codes = {up: {v: (v * up + half).to_bytes(w8, "little") for v in distinct}
-                 for up in {den // row_den for _, _, row_den in rows}}
-        columns = [bytearray(stride) for _ in range(size)]
-        chunk = max(1, PACK_CHUNK_BYTES // stride)
-        for first in range(0, size, chunk):
-            matrix = bytearray()
-            for positions, values, row_den in rows[first : first + chunk]:
-                slots = [empty] * size
-                for p, code in zip(positions, map(codes[den // row_den].__getitem__, values)):
-                    slots[p] = code
-                matrix += b"".join(slots)
-            start, stop = first * w8, min(first + chunk, size) * w8
-            for p, column in enumerate(columns):
-                for k in range(w8):
-                    column[start + k : stop : w8] = matrix[p * w8 + k :: stride]
-        for p, column in enumerate(columns):
-            columns[p] = int.from_bytes(column, "little") - bias
+        held = {}
+        for _, values, row_den in rows:
+            held.setdefault(den // row_den, set()).update(values)
+        codes = {up: {v: (v * up + half).to_bytes(w8, "little") for v in values}
+                 for up, values in held.items()}
+        matrix = bytearray(size * stride)
+        for j, (positions, values, row_den) in enumerate(rows):
+            slots = [empty] * size
+            for p, code in zip(positions, map(codes[den // row_den].__getitem__, values)):
+                slots[p] = code
+            matrix[j * stride : (j + 1) * stride] = b"".join(slots)
+        column, columns = bytearray(stride), []
+        for p in range(size):
+            for k in range(w8):
+                column[k::w8] = matrix[p * w8 + k :: stride]
+            columns.append(int.from_bytes(column, "little") - bias)
         return columns
 
     def traces(self, flat: list[int]) -> list[int]:

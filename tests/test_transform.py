@@ -975,6 +975,36 @@ def test_packed_inverse_of_many_limbs(kind, n, rep_cache):
     assert inverse_ft(img, rep) == _dot_product_inverse(img, rep)
 
 
+@pytest.mark.parametrize("kind,n", [(SN, 6), (TL, 5), (BR, 4)],
+                         ids=lambda x: getattr(x, "value", x))
+def test_fresh_table_first_inverts_a_narrow_image(kind, n, rep_cache, monkeypatch):
+    """A fresh representation whose first inverse is of the identity's image packs a
+    table only a few bits wider than its rows, where a row of den 1 is scaled by the
+    whole common den.  The round trip and the dot products agree.  The dual table is
+    borrowed from the shared representation, so only the packed table is fresh."""
+    rep = adapted_rep.__wrapped__(kind, n, Q)
+    monkeypatch.setattr(rep, "gram_dual", rep_cache(kind, n).gram_dual)
+    f = AlgebraElement.from_dict(kind, n, {identity_diagram(kind, n).key(): Fraction(1)})
+    img = fft_sov(f, rep)[0]
+    assert inverse_ft(img, rep) == _dot_product_inverse(img, rep) == f
+    assert rep._packed[1] <= 64
+
+
+@pytest.mark.parametrize("kind,n", [(SN, 5), (TL, 6), (BR, 4)],
+                         ids=lambda x: getattr(x, "value", x))
+def test_fresh_table_first_packs_a_one_bit_vector(kind, n):
+    """The first packed sum of a fresh representation, over a vector of -1, 0 and 1,
+    equals one dot product per row scaled to the rows' common den."""
+    rep = adapted_rep.__wrapped__(kind, n, Q)
+    rng = random.Random(n)
+    x = [rng.choice((-1, 0, 1)) for _ in range(rep.algebra_dim())]
+    _, rows, den = rep.trace_rows()
+    at = x.__getitem__
+    expected = [sum(map(operator.mul, map(at, positions), values)) * (den // row_den)
+                for positions, values, row_den in rows]
+    assert rep.traces(x) == expected
+
+
 def test_packed_table_grows_to_the_widest_call(monkeypatch):
     """A narrow call, a wide one and a narrow one build the table twice: the wide
     call rebuilds it, and the narrow one after reads the wider table."""
