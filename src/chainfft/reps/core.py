@@ -21,12 +21,14 @@ until every level-n row is compiled; then nothing reads those tables, and they
 are dropped.  A rho at level n is stored only as its compiled row (`rho_row`),
 built per basis key on first use: the flat positions of its nonzero entries and
 their numerators over a denominator of its own, so that the naive sum is one
-scatter per row.  The rows of all basis keys (`trace_rows`) have one derived
-form, for inversion: transposed and Kronecker-packed into one big int per flat
-image position (`packed_traces`), so that every trace of an image comes out of
-one packed sum (`traces`).  Readers divide once at the end; `rho_blocks` and
-`character` are views decoded from the row, and `token_matrix` and `rho` are
-uncached rational views.
+scatter per row, and the flat layout of those positions is the layout of a
+`transform.FourierImage`.  The rows of all basis keys (`trace_rows`) have one
+derived form, for inversion: Kronecker-packed into one big int per image
+position, entry (r, c) of a row at position (c, r) and, on S_n, weighted by
+d_lam (`packed_traces`), so that every trace of an image comes out of one packed
+sum over its numerators as they stand (`traces`).  Readers divide once at the
+end; `rho_blocks` and `character` are views decoded from the row, and
+`token_matrix` and `rho` are uncached rational views.
 """
 
 from __future__ import annotations
@@ -84,6 +86,20 @@ def dense_matrix(d: int, block: dict, scale: int):
         for c, v in row.items():
             line[c] = Fraction(v, scale)
     return out
+
+
+@lru_cache(maxsize=None)
+def image_layout(kind: ChainKind, n: int) -> tuple[tuple[Partition, int, int], ...]:
+    """((lam, offset, dim), ...) of the flat level-n image, the layout of `rho_row`
+    and of `transform.FourierImage`: the blocks in vertex order, each row-major,
+    block lam at positions offset .. offset + dim^2 - 1."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ArgumentError(f"n={n!r} is not a non-negative int")
+    B, layout, at = cached_bratteli(kind, n), [], 0
+    for lam, d in zip(B.vertices(n), B.dims[n]):
+        layout.append((lam, at, d))
+        at += d * d
+    return tuple(layout)
 
 
 @dataclass
@@ -214,16 +230,11 @@ class AdaptedRep:
         return data
 
     def _layout(self):
-        """(offsets, positions) of the flat level-n image, memoised: the blocks in
-        vertex order, each row-major, offsets[lam] = (offset(lam), dim(lam)), and one
-        shared int object per position."""
+        """(offsets, positions) of the flat level-n image (`image_layout`), memoised:
+        offsets[lam] = (offset(lam), dim(lam)), and one shared int object per position."""
         if self._flat is None:
-            offsets, size = {}, 0
-            for lam in self.vertices():
-                d = self.dim(lam)
-                offsets[lam] = (size, d)
-                size += d * d
-            self._flat = (offsets, list(range(size)))
+            offsets = {lam: (at, d) for lam, at, d in image_layout(self.kind, self.n)}
+            self._flat = (offsets, list(range(self.algebra_dim())))
         return self._flat
 
     def _weighted_identity(self, power: int) -> list[int]:
@@ -293,14 +304,6 @@ class AdaptedRep:
         block = self.rho_blocks(d if isinstance(d, str) else d.key()).get(lam, {})
         return dense_matrix(self.dim(lam), block, self.scale())
 
-    def dense_blocks(self, blocks: dict, scale: int) -> tuple:
-        """((lam, rows), ...): integer block data over scale as dense rational rows on
-        every vertex at level n, the blocks of a `FourierImage`."""
-        return tuple(
-            (lam, tuple(map(tuple, dense_matrix(self.dim(lam), blocks.get(lam, {}), scale))))
-            for lam in self.vertices()
-        )
-
     def character(self, key: str) -> Fraction:
         """The trace of rho(key), read off the diagonal of its row; memoised."""
         if key not in self._char:
@@ -319,12 +322,10 @@ class AdaptedRep:
 
     def trace_rows(self):
         """(keys, rows, den): the basis keys in canonical order, the `rho_row` of each
-        key d, and den, the lcm of the rows' dens.  Entry (r, c) of a row's block lam
-        sits where entry (c, r) of the image lands when the image is transposed block
-        by block and flattened.  So for x that flat list and (positions, values, den_d)
-        the row of d, Tr(f-hat rho(d)) . den_d = sum_i x[positions[i]] . values[i].
-        Inversion reads these sums from the packed form of the rows
-        (`packed_traces`, `traces`), not row by row.
+        key d, and den, the lcm of the rows' dens.  A row keeps the layout of rho:
+        Tr(f-hat rho(d)) pairs its entry (r, c) of block lam with entry (c, r) of the
+        image.  Inversion reads these sums from the packed form of the rows
+        (`packed_traces`, `traces`), which makes that pairing, not row by row.
 
         Memoised.  Beyond `GRAM_LIMITS` this raises `CapabilityError` before any row
         is compiled.
@@ -337,15 +338,17 @@ class AdaptedRep:
         return self._trace
 
     def packed_traces(self, x_bits: int) -> tuple:
-        """(width, columns, bias): the rows of `trace_rows` transposed and
-        Kronecker-packed (Harvey, J. Symb. Comp. 44, 2009), for flat images whose
-        integer numerators have at most x_bits bits.  columns[p] is
-        sum_j R'[j][p] . 2^(width . j), where R'[j] is row j with its values scaled
-        by den / den_j, so sum_p x_p . columns[p] holds the trace of every key over
-        the rows' common den, each in its own width-bit slot.  width is x_bits, plus
-        the bits of max |R'|, plus the bits of the longest row, plus 1, rounded up
-        to a whole byte: then |trace| < 2^(width-1), and a slot biased by
-        2^(width-1) never carries.  bias is that 2^(width-1) in every slot.
+        """(width, columns, bias): the rows of `trace_rows` Kronecker-packed (Harvey,
+        J. Symb. Comp. 44, 2009) by image position, for flat images whose integer
+        numerators have at most x_bits bits.  columns[p] is
+        sum_j R'[j][p] . 2^(width . j), where R'[j][p] is entry (r, c) of row j, for p
+        the image position of entry (c, r) of the same block lam, scaled by den / den_j
+        and, on S_n, by d_lam.  So sum_p x_p . columns[p] holds the trace of every key
+        over the rows' common den, on S_n each block weighted by its dimension, each
+        in its own width-bit slot.  width is x_bits, plus the bits of max |R'|, plus
+        the bits of the longest row, plus 1, rounded up to a whole byte: then
+        |trace| < 2^(width-1), and a slot biased by 2^(width-1) never carries.  bias
+        is that 2^(width-1) in every slot.
 
         Memoised at the widest width asked for so far; a narrower call reads the
         wider table.  Beyond `GRAM_LIMITS` this raises `CapabilityError` before any
@@ -353,8 +356,10 @@ class AdaptedRep:
         """
         _, rows, den = self.trace_rows()
         if self._packed is None:
+            _, weight = self._image_positions()
+            top = max(weight)
             row_bits = max(
-                (max(map(abs, values)) * (den // row_den)).bit_length()
+                (max(map(abs, values)) * (den // row_den) * top).bit_length()
                 + len(positions).bit_length()
                 for positions, values, row_den in rows
             )
@@ -369,13 +374,24 @@ class AdaptedRep:
             self._packed = (row_bits, width, columns, bias)
         return width, columns, bias
 
+    def _image_positions(self) -> tuple[list[int], list[int]]:
+        """(target, weight) per flat position p of entry (r, c) of block lam:
+        target[p] is the position of entry (c, r), and weight[p] is d_lam on S_n
+        and 1 elsewhere."""
+        target, weight = [], []
+        for base, d in self._layout()[0].values():
+            target.extend(base + c * d + r for r in range(d) for c in range(d))
+            weight.extend([d if self.kind is ChainKind.SYMMETRIC_GROUP else 1] * (d * d))
+        return target, weight
+
     def _pack_traces(self, width: int, bias: int) -> list[int]:
         """The columns of `packed_traces` at width bits a slot, built in linear time.
         Each row is written as width/8 little-endian bytes a slot, value plus
         2^(width-1), into one row-major byte matrix; each value is encoded once per
         scale den / den_j of the rows that hold it, so no slot is asked to hold a
-        product wider than the width allows.  Each column is copied out with width/8
-        strided slices and converted to an int once, and unbiased."""
+        product wider than the width allows.  The column of image position p is the
+        matrix column of its transposed position, copied out with width/8 strided
+        slices, converted to an int once, unbiased and, on S_n, times d_lam."""
         _, rows, den = self.trace_rows()
         size, w8 = len(rows), width // 8
         half, stride = 1 << (width - 1), size * w8
@@ -392,16 +408,17 @@ class AdaptedRep:
                 slots[p] = code
             matrix[j * stride : (j + 1) * stride] = b"".join(slots)
         column, columns = bytearray(stride), []
-        for p in range(size):
+        for q, w in zip(*self._image_positions()):
             for k in range(w8):
-                column[k::w8] = matrix[p * w8 + k :: stride]
-            columns.append(int.from_bytes(column, "little") - bias)
+                column[k::w8] = matrix[q * w8 + k :: stride]
+            columns.append((int.from_bytes(column, "little") - bias) * w)
         return columns
 
-    def traces(self, flat: list[int]) -> list[int]:
+    def traces(self, flat: tuple[int, ...] | list[int]) -> list[int]:
         """Tr(f-hat rho(d)) . den for every key d of `trace_rows`, den the rows'
-        common denominator, where flat holds the integer numerators of the image
-        transposed block by block (the layout of the rows).
+        common denominator, where flat holds the integer numerators of the image in
+        its own layout (`transform.FourierImage.flat`); on S_n each block lam of the
+        trace is weighted by d_lam, as the inversion formula asks.
 
         Numerators wider than `LIMB_BITS` are cut into limbs of that many bits, the
         top one signed, and the traces of the limbs are joined by Horner's rule, so
@@ -418,7 +435,7 @@ class AdaptedRep:
             out = [(t << LIMB_BITS) + u for t, u in zip(out, low)]
         return out
 
-    def _packed_sum(self, x: list[int]) -> list[int]:
+    def _packed_sum(self, x: tuple[int, ...] | list[int]) -> list[int]:
         """The traces of one limb vector x, decoded from its packed sum."""
         width, columns, bias = self.packed_traces(max(map(abs, x)).bit_length())
         size, w8, half = len(columns), width // 8, 1 << (width - 1)

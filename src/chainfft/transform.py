@@ -22,9 +22,11 @@ columns of `AdaptedRep`, the naive engine over its compiled rho rows
 (`AdaptedRep.rho_row`), which the inverse reads packed (`AdaptedRep.traces`).
 The inputs are scaled by their common denominator, in the SOV engine by
 `AdaptedRep.prescale` as well, so that every stream carries one scale, and in
-the naive engine to the lcm of the support rows' denominators; each engine ends
-in one division per nonzero output entry.  Scaling keeps the zero pattern, so
-the operation counts are those of the rational program.
+the naive engine to the lcm of the support rows' denominators.  Scaling keeps
+the zero pattern, so the operation counts are those of the rational program.
+Each engine ends in one `FourierImage`, the one form of Fourier-space data:
+flat integer numerators over one reduced denominator, which `inverse_ft` reads
+as it stands.  No `Fraction` is made until a reader asks for a dense view.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -46,7 +48,7 @@ from .combinat import (
 )
 from .diagrams import basis_key, diagram_from_key, diagram_mul, factor_set, route_table
 from .errors import ArgumentError, FactorizationError
-from .reps.core import AdaptedRep, Token
+from .reps.core import AdaptedRep, Token, image_layout
 
 
 @dataclass
@@ -112,23 +114,93 @@ class AlgebraElement:
         return len(self.coeffs)
 
 
+def _dense(values, d: int, den: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The d x d rational rows of d^2 row-major numerators over den; the zero
+    entries share one `Fraction(0)`."""
+    zero = Fraction(0)
+    entries = [Fraction(x, den) if x else zero for x in values]
+    return tuple(tuple(entries[i : i + d]) for i in range(0, d * d, d))
+
+
 @dataclass(frozen=True)
 class FourierImage:
-    """Per-vertex blocks of the transform, dense in the GT path basis."""
+    """The transform as flat integer numerators over one denominator.
+
+    flat holds Σ dim(lam)^2 ints in the layout of `AdaptedRep.rho_row`
+    (`reps.core.image_layout`): the blocks in vertex order, each row-major in the GT
+    path basis.  den is a positive int with gcd(den, *flat) == 1, so den == 1 for the
+    zero image and equality of images is exact equality.  Anything else is refused
+    with `ArgumentError`; `from_blocks` reads dense rational blocks."""
 
     kind: ChainKind
     n: int
-    blocks: tuple[tuple[Partition, tuple[tuple[Fraction, ...], ...]], ...]
+    flat: tuple[int, ...]
+    den: int
 
-    def block(self, lam: Partition):
+    def __post_init__(self):
+        layout = image_layout(self.kind, self.n)
+        if not isinstance(self.flat, tuple):
+            raise ArgumentError(f"the image's entries are a {type(self.flat).__name__}, "
+                                "not a tuple of ints")
+        if not {int}.issuperset(map(type, self.flat)):
+            x = next(x for x in self.flat if type(x) is not int)
+            raise ArgumentError(f"entry {x!r} of the image is not an int")
+        size = sum(d * d for _, _, d in layout)
+        if len(self.flat) != size:
+            raise ArgumentError(f"the image has {len(self.flat)} entries, not the {size} "
+                                f"of {self.kind.value} n={self.n}")
+        if type(self.den) is not int or self.den <= 0:
+            raise ArgumentError(f"den={self.den!r} is not a positive int")
+        if gcd(self.den, *self.flat) != 1:
+            raise ArgumentError(f"the image is not reduced: den={self.den} shares a factor "
+                                "with every entry")
+
+    @staticmethod
+    def from_blocks(kind: ChainKind, n: int, blocks) -> "FourierImage":
+        """The image of dense rational blocks ((lam, rows), ...): one dim(lam) x dim(lam)
+        block per vertex of level n, in vertex order, with int or `Fraction` entries.
+        Anything else is refused with `ArgumentError`."""
+        layout = image_layout(kind, n)
+        blocks = tuple(blocks)
+        if tuple(lam for lam, _ in blocks) != tuple(lam for lam, _, _ in layout):
+            raise ArgumentError(
+                f"the image's blocks are not one per vertex of {kind.value} n={n}, in order")
+        for (lam, block), (_, _, d) in zip(blocks, layout):
+            if len(block) != d or any(len(row) != d for row in block):
+                raise ArgumentError(f"block {lam!r} of the image is not {d} x {d}")
+        entries = [x for _, block in blocks for row in block for x in row]
+        if not {int, Fraction}.issuperset(map(type, entries)):
+            x = next(x for x in entries if type(x) not in (int, Fraction))
+            raise ArgumentError(f"entry {x!r} of the image is not an int or a Fraction")
+        den = lcm(*(x.denominator for x in entries))
+        return FourierImage(kind, n, tuple(x.numerator * (den // x.denominator) for x in entries),
+                            den)
+
+    @property
+    def blocks(self) -> tuple[tuple[Partition, tuple[tuple[Fraction, ...], ...]], ...]:
+        """((lam, rows), ...): the dense rational blocks in vertex order, decoded afresh."""
+        flat, den = self.flat, self.den
+        return tuple((lam, _dense(flat[at : at + d * d], d, den))
+                     for lam, at, d in image_layout(self.kind, self.n))
+
+    def block(self, lam: Partition) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rational block of the vertex lam, decoded from its own entries."""
         lam = tuple(lam)
-        for v, m in self.blocks:
+        for v, at, d in image_layout(self.kind, self.n):
             if v == lam:
-                return m
+                return _dense(self.flat[at : at + d * d], d, self.den)
         raise ArgumentError(f"no block for vertex {lam!r}")
 
     def entry_count(self) -> int:
-        return sum(len(m) * len(m) for _, m in self.blocks)
+        return len(self.flat)
+
+
+def _reduced_image(kind: ChainKind, n: int, flat: list[int], den: int) -> FourierImage:
+    """The image of flat numerators over den, both divided by their gcd."""
+    common = gcd(den, *flat)
+    if common != 1:
+        flat, den = [x // common for x in flat], den // common
+    return FourierImage(kind, n, tuple(flat), den)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +212,10 @@ def fft_naive(f: AlgebraElement, rep: AdaptedRep) -> tuple[FourierImage, OpCount
 
     With den the lcm of the input denominators and L the lcm of the dens of the
     support's rows, each coefficient c_d becomes the int c_d . den . L / den_d, and
-    its row is scattered into one flat integer image, flat[p] += c_d . v.  Each
-    nonzero entry is then one `Fraction` over den . L; the zero entries share one.
-    The counters follow the dense straightforward program, one multiplication per
-    (support key, matrix entry) and the matching adds."""
+    its row is scattered into one flat integer image, flat[p] += c_d . v: the image's
+    numerators over den . L, reduced once.  The counters follow the dense
+    straightforward program, one multiplication per (support key, matrix entry) and
+    the matching adds."""
     _check_inputs(f, rep)
     den = lcm(*(c.denominator for _, c in f.coeffs))
     rows = [rep.rho_row(key) for key, _ in f.coeffs]
@@ -154,15 +226,8 @@ def fft_naive(f: AlgebraElement, rep: AdaptedRep) -> tuple[FourierImage, OpCount
         c = c.numerator * (den // c.denominator) * (top // row_den)
         for p, v in zip(positions, values):
             flat[p] += c * v
-    total, zero = den * top, Fraction(0)
-    entries = [Fraction(x, total) if x else zero for x in flat]
-    blocks, at = [], 0
-    for lam in rep.vertices():
-        d = rep.dim(lam)
-        blocks.append((lam, tuple(tuple(entries[i : i + d]) for i in range(at, at + d * d, d))))
-        at += d * d
     counter = OpCounter(support * dim_a, max(0, support - 1) * dim_a)
-    return FourierImage(f.kind, f.n, tuple(blocks)), counter
+    return _reduced_image(f.kind, f.n, flat, den * top), counter
 
 
 def _check_inputs(f: AlgebraElement | FourierImage, rep: AdaptedRep) -> None:
@@ -327,7 +392,10 @@ def _routing(kind: ChainKind, level: int) -> _Routing:
 def fft_sov(
     f: AlgebraElement, rep: AdaptedRep, plan: SovPlan | None = None
 ) -> tuple[FourierImage, OpCounter]:
-    """Separation-of-variables transform; exact match with fft_naive."""
+    """Separation-of-variables transform; exact match with fft_naive.
+
+    The kernel's block data, numerators over den . S_n, is written into the flat
+    positions of the image and reduced once."""
     _check_inputs(f, rep)
     if plan is not None and (plan.kind != f.kind or plan.n != f.n):
         raise ArgumentError("plan does not match the input element")
@@ -336,8 +404,14 @@ def fft_sov(
     # c -> c . den . prescale, an int; the result is S_n . den times the transform
     den, prescale = lcm(*(c.denominator for _, c in f.coeffs)), rep.prescale(f.n)
     coeffs = {index[k]: c.numerator * (den // c.denominator) * prescale[k] for k, c in f.coeffs}
-    sparse = _sov_level(rep, f.n, coeffs, counter)
-    return FourierImage(f.kind, f.n, rep.dense_blocks(sparse, den * rep.scale())), counter
+    offsets, flat = rep._layout()[0], [0] * rep.algebra_dim()
+    for lam, block in _sov_level(rep, f.n, coeffs, counter).items():
+        base, d = offsets[lam]
+        for r, row in block.items():
+            at = base + r * d
+            for c, v in row.items():
+                flat[at + c] = v
+    return _reduced_image(f.kind, f.n, flat, den * rep.scale()), counter
 
 
 # Block data is row-major, {lam: {row: {key: int}}}, nonzero entries only.  A key
@@ -518,45 +592,26 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     """Recover the coefficients from traces against the basis, in ints, with one
     `Fraction` per output coefficient.
 
-    The image must hold one dim(lam) x dim(lam) block per vertex of `rep`, in
-    vertex order, with entries of type int or `Fraction`; anything else is
-    refused with `ArgumentError`.  It is flattened once, transposed block by block,
-    into integer numerators over its common denominator, and every trace
-    w(d) = Tr(f-hat rho(d)) . den, den the common denominator of the rows of
-    `AdaptedRep.trace_rows`, comes out of one packed sum over the flat image
-    (`AdaptedRep.traces`).  On S_n, block lam is weighted by d_lam, and the Fourier
-    inversion formula (Serre, Linear Representations of Finite Groups, 6.2) gives
-    f(s) = sum_lam d_lam Tr(f-hat_lam rho_lam(s^-1)) / n!, so f(s) is w(s^-1) over
-    n! . den and the image's denominator: no dual table is read.  On TL and Brauer,
-    f(a_j) = sum_k G^-1[k][j] w(a_k) over the dual table of `AdaptedRep.gram_dual`.
-    Beyond `GRAM_LIMITS` this raises `CapabilityError` before any row is compiled."""
+    Every trace w(d) = Tr(f-hat rho(d)) . den, den the common denominator of the
+    rows of `AdaptedRep.trace_rows`, comes out of one packed sum over the image's
+    own numerators (`AdaptedRep.traces`), whose table pairs each image position with
+    its transposed row entry.  On S_n that table also weights block lam by d_lam, and
+    the Fourier inversion formula (Serre, Linear Representations of Finite Groups,
+    6.2) gives f(s) = sum_lam d_lam Tr(f-hat_lam rho_lam(s^-1)) / n!, so f(s) is
+    w(s^-1) over n! . den and the image's den: no dual table is read.  On TL and
+    Brauer, f(a_j) = sum_k G^-1[k][j] w(a_k) over the dual table of
+    `AdaptedRep.gram_dual`.  Beyond `GRAM_LIMITS` this raises `CapabilityError`
+    before any row is compiled."""
     _check_inputs(img, rep)
-    if tuple(lam for lam, _ in img.blocks) != rep.vertices():
-        raise ArgumentError(
-            f"the image's blocks are not one per vertex of {rep.kind.value} n={rep.n}, in order")
-    for lam, block in img.blocks:
-        d = rep.dim(lam)
-        if len(block) != d or any(len(row) != d for row in block):
-            raise ArgumentError(f"block {lam!r} of the image is not {d} x {d}")
-    entries = [x for _, m in img.blocks for row in m for x in row]
-    if not set(map(type, entries)) <= {int, Fraction}:
-        x = next(x for x in entries if type(x) not in (int, Fraction))
-        raise ArgumentError(f"entry {x!r} of the image is not an int or a Fraction")
-    sn = rep.kind is ChainKind.SYMMETRIC_GROUP
-    den = lcm(*(x.denominator for x in entries))
-    flat = []
-    for _, block in img.blocks:
-        weight = den * len(block) if sn else den
-        flat.extend(x.numerator * (weight // x.denominator) for col in zip(*block) for x in col)
-    traces = rep.traces(flat)
+    traces = rep.traces(img.flat)
     keys, _, rows_den = rep.trace_rows()
-    if sn:
-        scale = factorial(rep.n) * den * rows_den
+    if rep.kind is ChainKind.SYMMETRIC_GROUP:
+        scale = factorial(rep.n) * img.den * rows_den
         outputs = ((key, traces[j], scale) for key, j in zip(keys, rep.sn_inverses()))
     else:
         _, duals, dual_den = rep.gram_dual()
         by_key = dict(zip(keys, traces)).__getitem__
-        total = dual_den * den * rows_den
+        total = dual_den * img.den * rows_den
         outputs = ((key, sum(map(mul, map(by_key, dual), dual.values())), total)
                    for key, dual in zip(keys, duals))
     coeffs = tuple((key, Fraction(v, out_den)) for key, v, out_den in outputs if v)
@@ -660,14 +715,11 @@ def image_to_json(
     ops: OpCounter | None = None,
     plan: SovPlan | None = None,
 ) -> dict:
-    blocks = []
-    for lam, mat in img.blocks:
-        blocks.append(
-            {
-                "vertex": list(lam),
-                "matrix": [[str(x) for x in row] for row in mat],
-            }
-        )
+    blocks, den = [], img.den
+    for lam, at, d in image_layout(img.kind, img.n):
+        entries = [str(Fraction(v, den)) if v else "0" for v in img.flat[at : at + d * d]]
+        matrix = [entries[i : i + d] for i in range(0, d * d, d)]
+        blocks.append({"vertex": list(lam), "matrix": matrix})
     out = {"level": img.n, "blocks": blocks}
     if ops is not None:
         out["ops"] = {"mul": ops.mul, "add": ops.add}

@@ -158,4 +158,4 @@ def test_blocks_json_roundtrip(rep_cache):
         (tuple(b["vertex"]), tuple(tuple(Fraction(x) for x in row) for row in b["matrix"]))
         for b in payload["blocks"]
     )
-    assert FourierImage(BR, 3, back) == img
+    assert FourierImage.from_blocks(BR, 3, back) == img

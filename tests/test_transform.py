@@ -14,6 +14,7 @@ from chainfft.combinat import ChainKind, cached_bratteli, hom_count_closed, pape
 from chainfft.diagrams import all_diagrams, factor_set, generator, identity_diagram, route_table
 from chainfft.errors import ArgumentError, CapabilityError, FactorizationError
 from chainfft.reps import DEFAULT_Q, adapted_rep
+from chainfft.reps.core import dense_matrix
 from chainfft.transform import (
     AlgebraElement,
     FourierImage,
@@ -280,7 +281,9 @@ def _nested_dict_naive(f, rep):
                     acc[k] = acc.get(k, 0) + c * v
     support, dim_a = f.support(), rep.algebra_dim()
     counter = OpCounter(support * dim_a, max(0, support - 1) * dim_a)
-    return FourierImage(f.kind, f.n, rep.dense_blocks(sums, den * rep.scale())), counter
+    blocks = tuple((lam, dense_matrix(rep.dim(lam), sums.get(lam, {}), den * rep.scale()))
+                   for lam in rep.vertices())
+    return FourierImage.from_blocks(f.kind, f.n, blocks), counter
 
 
 NAIVE_CASES = ([(TL, n) for n in range(9)] + [(SN, n) for n in range(6)]
@@ -582,6 +585,53 @@ def test_property_inverse_roundtrip_on_fractional_sparse_inputs(f):
     assert inverse_ft(fft_sov(f, rep)[0], rep) == f
 
 
+@settings(max_examples=100)
+@given(fractional_sparse_elements([(SN, 4), (TL, 5), (BR, 3)]))
+def test_property_integer_image_on_fractional_sparse_inputs(f):
+    """Inputs with denominators: both engines write one reduced integer image, its
+    dense view reads back to it, and it inverts to f."""
+    rep = adapted_rep(f.kind, f.n, Q)
+    img = fft_sov(f, rep)[0]
+    assert img == fft_naive(f, rep)[0]
+    assert img.den > 0 and math.gcd(img.den, *img.flat) == 1
+    assert FourierImage.from_blocks(f.kind, f.n, img.blocks) == img
+    assert inverse_ft(img, rep) == f
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda n, flat, den: (n, list(flat), den), "not a tuple of ints", id="list"),
+    pytest.param(lambda n, flat, den: (n, (True,) + flat[1:], den), "entry True ",
+                 id="bool-entry"),
+    pytest.param(lambda n, flat, den: (n, (1.0,) + flat[1:], den), "entry 1.0 ",
+                 id="float-entry"),
+    pytest.param(lambda n, flat, den: (n, (Fraction(1, 2),) + flat[1:], den),
+                 r"entry Fraction\(1, 2\) ", id="fraction-entry"),
+    pytest.param(lambda n, flat, den: (n, flat[:-1], den), "has 5 entries, not the 6",
+                 id="short"),
+    pytest.param(lambda n, flat, den: (n, flat + (0,), den), "has 7 entries, not the 6",
+                 id="long"),
+    pytest.param(lambda n, flat, den: (n, flat, 0), "den=0 is not a positive int",
+                 id="zero-den"),
+    pytest.param(lambda n, flat, den: (n, flat, -den), "den=-[0-9]+ is not a positive int",
+                 id="negative-den"),
+    pytest.param(lambda n, flat, den: (n, flat, Fraction(den)), "is not a positive int",
+                 id="fraction-den"),
+    pytest.param(lambda n, flat, den: (n, tuple(3 * x for x in flat), 3 * den),
+                 "not reduced", id="unreduced"),
+    pytest.param(lambda n, flat, den: (n, (0,) * len(flat), 2), "not reduced",
+                 id="unreduced-zero"),
+    pytest.param(lambda n, flat, den: (-1, flat, den), "n=-1 is not a non-negative int",
+                 id="negative-n"),
+])
+def test_image_constructor_refuses(edit, message, rep_cache):
+    """An image that is not Σ dim(lam)^2 ints over a positive den reduced against
+    them is refused with ArgumentError; the unedited image is accepted."""
+    img, _ = fft_sov(random_element(SN, 3, 0), rep_cache(SN, 3))
+    assert FourierImage(SN, 3, img.flat, img.den) == img
+    with pytest.raises(ArgumentError, match=message):
+        FourierImage(SN, *edit(3, img.flat, img.den))
+
+
 def test_sov_scaling_equivariance(rep_cache):
     rep = rep_cache(BR, 3)
     plan = sov_plan(BR, 3)
@@ -814,9 +864,8 @@ def test_inverse_checks_the_image_before_the_dual_basis(rep_cache, monkeypatch):
 def test_inverse_refuses_a_misshapen_image(reshape, rep_cache):
     rep = rep_cache(TL, 3)
     img, _ = fft_sov(random_element(TL, 3, 0), rep)
-    bad = FourierImage(TL, 3, tuple((lam, reshape(m)) for lam, m in img.blocks))
     with pytest.raises(ArgumentError, match=r"block \(3,\) of the image is not 1 x 1"):
-        inverse_ft(bad, rep)
+        FourierImage.from_blocks(TL, 3, tuple((lam, reshape(m)) for lam, m in img.blocks))
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -828,7 +877,7 @@ def test_inverse_refuses_a_malformed_image(edit, message, rep_cache):
     rep = rep_cache(SN, 3)
     img, _ = fft_sov(random_element(SN, 3, 0), rep)
     with pytest.raises(ArgumentError, match=message):
-        inverse_ft(FourierImage(SN, 3, edit(img.blocks)), rep)
+        FourierImage.from_blocks(SN, 3, edit(img.blocks))
 
 
 def test_inverse_roundtrip(rep_cache):
@@ -851,8 +900,8 @@ def test_sn6_inverse_roundtrip(seed, rep_cache):
 
 
 def test_warm_inverse_makes_one_fraction_per_coefficient(rep_cache, monkeypatch):
-    """Traces, and the dual sums of TL, stay integer: a warm S_4 or TL 4 inversion
-    makes O(N) Fractions."""
+    """The image is read as it stands, and traces and the dual sums of TL stay
+    integer: a warm S_4 or TL 4 inversion makes one Fraction per output coefficient."""
     for kind in (SN, TL):
         rep = rep_cache(kind, 4)
         f = random_element(kind, 4, 0)
@@ -865,7 +914,29 @@ def test_warm_inverse_makes_one_fraction_per_coefficient(rep_cache, monkeypatch)
         back = inverse_ft(img, rep)
         monkeypatch.undo()
         assert back == f
-        assert 0 < len(made) <= 2 * rep.algebra_dim()
+        assert len(made) == len(back.coeffs) > 0
+
+
+@pytest.mark.parametrize("kind,n", [(SN, 4), (TL, 5), (BR, 3)],
+                         ids=lambda x: getattr(x, "value", x))
+def test_warm_engines_make_no_fraction(kind, n, rep_cache, monkeypatch):
+    """A warm fft_sov and a warm fft_naive write their images in ints alone, on
+    integer and on fractional inputs; a dense view of the image makes Fractions."""
+    rep = rep_cache(kind, n)
+    f = random_element(kind, n, 0)
+    g = AlgebraElement.from_dict(kind, n, {k: v / 7 for k, v in f.coeffs})
+    fft_sov(f, rep)
+    fft_naive(f, rep)
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    images = [engine(h, rep)[0] for engine in (fft_sov, fft_naive) for h in (f, g)]
+    assert made == []
+    images[0].block(rep.vertices()[0])
+    assert made  # positive control: the dense view divides
+    monkeypatch.undo()
+    assert images[:2] == images[2:]
 
 
 def _dual_table_inverse(img, rep):
@@ -888,7 +959,7 @@ def _random_image(rep, seed, bound=5, dens=4):
     """A dense image with random entries p/q, |p| <= bound and 1 <= q <= dens: the
     image of some element, since the transform is an isomorphism."""
     rng = random.Random(seed)
-    return FourierImage(rep.kind, rep.n, tuple(
+    return FourierImage.from_blocks(rep.kind, rep.n, tuple(
         (lam, tuple(tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, dens))
                           for _ in range(rep.dim(lam))) for _ in range(rep.dim(lam))))
         for lam in rep.vertices()
@@ -993,13 +1064,17 @@ def test_fresh_table_first_inverts_a_narrow_image(kind, n, rep_cache, monkeypatc
 @pytest.mark.parametrize("kind,n", [(SN, 5), (TL, 6), (BR, 4)],
                          ids=lambda x: getattr(x, "value", x))
 def test_fresh_table_first_packs_a_one_bit_vector(kind, n):
-    """The first packed sum of a fresh representation, over a vector of -1, 0 and 1,
+    """The first packed sum of a fresh representation, over an image of -1, 0 and 1,
     equals one dot product per row scaled to the rows' common den."""
     rep = adapted_rep.__wrapped__(kind, n, Q)
     rng = random.Random(n)
-    x = [rng.choice((-1, 0, 1)) for _ in range(rep.algebra_dim())]
+    x = tuple(rng.choice((-1, 0, 1)) for _ in range(rep.algebra_dim()))
     _, rows, den = rep.trace_rows()
-    at = x.__getitem__
+    # x in the row layout: transposed block by block, and weighted by d_lam on S_n
+    rowwise = [v.numerator * (len(block) if kind is SN else 1)
+               for _, block in FourierImage(kind, n, x, 1).blocks
+               for col in zip(*block) for v in col]
+    at = rowwise.__getitem__
     expected = [sum(map(operator.mul, map(at, positions), values)) * (den // row_den)
                 for positions, values, row_den in rows]
     assert rep.traces(x) == expected
@@ -1058,7 +1133,7 @@ def test_inverse_refused_at_s7_before_any_rho(monkeypatch):
     from chainfft.reps.core import AdaptedRep
 
     rep = adapted_rep.__wrapped__(SN, 7, Q)
-    img = FourierImage(SN, 7, tuple(
+    img = FourierImage.from_blocks(SN, 7, tuple(
         (lam, ((Fraction(0),) * rep.dim(lam),) * rep.dim(lam)) for lam in rep.vertices()
     ))
     calls = []
