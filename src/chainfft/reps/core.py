@@ -22,12 +22,15 @@ are dropped.  A rho at level n is stored only as its compiled row (`rho_row`),
 built per basis key on first use: the flat positions of its nonzero entries and
 their numerators over a denominator of its own, so that the naive sum is one
 scatter per row, and the flat layout of those positions is the layout of a
-`transform.FourierImage`.  The rows of all basis keys (`trace_rows`) have one
-derived form, for inversion: Kronecker-packed into one big int per image
-position, entry (r, c) of a row at position (c, r) and, on S_n, weighted by
-d_lam (`packed_traces`), so that every trace of an image comes out of one packed
-sum over its numerators as they stand (`traces`).  Readers divide once at the
-end; `rho_blocks` and `character` are views decoded from the row, and
+`transform.FourierImage`.  Inversion reads rows of its own, the rows of T^-1
+(`trace_rows`): for each basis key b_j, the row of rho of its dual basis element
+under the weighted trace form tau_w = sum_lam w_lam chi_lam (`gram_dual`; w_lam is
+d_lam on S_n, where the dual of g is g^-1 / n!, and 1 elsewhere), summed from the
+`rho_row`s of the dual.  They are Kronecker-packed into one big int per image
+position, entry (r, c) of a row at position (c, r), weighted by w_lam
+(`packed_traces`), so that every coefficient of an image's preimage comes out of
+one packed sum over its numerators as they stand (`traces`).  Readers divide once
+at the end; `rho_blocks` and `character` are views decoded from the row, and
 `token_matrix` and `rho` are uncached rational views.
 """
 
@@ -71,11 +74,6 @@ LIMB_BITS = 64
 def sn_permutation(key: str, n: int) -> tuple[int, ...]:
     """The 0-based permutation s of a canonical S_n key, whose i-th pair is (i, n + s[i-1] + 1)."""
     return tuple(int(pair.partition("-")[2]) - n - 1 for pair in key.split(",")) if key else ()
-
-
-def sn_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation of `diagram_mul` with x on top of y: top i runs to x[i], then to y[x[i]]."""
-    return tuple(map(y.__getitem__, x))
 
 
 def dense_matrix(d: int, block: dict, scale: int):
@@ -122,7 +120,6 @@ class AdaptedRep:
     _trace: object = None
     _packed: object = None
     _gram: object = None
-    _inverses: object = None
 
     # -- basic structure -------------------------------------------------
     def vertices(self, level: int | None = None):
@@ -237,12 +234,12 @@ class AdaptedRep:
             self._flat = (offsets, list(range(self.algebra_dim())))
         return self._flat
 
-    def _weighted_identity(self, power: int) -> list[int]:
-        """The flat level-n image whose block lam is dim(lam)^power times the identity."""
+    def _identity_image(self) -> list[int]:
+        """The flat level-n image of the identity: 1 on the diagonal of every block."""
         offsets, positions = self._layout()
         flat = [0] * len(positions)
         for base, d in offsets.values():
-            flat[base : base + d * d : d + 1] = [d**power] * d
+            flat[base : base + d * d : d + 1] = [1] * d
         return flat
 
     def rho_row(self, key: str) -> tuple:
@@ -308,34 +305,45 @@ class AdaptedRep:
         """The trace of rho(key), read off the diagonal of its row; memoised."""
         if key not in self._char:
             positions, values, den = self.rho_row(basis_key(self.kind, self.n, key))
-            ones = self._weighted_identity(0).__getitem__
+            ones = self._identity_image().__getitem__
             self._char[key] = Fraction(sum(map(mul, map(ones, positions), values)), den)
         return self._char[key]
 
     # -- trace form -------------------------------------------------------
-    def _check_inversion_limit(self) -> None:
-        limit = GRAM_LIMITS.get(self.kind)
-        if limit is not None and self.n > limit:
-            raise CapabilityError(
-                f"dual basis limited to n <= {limit} for {self.kind.value}"
-            )
-
     def trace_rows(self):
-        """(keys, rows, den): the basis keys in canonical order, the `rho_row` of each
-        key d, and den, the lcm of the rows' dens.  A row keeps the layout of rho:
-        Tr(f-hat rho(d)) pairs its entry (r, c) of block lam with entry (c, r) of the
-        image.  Inversion reads these sums from the packed form of the rows
-        (`packed_traces`, `traces`), which makes that pairing, not row by row.
+        """(keys, rows, den): the basis keys b_j of `gram_dual` in canonical order, for
+        each the row of rho(b_j^v), b_j^v = sum_k G_w^-1[k][j] b_k its dual basis
+        element, and den, the lcm of the rows' dens.  A row is summed from the
+        `rho_row`s of the dual, in their layout and reduced as they are.  Since
+        tau_w(f b_j^v) = f_j, these are the rows of T^-1; inversion reads them packed
+        (`packed_traces`, `traces`), entry (r, c) of block lam paired with entry (c, r)
+        of the image.
 
-        Memoised.  Beyond `GRAM_LIMITS` this raises `CapabilityError` before any row
-        is compiled.
+        Memoised.  `gram_dual` is read first, so beyond `GRAM_LIMITS` this raises
+        `CapabilityError` before any row is compiled.
         """
         if self._trace is None:
-            self._check_inversion_limit()
-            keys = sorted(route_table(self.kind, self.n)) if self.n else [""]
-            rows = [self.rho_row(key) for key in keys]
+            keys, duals, dual_den = self.gram_dual()
+            rows = [self._dual_row(dual, dual_den) for dual in duals]
             self._trace = (keys, rows, lcm(*(den for _, _, den in rows)))
         return self._trace
+
+    def _dual_row(self, dual: dict, dual_den: int) -> tuple:
+        """The row of rho(sum_k dual[k] b_k / dual_den): the `rho_row`s of the keys k
+        summed position by position over their lcm den, then divided by the gcd of the
+        sums and the den, as `rho_row` reduces."""
+        rows = [self.rho_row(key) for key in dual]
+        common = lcm(*(den for _, _, den in rows))
+        sums: dict = {}
+        for (positions, values, den), c in zip(rows, dual.values()):
+            up = c * (common // den)
+            for p, v in zip(positions, values):
+                sums[p] = sums.get(p, 0) + v * up
+        sums = {p: v for p, v in sums.items() if v}
+        den = dual_den * common
+        reduce = gcd(den, *sums.values())
+        values = [v // reduce for v in sums.values()]
+        return tuple(sums), tuple(map(self._ints.setdefault, values, values)), den // reduce
 
     def packed_traces(self, x_bits: int) -> tuple:
         """(width, columns, bias): the rows of `trace_rows` Kronecker-packed (Harvey,
@@ -343,12 +351,13 @@ class AdaptedRep:
         numerators have at most x_bits bits.  columns[p] is
         sum_j R'[j][p] . 2^(width . j), where R'[j][p] is entry (r, c) of row j, for p
         the image position of entry (c, r) of the same block lam, scaled by den / den_j
-        and, on S_n, by d_lam.  So sum_p x_p . columns[p] holds the trace of every key
-        over the rows' common den, on S_n each block weighted by its dimension, each
-        in its own width-bit slot.  width is x_bits, plus the bits of max |R'|, plus
-        the bits of the longest row, plus 1, rounded up to a whole byte: then
-        |trace| < 2^(width-1), and a slot biased by 2^(width-1) never carries.  bias
-        is that 2^(width-1) in every slot.
+        and by the weight w_lam of `gram_dual` (d_lam on S_n, 1 elsewhere).  So
+        sum_p x_p . columns[p] holds, in the j-th width-bit slot, the coefficient of
+        b_j in the element whose image is x, times the rows' common den.  width is
+        x_bits, plus the bits of max |R'|, plus the bits of the longest row, plus 1,
+        rounded up to a whole byte: then every slot is below 2^(width-1) in size, and
+        a slot biased by 2^(width-1) never carries.  bias is that 2^(width-1) in
+        every slot.
 
         Memoised at the widest width asked for so far; a narrower call reads the
         wider table.  Beyond `GRAM_LIMITS` this raises `CapabilityError` before any
@@ -391,7 +400,7 @@ class AdaptedRep:
         scale den / den_j of the rows that hold it, so no slot is asked to hold a
         product wider than the width allows.  The column of image position p is the
         matrix column of its transposed position, copied out with width/8 strided
-        slices, converted to an int once, unbiased and, on S_n, times d_lam."""
+        slices, converted to an int once, unbiased and times w_lam."""
         _, rows, den = self.trace_rows()
         size, w8 = len(rows), width // 8
         half, stride = 1 << (width - 1), size * w8
@@ -415,10 +424,10 @@ class AdaptedRep:
         return columns
 
     def traces(self, flat: tuple[int, ...] | list[int]) -> list[int]:
-        """Tr(f-hat rho(d)) . den for every key d of `trace_rows`, den the rows'
-        common denominator, where flat holds the integer numerators of the image in
-        its own layout (`transform.FourierImage.flat`); on S_n each block lam of the
-        trace is weighted by d_lam, as the inversion formula asks.
+        """f(b_j) . den for every key b_j of `trace_rows`, den the rows' common
+        denominator, where flat holds the integer numerators of the image of f in its
+        own layout (`transform.FourierImage.flat`): the trace of f-hat rho(b_j^v),
+        block lam weighted by w_lam, for each row of T^-1.
 
         Numerators wider than `LIMB_BITS` are cut into limbs of that many bits, the
         top one signed, and the traces of the limbs are joined by Horner's rule, so
@@ -436,7 +445,7 @@ class AdaptedRep:
         return out
 
     def _packed_sum(self, x: tuple[int, ...] | list[int]) -> list[int]:
-        """The traces of one limb vector x, decoded from its packed sum."""
+        """The slots of one limb vector x, decoded from its packed sum."""
         width, columns, bias = self.packed_traces(max(map(abs, x)).bit_length())
         size, w8, half = len(columns), width // 8, 1 << (width - 1)
         total = sum(map(mul, compress(x, x), compress(columns, x)), bias)
@@ -446,20 +455,9 @@ class AdaptedRep:
         return [int.from_bytes(data[at : at + w8], "little") - half
                 for at in range(0, size * w8, w8)]
 
-    def sn_inverses(self) -> tuple[int, ...]:
-        """On S_n: for each key of `trace_rows`, the index there of its inverse
-        permutation (read with `sn_permutation`), memoised."""
-        if self._inverses is None:
-            keys = self.trace_rows()[0]
-            perms = [sn_permutation(key, self.n) for key in keys]
-            index = {perm: j for j, perm in enumerate(perms)}
-            self._inverses = tuple(
-                index[tuple(sorted(range(self.n), key=perm.__getitem__))] for perm in perms
-            )
-        return self._inverses
-
     def gram_matrix(self):
-        """(basis diagrams, Gram matrix of the trace form tau(b_i b_j))."""
+        """(basis diagrams, Gram matrix tau(b_i b_j) of the trace form
+        tau = sum_lam chi_lam), which is the G_w of `gram_dual` on TL and Brauer."""
         basis = all_diagrams(self.kind, self.n)
         size = len(basis)
         gram = [[Fraction(0)] * size for _ in range(size)]
@@ -472,20 +470,31 @@ class AdaptedRep:
         return basis, gram
 
     def gram_dual(self):
-        """Dual basis data (keys, duals, den): keys in canonical order, and the dual of
-        keys[j] as {key k: Gram inverse [k][j] . den} over the nonzero entries, each an
-        integer numerator over the one denominator den of the whole table.
+        """(keys, duals, den): the dual basis of the weighted trace form
+        tau_w = sum_lam w_lam chi_lam, w_lam the block weight of `packed_traces`.  The
+        keys are in canonical order, and the dual of keys[j] is
+        {key k: G_w^-1[k][j] . den} over the nonzero entries, G_w[i][j] = tau_w(b_i b_j),
+        each an integer numerator over the one den of the whole table.
 
-        On S_n the inverse is in closed form (`_sn_dual`) and no Gram matrix is built;
-        on TL and Brauer the Gram matrix is inverted by `ratlinalg.invert`.
-        `inverse_ft` reads this table on TL and Brauer only; on S_n it applies the
-        inversion formula to `trace_rows` itself.
+        On TL and Brauer w = 1, and `gram_matrix` is inverted by `ratlinalg.invert`.
+        On S_n w_lam = d_lam, so tau_w(g) = n! [g = 1] (Serre, Linear Representations
+        of Finite Groups, 6.2): the dual of g is {key of g^-1: 1} over n!, read with
+        `sn_permutation`, and no Gram matrix is built.
+
+        Memoised.  Beyond `GRAM_LIMITS` this raises `CapabilityError`.
         """
         if self._gram is not None:
             return self._gram
-        self._check_inversion_limit()
+        limit = GRAM_LIMITS.get(self.kind)
+        if limit is not None and self.n > limit:
+            raise CapabilityError(f"dual basis limited to n <= {limit} for {self.kind.value}")
         if self.kind is ChainKind.SYMMETRIC_GROUP:
-            self._gram = self._sn_dual()
+            keys = sorted(route_table(self.kind, self.n)) if self.n else [""]
+            perms = [sn_permutation(key, self.n) for key in keys]
+            key_of = dict(zip(perms, keys))
+            duals = [{key_of[tuple(sorted(range(self.n), key=perm.__getitem__))]: 1}
+                     for perm in perms]
+            self._gram = (keys, duals, factorial(self.n))
             return self._gram
         basis, gram = self.gram_matrix()
         size = len(basis)
@@ -504,39 +513,6 @@ class AdaptedRep:
         ]
         self._gram = (keys, duals, den)
         return self._gram
-
-    def _sn_dual(self):
-        """`gram_dual` on S_n by the Fourier inversion formula (Serre, Linear
-        Representations of Finite Groups, 6.2).  The central z = sum_lam d_lam e_lam has
-        tau(z a) = n! [a = 1], so the dual of g_j is z g_j^-1 / n!, that is
-        G^-1[k][j] = zeta(g_k g_j) / n!^2 with zeta = sum_lam d_lam^2 chi_lam (real on S_n).
-
-        zeta(g) is one dot product of g's `rho_row` with the d_lam^2-weighted identity,
-        brought to integer numerators over `scale()`; the products are permutation
-        tuples, and the table is reduced by the gcd of its numerators with
-        n!^2 . scale(), which leaves the lcm of the denominators of G^-1, as on the
-        Gram path.
-        """
-        n, scale = self.n, self.scale()
-        keys, rows, _ = self.trace_rows()
-        perms = [sn_permutation(key, n) for key in keys]
-        weights = self._weighted_identity(2).__getitem__
-        zeta = {
-            perm: sum(map(mul, map(weights, positions), values)) * (scale // den)
-            for perm, (positions, values, den) in zip(perms, rows)
-        }
-        den = factorial(n) ** 2 * scale
-        common = gcd(den, *zeta.values())
-        zeta = {perm: z // common for perm, z in zeta.items()}
-        duals = []
-        for sj in perms:
-            dual = {}
-            for key, sk in zip(keys, perms):
-                z = zeta[sn_product(sk, sj)]
-                if z:
-                    dual[key] = z
-            duals.append(dual)
-        return keys, duals, den // common
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ are precomputed and free.
 
 Both engines run on Python ints: the SOV engine over the integer generator
 columns of `AdaptedRep`, the naive engine over its compiled rho rows
-(`AdaptedRep.rho_row`), which the inverse reads packed (`AdaptedRep.traces`).
+(`AdaptedRep.rho_row`), which the inverse sums into the rows of T^-1 and reads
+packed (`AdaptedRep.trace_rows`, `AdaptedRep.traces`).
 The inputs are scaled by their common denominator, in the SOV engine by
 `AdaptedRep.prescale` as well, so that every stream carries one scale, and in
 the naive engine to the lcm of the support rows' denominators.  Scaling keeps
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -589,33 +590,20 @@ def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCoun
 
 
 def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
-    """Recover the coefficients from traces against the basis, in ints, with one
+    """Recover the coefficients by one packed product x -> T^-1 x, in ints, with one
     `Fraction` per output coefficient.
 
-    Every trace w(d) = Tr(f-hat rho(d)) . den, den the common denominator of the
-    rows of `AdaptedRep.trace_rows`, comes out of one packed sum over the image's
-    own numerators (`AdaptedRep.traces`), whose table pairs each image position with
-    its transposed row entry.  On S_n that table also weights block lam by d_lam, and
-    the Fourier inversion formula (Serre, Linear Representations of Finite Groups,
-    6.2) gives f(s) = sum_lam d_lam Tr(f-hat_lam rho_lam(s^-1)) / n!, so f(s) is
-    w(s^-1) over n! . den and the image's den: no dual table is read.  On TL and
-    Brauer, f(a_j) = sum_k G^-1[k][j] w(a_k) over the dual table of
-    `AdaptedRep.gram_dual`.  Beyond `GRAM_LIMITS` this raises `CapabilityError`
-    before any row is compiled."""
+    The rows of `AdaptedRep.trace_rows` are the rows of the inverse transform: the
+    row of key b_j is rho of its dual basis element under the weighted trace form of
+    `AdaptedRep.gram_dual`, so its weighted trace against f-hat is f(b_j).  One packed
+    sum over the image's own numerators (`AdaptedRep.traces`) gives f(b_j) times den,
+    the common denominator of the rows, and the image's den, for every key at once.
+    Beyond `GRAM_LIMITS` this raises `CapabilityError` before any row is compiled."""
     _check_inputs(img, rep)
     traces = rep.traces(img.flat)
-    keys, _, rows_den = rep.trace_rows()
-    if rep.kind is ChainKind.SYMMETRIC_GROUP:
-        scale = factorial(rep.n) * img.den * rows_den
-        outputs = ((key, traces[j], scale) for key, j in zip(keys, rep.sn_inverses()))
-    else:
-        _, duals, dual_den = rep.gram_dual()
-        by_key = dict(zip(keys, traces)).__getitem__
-        total = dual_den * img.den * rows_den
-        outputs = ((key, sum(map(mul, map(by_key, dual), dual.values())), total)
-                   for key, dual in zip(keys, duals))
-    coeffs = tuple((key, Fraction(v, out_den)) for key, v, out_den in outputs if v)
-    return AlgebraElement(img.kind, img.n, coeffs)
+    keys, _, den = rep.trace_rows()
+    return AlgebraElement(img.kind, img.n, tuple(
+        (key, Fraction(v, den * img.den)) for key, v in zip(keys, traces) if v))
 
 
 def multiply_elements(f: AlgebraElement, g: AlgebraElement, q: Fraction) -> AlgebraElement:

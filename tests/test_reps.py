@@ -34,7 +34,6 @@ from chainfft.reps import (
     tl_block_table,
     verify_semisimple,
 )
-from chainfft.reps.core import sn_permutation, sn_product
 from chainfft.reps.cells import _cell_matrix_of_diagram, brauer_semisimple, cell_matrix
 
 BR = ChainKind.BRAUER
@@ -355,6 +354,15 @@ def test_trace_central(rep_cache):
         assert tau_ab == tau_ba
 
 
+def _weighted_trace_form(rep):
+    """tau_w(product) of `gram_dual`, read from `diagram_mul`: n! [x = 1] on S_n,
+    and q^loops times the character elsewhere."""
+    if rep.kind is SN:
+        one = identity_diagram(SN, rep.n).key()
+        return lambda prod: math.factorial(rep.n) * (prod.diagram.key() == one)
+    return lambda prod: Q**prod.loops * rep.character(prod.diagram.key())
+
+
 @pytest.mark.parametrize("kind,n", [(BR, 2), (BR, 3), (TL, 4), (TL, 5), (SN, 3), (SN, 4)])
 def test_gram_dual_delta_property(kind, n, rep_cache):
     rep = rep_cache(kind, n)
@@ -362,12 +370,12 @@ def test_gram_dual_delta_property(kind, n, rep_cache):
     assert keys == sorted(route_table(kind, n))
     assert all(type(c) is int for dual in duals for c in dual.values())
     basis = {key: diagram_from_key(kind, n, key) for key in keys}
+    tau = _weighted_trace_form(rep)
     for i, key_i in enumerate(keys):
         for j in range(len(keys)):
             val = Fraction(0)
             for key, c in duals[j].items():
-                prod = diagram_mul(basis[key_i], basis[key])
-                val += Fraction(c, den) * Q**prod.loops * rep.character(prod.diagram.key())
+                val += Fraction(c, den) * tau(diagram_mul(basis[key_i], basis[key]))
             assert val == (1 if i == j else 0)
 
 
@@ -379,9 +387,12 @@ def test_gram_capability_limit(rep_cache):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_sn_gram_dual_equals_gram_inverse(n):
-    """The closed-form S_n table is the Gram path's (keys, duals, den), exactly."""
+    """The closed-form S_n table is the inverse of the Gram matrix of the weighted
+    trace form tau_w(x) = n! [x = 1], built here from `diagram_mul`, exactly."""
     rep = adapted_rep.__wrapped__(SN, n, Q)
-    basis, gram = rep.gram_matrix()
+    basis = all_diagrams(SN, n)
+    tau = _weighted_trace_form(rep)
+    gram = [[Fraction(tau(diagram_mul(x, y))) for y in basis] for x in basis]
     ginv = invert(gram)
     den = math.lcm(*(x.denominator for row in ginv for x in row))
     keys = [d.key() for d in basis]
@@ -392,23 +403,9 @@ def test_sn_gram_dual_equals_gram_inverse(n):
     assert rep.gram_dual() == (keys, duals, den)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_sn_product_matches_diagram_mul(n):
-    """The permutation product read off the keys is `diagram_mul` with x on top."""
-    basis = all_diagrams(SN, n)
-    key_of = {sn_permutation(d.key(), n): d.key() for d in basis}
-    assert len(key_of) == math.factorial(n)
-    for x in basis:
-        for y in basis:
-            prod = diagram_mul(x, y)
-            assert prod.loops == 0
-            px, py = sn_permutation(x.key(), n), sn_permutation(y.key(), n)
-            assert key_of[sn_product(px, py)] == prod.diagram.key()
-
-
 def test_sn_gram_dual_builds_no_gram_matrix(monkeypatch):
-    """On S_5 the dual table comes from characters: no product diagram, no Gram
-    matrix and no elimination."""
+    """On S_5 the dual table is the inverse permutation over 5!: no product diagram,
+    no Gram matrix and no elimination."""
     import chainfft.diagrams
     import chainfft.reps.core as core
 
@@ -424,7 +421,7 @@ def test_sn_gram_dual_builds_no_gram_matrix(monkeypatch):
     monkeypatch.setattr(core.AdaptedRep, "gram_matrix", spy("gram_matrix"))
     keys, duals, den = rep.gram_dual()
     assert calls == []
-    assert (len(keys), sum(map(len, duals)), den) == (120, 7200, 7200)
+    assert (len(keys), sum(map(len, duals)), den) == (120, 120, 120)
 
 
 def test_sn_dual_refused_beyond_6():
@@ -434,24 +431,36 @@ def test_sn_dual_refused_beyond_6():
 
 @pytest.mark.parametrize("kind,n", [(SN, 4), (TL, 4), (BR, 3)])
 def test_trace_rows_reproduce_the_traces_of_rho_blocks(kind, n, rep_cache):
-    """One dot product per trace row gives Tr(f-hat rho(d)) over the row's own den,
-    summed from `rho_blocks`; the table's den is the lcm of the rows' dens."""
+    """One dot product per trace row gives the weighted trace of f-hat rho(b_j^v)
+    over the row's own den: sum_k G_w^-1[k][j] times the weighted trace of
+    f-hat rho(b_k), summed from `rho_blocks`; the table's den is the lcm of the
+    rows' dens."""
     rep = rep_cache(kind, n)
     rng = random.Random(n)
     image = {lam: [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rep.dim(lam))]
                    for _ in range(rep.dim(lam))] for lam in rep.vertices()}
-    flat = [x for lam in rep.vertices() for col in zip(*image[lam]) for x in col]
+    weight = {lam: rep.dim(lam) if kind is SN else 1 for lam in rep.vertices()}
+    flat = [x * weight[lam] for lam in rep.vertices() for col in zip(*image[lam]) for x in col]
     keys, rows, den = rep.trace_rows()
+    _, duals, dual_den = rep.gram_dual()
     assert keys == [d.key() for d in all_diagrams(kind, n)]
-    for key, (positions, values, row_den) in zip(keys, rows):
-        trace = sum(image[lam][c][r] * Fraction(v, rep.scale())
-                    for lam, block in rep.rho_blocks(key).items()
-                    for r, row in block.items() for c, v in row.items())
+    blocks = {key: rep.rho_blocks(key) for key in keys}
+    traces = {key: sum(weight[lam] * image[lam][c][r] * Fraction(v, rep.scale())
+                       for lam, block in blocks[key].items()
+                       for r, row in block.items() for c, v in row.items())
+              for key in keys}
+    for dual, (positions, values, row_den) in zip(duals, rows):
+        trace = sum(Fraction(g, dual_den) * traces[k] for k, g in dual.items())
         assert Fraction(sum(map(operator.mul, map(flat.__getitem__, positions), values)),
                         row_den) == trace
-        assert len(positions) == sum(len(row) for block in rep.rho_blocks(key).values()
-                                     for row in block.values())
-        assert rep.scale() % row_den == 0 and math.gcd(row_den, *values) == 1
+        entries: dict = {}
+        for k, g in dual.items():
+            for lam, block in blocks[k].items():
+                for r, row in block.items():
+                    for c, v in row.items():
+                        entries[lam, r, c] = entries.get((lam, r, c), 0) + g * v
+        assert len(positions) == sum(1 for v in entries.values() if v)
+        assert (dual_den * rep.scale()) % row_den == 0 and math.gcd(row_den, *values) == 1
     assert den == math.lcm(*(row_den for _, _, row_den in rows))
 
 

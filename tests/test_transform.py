@@ -14,7 +14,7 @@ from chainfft.combinat import ChainKind, cached_bratteli, hom_count_closed, pape
 from chainfft.diagrams import all_diagrams, factor_set, generator, identity_diagram, route_table
 from chainfft.errors import ArgumentError, CapabilityError, FactorizationError
 from chainfft.reps import DEFAULT_Q, adapted_rep
-from chainfft.reps.core import dense_matrix
+from chainfft.reps.core import dense_matrix, image_layout, sn_permutation
 from chainfft.transform import (
     AlgebraElement,
     FourierImage,
@@ -318,7 +318,8 @@ def test_level_n_rho_is_kept_only_as_rows(kind, n, entry):
     """No reader of rho on a fresh representation leaves a level-n block table in
     `_levels`: level n is kept only as rows, and the recursion's tables below n only
     until every row is compiled.  A sparse naive sum keeps levels 2..n-1; a dense
-    one, an inverse or the S_n dual table keeps none."""
+    one, an inverse or the S_n trace rows, which fold in the dual table of
+    `gram_dual`, keep none."""
     rep = adapted_rep.__wrapped__(kind, n, Q)
     keys = sorted(route_table(kind, n))
     if entry == "sparse_fft_naive":
@@ -334,7 +335,7 @@ def test_level_n_rho_is_kept_only_as_rows(kind, n, entry):
         f = random_element(kind, n, 0)
         assert inverse_ft(fft_sov(f, rep)[0], rep) == f
     else:
-        rep.gram_dual()
+        rep.trace_rows()
     assert set(rep._rows) == set(keys)
     assert rep._levels == {}
 
@@ -941,12 +942,14 @@ def test_warm_engines_make_no_fraction(kind, n, rep_cache, monkeypatch):
 
 def _dual_table_inverse(img, rep):
     """The inverse through the dual table of `gram_dual`, in Fractions: f(a_j) =
-    sum_k G^-1[k][j] Tr(f-hat rho(a_k)), each trace summed from `rho_blocks`."""
+    sum_k G_w^-1[k][j] sum_lam w_lam Tr(f-hat_lam rho_lam(a_k)), w_lam = d_lam on S_n
+    and 1 elsewhere, each trace summed from `rho_blocks`."""
     keys, duals, den = rep.gram_dual()
     traces = {}
     for key in keys:
         traces[key] = sum(
-            img.block(lam)[c][r] * Fraction(v, rep.scale())
+            (rep.dim(lam) if rep.kind is SN else 1) * img.block(lam)[c][r]
+            * Fraction(v, rep.scale())
             for lam, block in rep.rho_blocks(key).items()
             for r, row in block.items() for c, v in row.items()
         )
@@ -978,24 +981,58 @@ def test_sn_inverse_equals_the_dual_table_inverse(n, rep_cache):
 
 
 def test_sn_inverse_reads_no_dual_table(monkeypatch):
-    """A fresh S_5 inversion builds no dual table and calls no `gram_dual`."""
-    from chainfft.reps.core import AdaptedRep
+    """A fresh S_5 inversion reads no Gram matrix: its dual table is the inverse
+    permutation, so it calls no `gram_matrix`, `invert` or `diagram_mul`."""
+    import chainfft.diagrams
+    import chainfft.reps.core as core
 
     rep = adapted_rep.__wrapped__(SN, 5, Q)
     calls = []
-    for name in ("gram_dual", "_sn_dual", "gram_matrix"):
-        monkeypatch.setattr(AdaptedRep, name, lambda self, _name=name: calls.append(_name))
+
+    def spy(name):
+        return lambda *a, **k: calls.append(name)
+
+    monkeypatch.setattr(core.AdaptedRep, "gram_matrix", spy("gram_matrix"))
+    monkeypatch.setattr(core, "invert", spy("invert"))
+    for module in (core, chainfft.diagrams, chainfft.transform):
+        monkeypatch.setattr(module, "diagram_mul", spy("diagram_mul"))
     for seed in range(3):
         f = random_element(SN, 5, seed)
         assert inverse_ft(fft_sov(f, rep)[0], rep) == f
     assert calls == []
 
 
+@pytest.mark.parametrize("kind,n", [(SN, 4), (TL, 5), (BR, 3)],
+                         ids=lambda x: getattr(x, "value", x))
+def test_trace_rows_are_the_inverse_transform(kind, n, rep_cache):
+    """Each `trace_rows` row, applied in Fractions to every column of the naive
+    transform matrix, transposed block by block and weighted by d_lam on S_n, gives
+    the identity: the rows are the rows of T^-1."""
+    from chainfft.reps import naive_transform_matrix
+
+    rep = rep_cache(kind, n)
+    columns = []
+    for column in zip(*naive_transform_matrix(rep)):
+        rowwise = list(column)
+        for _, at, d in image_layout(kind, n):
+            w = d if kind is SN else 1
+            rowwise[at : at + d * d] = [w * column[at + c * d + r]
+                                        for r in range(d) for c in range(d)]
+        columns.append(rowwise)
+    _, rows, _ = rep.trace_rows()
+    product = [[sum(Fraction(v, den) * x[p] for p, v in zip(positions, values)) for x in columns]
+               for positions, values, den in rows]
+    assert product == [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+
+
 def _dot_product_inverse(img, rep):
     """The inverse that the packed trace sum replaced, kept as its reference: each
-    trace one dot product of a `trace_rows` row with the flat image, over the row's
-    own den."""
-    keys, rows, rows_den = rep.trace_rows()
+    trace one dot product of the `rho_row` of a basis key with the flat image, over
+    the row's own den; then on S_n the inversion formula, f(s) = w(s^-1) / n!, and
+    elsewhere the dual table of `gram_dual`."""
+    keys = [d.key() for d in all_diagrams(rep.kind, rep.n)]
+    rows = [rep.rho_row(key) for key in keys]
+    rows_den = math.lcm(*(row_den for _, _, row_den in rows))
     sn = rep.kind is SN
     den = math.lcm(*(x.denominator for _, m in img.blocks for row in m for x in row))
     flat = []
@@ -1006,8 +1043,10 @@ def _dot_product_inverse(img, rep):
     traces = [sum(map(operator.mul, map(at, positions), values)) for positions, values, _ in rows]
     if sn:
         scale = math.factorial(rep.n) * den
-        outputs = ((key, traces[j], scale * rows[j][2])
-                   for key, j in zip(keys, rep.sn_inverses()))
+        perms = [sn_permutation(key, rep.n) for key in keys]
+        index = {perm: j for j, perm in enumerate(perms)}
+        inverses = [index[tuple(sorted(range(rep.n), key=perm.__getitem__))] for perm in perms]
+        outputs = ((key, traces[j], scale * rows[j][2]) for key, j in zip(keys, inverses))
     else:
         _, duals, dual_den = rep.gram_dual()
         scaled = (w * (rows_den // row_den) for w, (_, _, row_den) in zip(traces, rows))
@@ -1063,20 +1102,26 @@ def test_fresh_table_first_inverts_a_narrow_image(kind, n, rep_cache, monkeypatc
 
 @pytest.mark.parametrize("kind,n", [(SN, 5), (TL, 6), (BR, 4)],
                          ids=lambda x: getattr(x, "value", x))
-def test_fresh_table_first_packs_a_one_bit_vector(kind, n):
+def test_fresh_table_first_packs_a_one_bit_vector(kind, n, rep_cache, monkeypatch):
     """The first packed sum of a fresh representation, over an image of -1, 0 and 1,
-    equals one dot product per row scaled to the rows' common den."""
+    equals sum_k G_w^-1[k][j] times the weighted trace of rho(b_k), one dot product
+    per `rho_row`, scaled to the rows' common den.  The dual table is borrowed from
+    the shared representation, so only the rows and the packed table are fresh."""
     rep = adapted_rep.__wrapped__(kind, n, Q)
+    monkeypatch.setattr(rep, "gram_dual", rep_cache(kind, n).gram_dual)
     rng = random.Random(n)
     x = tuple(rng.choice((-1, 0, 1)) for _ in range(rep.algebra_dim()))
-    _, rows, den = rep.trace_rows()
+    _, _, den = rep.trace_rows()
+    keys, duals, dual_den = rep.gram_dual()
     # x in the row layout: transposed block by block, and weighted by d_lam on S_n
     rowwise = [v.numerator * (len(block) if kind is SN else 1)
                for _, block in FourierImage(kind, n, x, 1).blocks
                for col in zip(*block) for v in col]
     at = rowwise.__getitem__
-    expected = [sum(map(operator.mul, map(at, positions), values)) * (den // row_den)
-                for positions, values, row_den in rows]
+    traces = {key: Fraction(sum(map(operator.mul, map(at, positions), values)), row_den)
+              for key, (positions, values, row_den) in zip(keys, map(rep.rho_row, keys))}
+    expected = [sum(Fraction(g, dual_den) * traces[k] for k, g in dual.items()) * den
+                for dual in duals]
     assert rep.traces(x) == expected
 
 
@@ -1099,21 +1144,26 @@ def test_packed_table_grows_to_the_widest_call(monkeypatch):
 
 
 def test_warm_inverse_builds_no_table(monkeypatch):
-    """Once an inverse has packed the trace rows, inverses no wider build nothing."""
+    """Once an inverse has packed the trace rows, inverses no wider build nothing and
+    read no dual table, on S_5, TL 5 and Brauer 3."""
     from chainfft.reps.core import AdaptedRep
 
-    rep = adapted_rep.__wrapped__(SN, 5, Q)
-    f = random_element(SN, 5, 0)
-    img = fft_sov(f, rep)[0]
-    assert inverse_ft(img, rep) == f
-    calls = []
-    for name in ("_pack_traces", "_block_data"):
-        monkeypatch.setattr(AdaptedRep, name, lambda self, *a, _name=name: calls.append(_name))
-    assert inverse_ft(img, rep) == f
-    keys = sorted(route_table(SN, 5))
-    g = AlgebraElement.from_dict(SN, 5, {keys[3]: 1, keys[70]: Fraction(-5, 2)})
-    assert inverse_ft(fft_sov(g, rep)[0], rep) == g
-    assert calls == []
+    for kind, n, other in [(SN, 5, 70), (TL, 5, 28), (BR, 3, 10)]:
+        rep = adapted_rep.__wrapped__(kind, n, Q)
+        f = random_element(kind, n, 0)
+        img = fft_sov(f, rep)[0]
+        assert inverse_ft(img, rep) == f
+        calls = []
+        for name in ("_pack_traces", "_block_data", "gram_dual", "rho_row"):
+            monkeypatch.setattr(AdaptedRep, name,
+                                lambda self, *a, _name=name: calls.append(_name))
+        assert inverse_ft(img, rep) == f
+        keys = sorted(route_table(kind, n))
+        g = AlgebraElement.from_dict(kind, n, {keys[3]: 1, keys[other]: Fraction(-5, 2)})
+        img_g = fft_sov(g, rep)[0]
+        assert inverse_ft(img_g, rep) == g
+        monkeypatch.undo()
+        assert calls == []
 
 
 def test_packed_traces_refuse_to_decode_an_overflow(monkeypatch):
