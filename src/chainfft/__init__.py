@@ -10,13 +10,10 @@ from .combinat import (
     build_bratteli,
     catalan,
     double_factorial,
-    general_bound,
     hom_count_brute,
     hom_count_closed,
-    jump,
     mult_M,
     paper_bounds,
-    symdiff,
 )
 from .diagrams import (
     Diagram,
@@ -37,15 +34,12 @@ from .reps import (
     AdaptedRep,
     adapted_rep,
     local_blocks,
-    oracle_irreps,
-    verify_semisimple,
 )
 from .transform import (
     AlgebraElement,
     FourierImage,
     OpCounter,
     SovPlan,
-    convolution_check,
     fft_naive,
     fft_sov,
     inverse_ft,

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
 
 from .errors import ArgumentError, InvalidVertexError
@@ -44,11 +43,6 @@ def is_partition(parts: tuple[int, ...]) -> bool:
 def partition_key(lam: Partition):
     """Sort key realising the canonical order: |λ| descending, reverse lex."""
     return (-sum(lam), tuple(-p for p in lam))
-
-
-def jump(lam: Partition) -> int:
-    """Number of removable corner boxes (distinct part sizes)."""
-    return len(set(lam))
 
 
 def add_box_results(lam: Partition) -> list[Partition]:
@@ -302,54 +296,6 @@ class QuiverShape:
     def grade_map(self) -> dict[str, int]:
         return dict(self.grades)
 
-    def is_empty(self) -> bool:
-        return not self.arrows
-
-    def canonical_key(self):
-        """Isomorphism-invariant canonical form (brute force over grade classes)."""
-        grades = self.grade_map()
-        active = sorted({v for a in self.arrows for v in (a[0], a[1])})
-        by_grade: dict[int, list[str]] = {}
-        for v in active:
-            by_grade.setdefault(grades[v], []).append(v)
-        best = None
-        orders = [list(permutations(vs)) for g, vs in sorted(by_grade.items())]
-
-        def assemble(choice):
-            label = {}
-            for group in choice:
-                for k, v in enumerate(group):
-                    label[v] = (grades[v], k)
-            edges = sorted(
-                (label[s], label[t]) for (s, t, _) in self.arrows
-            )
-            return tuple(edges)
-
-        def rec(i, chosen):
-            nonlocal best
-            if i == len(orders):
-                key = assemble(chosen)
-                if best is None or key < best:
-                    best = key
-                return
-            for perm in orders[i]:
-                rec(i + 1, chosen + [perm])
-
-        rec(0, [])
-        return best if best is not None else ()
-
-
-def symdiff(q1: QuiverShape, q2: QuiverShape) -> QuiverShape:
-    """Induced quiver on the symmetric difference of the arrow sets."""
-    g1, g2 = q1.grade_map(), q2.grade_map()
-    for v in set(g1) & set(g2):
-        if g1[v] != g2[v]:
-            raise ArgumentError(f"incompatible gradings at vertex {v!r}")
-    arrows = q1.arrows ^ q2.arrows
-    grades = {**g1, **g2}
-    keep = {v for a in arrows for v in (a[0], a[1])}
-    return QuiverShape.make({v: g for v, g in grades.items() if v in keep}, arrows)
-
 
 def hom_count_brute(B: BratteliDiagram, H: QuiverShape, n: int) -> int:
     """Count quiver morphisms H -> B by backtracking over grade-ordered vertices.
@@ -494,56 +440,6 @@ def paper_bounds(kind: ChainKind, n: int) -> BoundReport:
     else:
         raise ArgumentError("no headline bound for the symmetric-group chain")
     return BoundReport(kind, n, dim, reduced, reduced * dim, stages)
-
-
-def general_bound(
-    dims: list[int],
-    m_max: list[int],
-    irrep_counts: list[int],
-    factor_sizes: list[int],
-) -> Fraction:
-    """Evaluate the general chain bound.
-
-    dims has length n+1 (levels 0..n); m_max[i-2] is the max multiplicity
-    M(A_{i-1}, A_{i-2}) for i in 2..n; irrep_counts has length n+1; and
-    factor_sizes[j-2] is |B_j| for j in 2..n.  Returns
-    dim(A_n) ΣΣ M² |Â_{i-2}| (dim A_i / dim A_{i-1}) (dim A_{k-1}/dim A_k) Π|B_j|.
-    """
-    n = len(dims) - 1
-    if n < 0 or len(m_max) != max(n - 1, 0) or len(irrep_counts) != n + 1 or len(
-        factor_sizes
-    ) != max(n - 1, 0):
-        raise ArgumentError("inconsistent input lengths for the general bound")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        for i in range(2, k + 1):
-            prod = 1
-            for j in range(i, k + 1):
-                prod *= factor_sizes[j - 2]
-            total += (
-                Fraction(m_max[i - 2]) ** 2
-                * irrep_counts[i - 2]
-                * Fraction(dims[i], dims[i - 1])
-                * Fraction(dims[k - 1], dims[k])
-                * prod
-            )
-    return dims[n] * total
-
-
-def chain_inputs_for_general_bound(B: BratteliDiagram, factor_sizes: list[int]):
-    """Derive (dims, m_max, irrep_counts) for general_bound from a diagram."""
-    n = B.n
-    dims = [sum(d * d for d in B.dims[i]) for i in range(n + 1)]
-    m_max = [
-        max(
-            mult_M(B, a, i - 1, g, i - 2)
-            for a in B.levels[i - 1]
-            for g in B.levels[i - 2]
-        )
-        for i in range(2, n + 1)
-    ]
-    irrep_counts = [len(B.levels[i]) for i in range(n + 1)]
-    return dims, m_max, irrep_counts, factor_sizes
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Dense exact linear algebra over Fraction (row echelon, nullspace, inverse).
 
-`rank`, `nullspace`, `invert` and `solve` all read `rref`, and `rref` runs
-the one elimination: fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22,
-1968) on rows scaled to integers.  Scaling a row does not change the reduced
-row echelon form, which is unique, so dividing each pivot row by its pivot at
-the end gives the exact RREF of the input with no Fraction arithmetic inside
-the loop.
+`nullspace` and `invert` read `rref`, and `rref` runs the one elimination:
+fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on rows scaled to
+integers.  Scaling a row does not change the reduced row echelon form, which
+is unique, so dividing each pivot row by its pivot at the end gives the exact
+RREF of the input with no Fraction arithmetic inside the loop.  The rank and
+the solve that the tests read from `rref` live next to those tests.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return [[Fraction(x, prev) for x in row] for row in rows], pivots
 
 
-def rank(m: Matrix) -> int:
-    """The number of pivots of `rref`."""
-    return len(rref(m)[1])
-
-
 def nullspace(m: Matrix, cols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right nullspace of m."""
     if not m:
@@ -91,20 +86,3 @@ def invert(m: Matrix) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red[:n]]
-
-
-def solve(a: Matrix, b: list[Fraction], cols: int | None = None) -> list[Fraction] | None:
-    """One solution of a x = b, or None when inconsistent.
-
-    `cols`, the number of unknowns, is needed only when a has no rows.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else (cols or 0)
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x

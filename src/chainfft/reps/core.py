@@ -31,7 +31,7 @@ position, entry (r, c) of a row at position (c, r), weighted by w_lam
 (`packed_traces`), so that every coefficient of an image's preimage comes out of
 one packed sum over its numerators as they stand (`traces`).  Readers divide once
 at the end; `rho_blocks` and `character` are views decoded from the row, and
-`token_matrix` and `rho` are uncached rational views.
+`token_matrix` is an uncached rational view.
 """
 
 from __future__ import annotations
@@ -45,15 +45,9 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from ..combinat import ChainKind, Partition, cached_bratteli
-from ..diagrams import (
-    Diagram,
-    all_diagrams,
-    basis_key,
-    diagram_mul,
-    route_table,
-)
+from ..diagrams import all_diagrams, basis_key, diagram_mul, route_table
 from ..errors import ArgumentError, CapabilityError, ParameterError
-from ..ratlinalg import invert, rank
+from ..ratlinalg import invert
 from .seminormal import middles, sn_block_table, tl_block_table
 
 DEFAULT_Q = Fraction(10, 3)
@@ -295,12 +289,6 @@ class AdaptedRep:
             out.setdefault(lam, {}).setdefault(r, {})[c] = v * up
         return out
 
-    def rho(self, d: Diagram | str, lam: Partition):
-        """Dense view of `rho_blocks` on the vertex lam; not cached."""
-        lam = tuple(lam)
-        block = self.rho_blocks(d if isinstance(d, str) else d.key()).get(lam, {})
-        return dense_matrix(self.dim(lam), block, self.scale())
-
     def character(self, key: str) -> Fraction:
         """The trace of rho(key), read off the diagonal of its row; memoised."""
         if key not in self._char:
@@ -331,7 +319,14 @@ class AdaptedRep:
     def _dual_row(self, dual: dict, dual_den: int) -> tuple:
         """The row of rho(sum_k dual[k] b_k / dual_den): the `rho_row`s of the keys k
         summed position by position over their lcm den, then divided by the gcd of the
-        sums and the den, as `rho_row` reduces."""
+        sums and the den, as `rho_row` reduces.  A dual that is one key with
+        coefficient 1 whose row has nothing to reduce against dual_den (every dual on
+        S_n) shares that key's row tuples over den . dual_den."""
+        if len(dual) == 1:
+            [(key, c)] = dual.items()
+            positions, values, den = self.rho_row(key)
+            if c == 1 and gcd(dual_den, *values) == 1:
+                return positions, values, den * dual_den
         rows = [self.rho_row(key) for key in dual]
         common = lcm(*(den for _, _, den in rows))
         sums: dict = {}
@@ -515,20 +510,6 @@ class AdaptedRep:
         return self._gram
 
 
-@dataclass(frozen=True)
-class SemisimplicityReport:
-    kind: ChainKind
-    n: int
-    q: Fraction
-    dim: int
-    gram_rank: int
-    transform_rank: int
-
-    @property
-    def ok(self) -> bool:
-        return self.gram_rank == self.dim and self.transform_rank == self.dim
-
-
 def local_blocks(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q):
     """Complete local-block data for every generator of the chain at size n."""
     q = Fraction(q)
@@ -548,25 +529,3 @@ def adapted_rep(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q) -> AdaptedRep:
     q = Fraction(q)
     B = cached_bratteli(kind, n)
     return AdaptedRep(kind, n, q, B, local_blocks(kind, n, q))
-
-
-def naive_transform_matrix(rep: AdaptedRep):
-    """dim x dim matrix of the naive transform: columns are basis diagrams, each the
-    flat image of its `rho_row`."""
-    size, zero = rep.algebra_dim(), Fraction(0)
-    columns = []
-    for b in all_diagrams(rep.kind, rep.n):
-        positions, values, den = rep.rho_row(b.key())
-        column = [zero] * size
-        for p, v in zip(positions, values):
-            column[p] = Fraction(v, den)
-        columns.append(column)
-    return [list(row) for row in zip(*columns)]
-
-
-def verify_semisimple(rep: AdaptedRep) -> SemisimplicityReport:
-    """Certify the specialization: Gram nondegeneracy and transform bijectivity."""
-    basis, gram = rep.gram_matrix()
-    g_rank = rank(gram)
-    t_rank = rank(naive_transform_matrix(rep))
-    return SemisimplicityReport(rep.kind, rep.n, rep.q, len(basis), g_rank, t_rank)

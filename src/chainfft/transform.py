@@ -47,7 +47,7 @@ from .combinat import (
     hom_count_closed,
     paper_bounds,
 )
-from .diagrams import basis_key, diagram_from_key, diagram_mul, factor_set, route_table
+from .diagrams import basis_key, factor_set, route_table
 from .errors import ArgumentError, FactorizationError
 from .reps.core import AdaptedRep, Token, image_layout
 
@@ -131,7 +131,7 @@ class FourierImage:
     (`reps.core.image_layout`): the blocks in vertex order, each row-major in the GT
     path basis.  den is a positive int with gcd(den, *flat) == 1, so den == 1 for the
     zero image and equality of images is exact equality.  Anything else is refused
-    with `ArgumentError`; `from_blocks` reads dense rational blocks."""
+    with `ArgumentError`."""
 
     kind: ChainKind
     n: int
@@ -156,44 +156,12 @@ class FourierImage:
             raise ArgumentError(f"the image is not reduced: den={self.den} shares a factor "
                                 "with every entry")
 
-    @staticmethod
-    def from_blocks(kind: ChainKind, n: int, blocks) -> "FourierImage":
-        """The image of dense rational blocks ((lam, rows), ...): one dim(lam) x dim(lam)
-        block per vertex of level n, in vertex order, with int or `Fraction` entries.
-        Anything else is refused with `ArgumentError`."""
-        layout = image_layout(kind, n)
-        blocks = tuple(blocks)
-        if tuple(lam for lam, _ in blocks) != tuple(lam for lam, _, _ in layout):
-            raise ArgumentError(
-                f"the image's blocks are not one per vertex of {kind.value} n={n}, in order")
-        for (lam, block), (_, _, d) in zip(blocks, layout):
-            if len(block) != d or any(len(row) != d for row in block):
-                raise ArgumentError(f"block {lam!r} of the image is not {d} x {d}")
-        entries = [x for _, block in blocks for row in block for x in row]
-        if not {int, Fraction}.issuperset(map(type, entries)):
-            x = next(x for x in entries if type(x) not in (int, Fraction))
-            raise ArgumentError(f"entry {x!r} of the image is not an int or a Fraction")
-        den = lcm(*(x.denominator for x in entries))
-        return FourierImage(kind, n, tuple(x.numerator * (den // x.denominator) for x in entries),
-                            den)
-
     @property
     def blocks(self) -> tuple[tuple[Partition, tuple[tuple[Fraction, ...], ...]], ...]:
         """((lam, rows), ...): the dense rational blocks in vertex order, decoded afresh."""
         flat, den = self.flat, self.den
         return tuple((lam, _dense(flat[at : at + d * d], d, den))
                      for lam, at, d in image_layout(self.kind, self.n))
-
-    def block(self, lam: Partition) -> tuple[tuple[Fraction, ...], ...]:
-        """The dense rational block of the vertex lam, decoded from its own entries."""
-        lam = tuple(lam)
-        for v, at, d in image_layout(self.kind, self.n):
-            if v == lam:
-                return _dense(self.flat[at : at + d * d], d, self.den)
-        raise ArgumentError(f"no block for vertex {lam!r}")
-
-    def entry_count(self) -> int:
-        return len(self.flat)
 
 
 def _reduced_image(kind: ChainKind, n: int, flat: list[int], den: int) -> FourierImage:
@@ -326,13 +294,11 @@ class _Schedule(NamedTuple):
     for the identity); streams are numbered in `_stream_order`.  Stage k
     applies index level-1-k: stream s applies token `stages[k][s][0]` (if any)
     and merges into stream `stages[k][s][1]` of the next stage (stream 0 last).
-    A stream followed alone through the stages applies `words[s]`.
     """
 
     streams: tuple[tuple[str | None, ...], ...]
     stream_of: dict[tuple, int]  # factor word tokens -> stream number
     stages: tuple[tuple[tuple[Token | None, int], ...], ...]
-    words: tuple[tuple[Token, ...], ...]  # stream -> its tokens, highest index first
 
 
 def _stream_order(pending: tuple) -> tuple:
@@ -356,9 +322,7 @@ def _schedule(kind: ChainKind, level: int) -> _Schedule:
         target = {p: s for s, p in enumerate(merged)}
         stages.append(tuple((p[i - 1] and (p[i - 1], i), target[p[: i - 1]]) for p in current))
         current = merged
-    words = tuple(tuple((p[i - 1], i) for i in range(level - 1, 0, -1) if p[i - 1])
-                  for p in streams)
-    return _Schedule(streams, stream_of, tuple(stages), words)
+    return _Schedule(streams, stream_of, tuple(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +430,12 @@ def _run_level(rep: AdaptedRep, level: int, streams: dict, counter: OpCounter) -
     """Run the merge stages of level >= 2, highest index first, over its live streams
     {stream: block data}, consuming them.
 
-    A lone live stream only applies the tokens of its word.  Otherwise a merge may
-    leave a zero, which the stream's next token drops; if any merge sum was zero,
-    the zeros left at the end are dropped in one pass over the level.
+    A merge may leave a zero, which the stream's next token drops; if any merge sum
+    was zero, the zeros left at the end are dropped in one pass over the level.  A
+    lone live stream merges with nothing, so it applies only the tokens of its word.
     """
-    schedule = _schedule(rep.kind, level)
-    if len(streams) == 1:
-        [(s, data)] = streams.items()
-        for token in schedule.words[s]:
-            data = _apply_token(rep, level, token, data, counter)
-        return data
     zeros = False
-    for moves in schedule.stages:
+    for moves in _schedule(rep.kind, level).stages:
         merged: dict[int, dict] = {}
         for s, data in streams.items():
             token, dest = moves[s]
@@ -586,7 +544,7 @@ def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCoun
 
 
 # ---------------------------------------------------------------------------
-# Inversion and the isomorphism check
+# Inversion
 
 
 def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
@@ -604,50 +562,6 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     keys, _, den = rep.trace_rows()
     return AlgebraElement(img.kind, img.n, tuple(
         (key, Fraction(v, den * img.den)) for key, v in zip(keys, traces) if v))
-
-
-def multiply_elements(f: AlgebraElement, g: AlgebraElement, q: Fraction) -> AlgebraElement:
-    if f.kind != g.kind or f.n != g.n:
-        raise ArgumentError("element kind/size mismatch")
-    table: dict[str, Fraction] = {}
-    for k1, c1 in f.coeffs:
-        d1 = diagram_from_key(f.kind, f.n, k1)
-        for k2, c2 in g.coeffs:
-            d2 = diagram_from_key(g.kind, g.n, k2)
-            prod = diagram_mul(d1, d2)
-            key = prod.diagram.key()
-            table[key] = table.get(key, Fraction(0)) + c1 * c2 * q**prod.loops
-    return AlgebraElement.from_dict(f.kind, f.n, table)
-
-
-@dataclass(frozen=True)
-class ConvolutionReport:
-    ok: bool
-    failures: tuple[Partition, ...]
-
-
-def convolution_check(
-    f: AlgebraElement, g: AlgebraElement, rep: AdaptedRep
-) -> ConvolutionReport:
-    """Verify that the transform sends products to blockwise matrix products."""
-    h = multiply_elements(f, g, rep.q)
-    img_h, _ = fft_naive(h, rep)
-    img_f, _ = fft_naive(f, rep)
-    img_g, _ = fft_naive(g, rep)
-    failures = []
-    for lam in rep.vertices():
-        mf, mg, mh = img_f.block(lam), img_g.block(lam), img_h.block(lam)
-        d = len(mf)
-        for r in range(d):
-            for c in range(d):
-                got = sum(mf[r][k] * mg[k][c] for k in range(d))
-                if got != mh[r][c]:
-                    failures.append(tuple(lam))
-                    break
-            else:
-                continue
-            break
-    return ConvolutionReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from ..combinat import ChainKind, cached_bratteli
-from ..diagrams import all_diagrams, diagram_mul, grow, identity_diagram
-from ..errors import CapabilityError, ParameterError
-from ..ratlinalg import rref, solve
-from .core import DEFAULT_Q
+from chainfft.combinat import ChainKind, cached_bratteli
+from chainfft.diagrams import (
+    all_diagrams,
+    diagram_from_key,
+    diagram_mul,
+    generator,
+    grow,
+    identity_diagram,
+    word_of,
+)
+from chainfft.errors import CapabilityError, ParameterError
+from chainfft.ratlinalg import Matrix, identity, mat_mul, nullspace, rref
+from chainfft.reps import DEFAULT_Q
 
 ORACLE_LIMITS = {
     ChainKind.BRAUER: 4,
@@ -80,8 +88,6 @@ class RegularAlgebra:
         return vec
 
     def generators(self) -> list[int]:
-        from ..diagrams import generator
-
         syms = ("r",) if self.kind is ChainKind.SYMMETRIC_GROUP else (
             ("e",) if self.kind is ChainKind.TEMPERLEY_LIEB else ("r", "e")
         )
@@ -90,6 +96,23 @@ class RegularAlgebra:
             for s in syms:
                 out.append(self.index[generator(self.kind, (s, i), self.n).key()])
         return out
+
+
+def solve(a: Matrix, b: list[Fraction], cols: int | None = None) -> list[Fraction] | None:
+    """One solution of a x = b, or None when inconsistent.
+
+    `cols`, the number of unknowns, is needed only when a has no rows.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else (cols or 0)
+    aug = [a[i][:] + [b[i]] for i in range(rows)]
+    red, pivots = rref(aug)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
 
 
 def _span_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -101,8 +124,6 @@ def _span_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def _center_basis(alg: RegularAlgebra) -> list[list[Fraction]]:
     """Nullspace of x -> (x g - g x) stacked over the generators."""
-    from ..ratlinalg import nullspace
-
     dim = alg.dim
     rows: list[list[Fraction]] = []
     for g in alg.generators():
@@ -245,9 +266,6 @@ class OracleIrrep:
 
 def oracle_matrix(irrep: OracleIrrep, kind: ChainKind, n: int, key: str):
     """Matrix of a basis diagram in the oracle irrep (via its generator word)."""
-    from ..diagrams import diagram_from_key, word_of
-    from ..ratlinalg import identity, mat_mul
-
     word = word_of(diagram_from_key(kind, n, key))
     out = identity(irrep.dim)
     for token in word.tokens:
@@ -333,8 +351,6 @@ def oracle_irreps(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q) -> OracleRep
             raise ParameterError("adapted refinement of an irreducible failed")
         cols = [list(col) for col in zip(*adapted)]
         matrices = {}
-        from ..diagrams import generator
-
         syms = ("r",) if kind is ChainKind.SYMMETRIC_GROUP else (
             ("e",) if kind is ChainKind.TEMPERLEY_LIEB else ("r", "e")
         )

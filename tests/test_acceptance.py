@@ -29,16 +29,16 @@ from chainfft.diagrams import (
     factor_map,
     relation_instances,
 )
-from chainfft.ratlinalg import identity, mat_mul, rank
-from chainfft.reps import DEFAULT_Q, naive_transform_matrix
+from chainfft.ratlinalg import identity, mat_mul
+from chainfft.reps import DEFAULT_Q
 from chainfft.transform import (
-    convolution_check,
     fft_naive,
     fft_sov,
     inverse_ft,
     random_element,
     sov_plan,
 )
+from reference import convolution_check, naive_transform_matrix, rank
 
 BR = ChainKind.BRAUER
 TL = ChainKind.TEMPERLEY_LIEB

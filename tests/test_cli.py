@@ -308,6 +308,21 @@ def test_cli_import_without_numpy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_loads_only_the_program():
+    """Importing the CLI loads the engines and their builds, and no module that only
+    the tests read: the Brauer cell build is loaded on first use."""
+    code = ('import sys, chainfft.cli; '
+            'print(" ".join(sorted(m for m in sys.modules if m.startswith("chainfft"))))')
+    env = dict(os.environ, PYTHONPATH=str(Path(chainfft.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == [
+        "chainfft", "chainfft.cli", "chainfft.combinat", "chainfft.diagrams",
+        "chainfft.errors", "chainfft.ratlinalg", "chainfft.reps", "chainfft.reps.core",
+        "chainfft.reps.seminormal", "chainfft.transform",
+    ]
+
+
 @pytest.mark.parametrize("args", [
     ("plan", "--chain", "bmw", "-n", "4"),
     ("bratteli", "--chain", "tl", "-n", "10"),

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -23,18 +24,19 @@ from chainfft.diagrams import (
     word_of,
 )
 from chainfft.errors import ArgumentError, CapabilityError, ParameterError
-from chainfft.ratlinalg import identity, invert, mat_mul, nullspace, rank, rref, solve
+from chainfft.ratlinalg import identity, invert, mat_mul, nullspace, rref
 from chainfft.reps import (
     DEFAULT_Q,
+    AdaptedRep,
     adapted_rep,
     chebyshev_u,
     local_blocks,
-    oracle_irreps,
-    oracle_matrix,
     tl_block_table,
-    verify_semisimple,
 )
 from chainfft.reps.cells import _cell_matrix_of_diagram, brauer_semisimple, cell_matrix
+from chainfft.reps.core import sn_permutation
+from oracle import _rational_roots, oracle_irreps, oracle_matrix, solve
+from reference import naive_transform_matrix, rank, rho
 
 BR = ChainKind.BRAUER
 TL = ChainKind.TEMPERLEY_LIEB
@@ -149,8 +151,8 @@ def rho_multiplies(rep, a, b):
     """rho(a) rho(b) == q^loops rho(a b) on every vertex."""
     prod = diagram_mul(a, b)
     for lam in rep.vertices():
-        left = mat_mul(rep.rho(a, lam), rep.rho(b, lam))
-        right = [[Q**prod.loops * x for x in row] for row in rep.rho(prod.diagram, lam)]
+        left = mat_mul(rho(rep, a, lam), rho(rep, b, lam))
+        right = [[Q**prod.loops * x for x in row] for row in rho(rep, prod.diagram, lam)]
         if left != right:
             return False
     return True
@@ -185,9 +187,9 @@ def test_rep_word_independence(rep_cache):
         if p1.diagram != p2.diagram or p1.loops or p2.loops:
             continue
         for lam in rep.vertices():
-            m1 = mat_mul(rep.rho(d_one, lam), rep.rho(bb, lam))
-            m2 = mat_mul(rep.rho(d_two, lam), rep.rho(bb, lam))
-            assert m1 == m2 == rep.rho(p1.diagram, lam)
+            m1 = mat_mul(rho(rep, d_one, lam), rho(rep, bb, lam))
+            m2 = mat_mul(rho(rep, d_two, lam), rho(rep, bb, lam))
+            assert m1 == m2 == rho(rep, p1.diagram, lam)
         return
     pytest.fail("no common factorization found")
 
@@ -196,7 +198,7 @@ def test_identity_diagram_maps_to_identity(rep_cache):
     for kind, n in [(BR, 3), (TL, 4), (SN, 4)]:
         rep = rep_cache(kind, n)
         for lam in rep.vertices():
-            assert rep.rho(identity_diagram(kind, n), lam) == identity(rep.dim(lam))
+            assert rho(rep, identity_diagram(kind, n), lam) == identity(rep.dim(lam))
 
 
 @pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 3), (BR, 4)])
@@ -208,7 +210,7 @@ def test_rho_is_the_product_of_its_word(kind, n, rep_cache):
             want = identity(rep.dim(lam))
             for token in word_of(d).tokens:
                 want = mat_mul(want, rep.token_matrix(lam, token))
-            assert rep.rho(d, lam) == want, (d.key(), lam)
+            assert rho(rep, d, lam) == want, (d.key(), lam)
 
 
 @pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 3)])
@@ -260,7 +262,7 @@ def test_rho_entries_are_the_nonzero_entries_of_rho(kind, n, rep_cache):
         dense = {
             (lam, r, c, v)
             for lam in rep.vertices()
-            for r, row in enumerate(rep.rho(d, lam))
+            for r, row in enumerate(rho(rep, d, lam))
             for c, v in enumerate(row)
             if v
         }
@@ -279,11 +281,11 @@ def test_rho_entries_are_the_nonzero_entries_of_rho(kind, n, rep_cache):
 def test_rho_at_n0_and_n1(kind):
     for n, key, lam in ((0, "", ()), (1, "1-2", (1,))):
         rep = adapted_rep(kind, n)
-        assert rep.rho(key, lam) == [[Fraction(1)]]
+        assert rho(rep, key, lam) == [[Fraction(1)]]
         assert rep.rho_blocks(key) == {lam: {0: {0: Fraction(1)}}}
         assert rep.character(key) == 1
         with pytest.raises(ArgumentError):
-            rep.rho("1-3", lam)
+            rho(rep, "1-3", lam)
 
 
 def test_rho_reads_other_spellings_and_refuses_bad_keys(rep_cache):
@@ -291,7 +293,7 @@ def test_rho_reads_other_spellings_and_refuses_bad_keys(rep_cache):
     d = all_diagrams(TL, 4)[3]
     spelled = ",".join(f"{b}-{a}" for a, b in reversed(d.pairs))
     for lam in rep.vertices():
-        assert rep.rho(spelled, lam) == rep.rho(d, lam)
+        assert rho(rep, spelled, lam) == rho(rep, d, lam)
     assert rep.rho_blocks(spelled) == rep.rho_blocks(d.key())
     for bad in ("1-x", "1-3,2-4,5-7,6-8", "1-2"):
         with pytest.raises(ArgumentError):
@@ -314,11 +316,11 @@ def test_rho_builds_a_spelled_key_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(T, "_apply_token", counted)
-    rep.rho(spelled, rep.vertices()[0])
+    rho(rep, spelled, rep.vertices()[0])
     assert calls  # positive control: the first call runs the level recursion
     calls.clear()
     rep.character(spelled)
-    rep.rho(d, rep.vertices()[-1])
+    rho(rep, d, rep.vertices()[-1])
     assert calls == []
 
 
@@ -462,6 +464,42 @@ def test_trace_rows_reproduce_the_traces_of_rho_blocks(kind, n, rep_cache):
         assert len(positions) == sum(1 for v in entries.values() if v)
         assert (dual_den * rep.scale()) % row_den == 0 and math.gcd(row_den, *values) == 1
     assert den == math.lcm(*(row_den for _, _, row_den in rows))
+
+
+def test_sn_trace_rows_share_the_rho_rows():
+    """On S_4 the row of T^-1 for g is rho(g^-1) over 4!: each trace row holds the
+    very `rho_row` tuples of the inverse key, not a copy of them."""
+    rep = adapted_rep.__wrapped__(SN, 4, Q)
+    keys, rows, _ = rep.trace_rows()
+    key_of = {sn_permutation(key, 4): key for key in keys}
+    for key, (positions, values, den) in zip(keys, rows):
+        inverse = [0] * 4
+        for i, j in enumerate(sn_permutation(key, 4)):
+            inverse[j] = i
+        row = rep.rho_row(key_of[tuple(inverse)])
+        assert positions is row[0] and values is row[1] and den == 24 * row[2]
+
+
+@dataclass(frozen=True)
+class SemisimplicityReport:
+    kind: ChainKind
+    n: int
+    q: Fraction
+    dim: int
+    gram_rank: int
+    transform_rank: int
+
+    @property
+    def ok(self) -> bool:
+        return self.gram_rank == self.dim and self.transform_rank == self.dim
+
+
+def verify_semisimple(rep: AdaptedRep) -> SemisimplicityReport:
+    """Certify the specialization: Gram nondegeneracy and transform bijectivity."""
+    basis, gram = rep.gram_matrix()
+    g_rank = rank(gram)
+    t_rank = rank(naive_transform_matrix(rep))
+    return SemisimplicityReport(rep.kind, rep.n, rep.q, len(basis), g_rank, t_rank)
 
 
 @pytest.mark.parametrize("kind,n", [(BR, 3), (TL, 4), (SN, 3)])
@@ -629,7 +667,7 @@ def test_oracle_matches_adapted(kind, n, rep_cache):
     keys = [d.key() for d in all_diagrams(kind, n)]
     adapted_chars = {
         lam: tuple(
-            sum(rep.rho(k, lam)[i][i] for i in range(rep.dim(lam))) for k in keys
+            sum(rho(rep, k, lam)[i][i] for i in range(rep.dim(lam))) for k in keys
         )
         for lam in rep.vertices()
     }
@@ -674,8 +712,6 @@ def _poly_with_roots(roots):
 
 
 def test_rational_roots_exact():
-    from chainfft.reps.oracle import _rational_roots
-
     # a minimal polynomial met at TL n=6: large roots, denominators up to 3^8
     roots = [
         Fraction(4),
