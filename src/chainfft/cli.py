@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 from fractions import Fraction
 
@@ -316,6 +315,8 @@ def run_suite(kind: ChainKind, n: int, suite: str, args) -> tuple[bool, str]:
 
 
 def cmd_bench(kind: ChainKind, n: int, args) -> int:
+    import statistics
+
     _reject_bmw(kind, "bench")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")

@@ -8,11 +8,11 @@ the part tuples); every path/index structure downstream derives from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .errors import ArgumentError, InvalidVertexError
 
@@ -125,29 +125,30 @@ def catalan(n: int) -> int:
     return factorial(2 * n) // (factorial(n) * factorial(n + 1))
 
 
-@dataclass(frozen=True)
 class BratteliDiagram:
     """Graded multiplicity-free quiver for a chain, with path-count dimensions.
 
     levels[i] lists the level-i vertices in canonical order; edges[i] holds
     (source index at level i-1, target index at level i) pairs; dims[i][j] is
-    the number of root-to-vertex paths of levels[i][j].
+    the number of root-to-vertex paths of levels[i][j].  Path counts, paths and
+    extensions are memoised on the diagram.
     """
 
-    kind: ChainKind
-    n: int
-    levels: tuple[tuple[Partition, ...], ...]
-    edges: tuple[tuple[tuple[int, int], ...], ...]
-    dims: tuple[tuple[int, ...], ...]
-    _path_count_memo: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
-    _paths_memo: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
-    _extensions_memo: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
+    __slots__ = ("kind", "n", "levels", "edges", "dims",
+                 "_path_count_memo", "_paths_memo", "_extensions_memo")
+
+    def __init__(
+        self,
+        kind: ChainKind,
+        n: int,
+        levels: tuple[tuple[Partition, ...], ...],
+        edges: tuple[tuple[tuple[int, int], ...], ...],
+        dims: tuple[tuple[int, ...], ...],
+    ):
+        self.kind, self.n, self.levels, self.edges, self.dims = kind, n, levels, edges, dims
+        self._path_count_memo: dict = {}
+        self._paths_memo: dict = {}
+        self._extensions_memo: dict = {}
 
     def vertices(self, level: int) -> tuple[Partition, ...]:
         self._check_level(level)
@@ -272,8 +273,7 @@ def mult_M(B: BratteliDiagram, rho: Partition, rho_level: int, gamma: Partition,
 # Graded quivers and morphism counting
 
 
-@dataclass(frozen=True)
-class QuiverShape:
+class QuiverShape(NamedTuple):
     """Abstract graded quiver: named vertices with grades, tagged arrows.
 
     Arrows are (source name, target name, tag) with strictly increasing grade;
@@ -406,8 +406,7 @@ def hom_count_closed(B: BratteliDiagram, i: int, n: int) -> int:
 # Closed-form bounds
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     kind: ChainKind
     n: int
     dim: int

@@ -4,15 +4,19 @@ A diagram on 2n points matches top points 1..n with bottom points n+1..2n.
 Products concatenate with the left factor on top; closed loops are returned
 as an integer exponent, never folded into scalars here.
 
-The SOV routing (`route_table`) is built on canonical pair tuples, which the
-enumerators of `_basis_pairs` make valid by construction: no `Diagram` is checked.
+A `Diagram` is a `NamedTuple` checked in `__new__`, so it compares and hashes
+as its fields.  The SOV routing (`route_table`) is built on canonical pair
+tuples, which the enumerators of `_basis_pairs` make valid by construction: no
+`Diagram` is checked.  It takes one pass per level: every key is spelled once,
+the noncrossing matchings are memoised per boundary interval, and the relabelling
+of each cut (`_cut`) is made once, not once per diagram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .combinat import ChainKind
 from .errors import ArgumentError, FactorizationError
@@ -20,47 +24,54 @@ from .errors import ArgumentError, FactorizationError
 Token = tuple[str, int]  # ("r", i) or ("e", i)
 
 
-@dataclass(frozen=True)
-class Diagram:
+class _DiagramFields(NamedTuple):
     kind: ChainKind
     n: int
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.kind is ChainKind.BMW_STRUCTURAL:
+
+class Diagram(_DiagramFields):
+    """A basis diagram of its kind: canonical pairs, checked when it is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: ChainKind, n: int, pairs: tuple[tuple[int, int], ...]):
+        if kind is ChainKind.BMW_STRUCTURAL:
             raise ArgumentError("BMW diagrams carry no multiplication data")
-        seen = sorted(p for pair in self.pairs for p in pair)
-        if seen != list(range(1, 2 * self.n + 1)):
-            raise ArgumentError(f"not a perfect matching on 2n={2 * self.n} points")
-        if self.pairs != canonical_pairs(self.pairs):
+        seen = sorted(p for pair in pairs for p in pair)
+        if seen != list(range(1, 2 * n + 1)):
+            raise ArgumentError(f"not a perfect matching on 2n={2 * n} points")
+        if pairs != canonical_pairs(pairs):
             raise ArgumentError("pairs not in canonical sorted form")
-        if self.kind is ChainKind.SYMMETRIC_GROUP and not all(
-            a <= self.n < b for a, b in self.pairs
-        ):
+        if kind is ChainKind.SYMMETRIC_GROUP and not all(a <= n < b for a, b in pairs):
             raise ArgumentError("permutation diagrams must join top to bottom")
-        if self.kind is ChainKind.TEMPERLEY_LIEB and not is_planar(self.pairs, self.n):
+        if kind is ChainKind.TEMPERLEY_LIEB and not is_planar(pairs, n):
             raise ArgumentError("Temperley-Lieb diagrams must be planar")
+        return tuple.__new__(cls, (kind, n, pairs))
 
     def key(self) -> str:
         return pairs_key(self.pairs)
 
 
-@dataclass(frozen=True)
-class LoopProduct:
+class LoopProduct(NamedTuple):
     diagram: Diagram
     loops: int
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
-    """Product of generators r_i / e_i, applied left to right; () is the identity."""
-
+class _WordFields(NamedTuple):
     tokens: tuple[Token, ...]
 
-    def __post_init__(self):
-        for sym, i in self.tokens:
+
+class GeneratorWord(_WordFields):
+    """Product of generators r_i / e_i, applied left to right; () is the identity."""
+
+    __slots__ = ()
+
+    def __new__(cls, tokens: tuple[Token, ...]):
+        for sym, i in tokens:
             if sym not in ("r", "e") or i < 1:
                 raise ArgumentError(f"bad token {(sym, i)!r}")
+        return tuple.__new__(cls, (tokens,))
 
     def __str__(self) -> str:
         return "id" if not self.tokens else "".join(f"{s}{i}" for s, i in self.tokens)
@@ -70,9 +81,20 @@ def canonical_pairs(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
 
 
+class _Spellings(dict):
+    """{(a, b): "a-b"}, each pair spelled on first use."""
+
+    def __missing__(self, pair: tuple[int, int]) -> str:
+        spelled = self[pair] = "%d-%d" % pair
+        return spelled
+
+
+_SPELLED = _Spellings()
+
+
 def pairs_key(pairs) -> str:
     """The key "a-b,c-d,..." of canonical pairs: the one spelling of a basis element."""
-    return ",".join(f"{a}-{b}" for a, b in pairs)
+    return ",".join(map(_SPELLED.__getitem__, pairs))
 
 
 def is_planar(pairs, n: int) -> bool:
@@ -170,12 +192,13 @@ def evaluate(word: GeneratorWord, kind: ChainKind, n: int) -> LoopProduct:
 
 def all_diagrams(kind: ChainKind, n: int) -> list[Diagram]:
     """Every basis diagram of the given kind and size, in canonical key order."""
-    return [Diagram(kind, n, pairs) for pairs in _basis_pairs(kind, n)]
+    return [Diagram(kind, n, pairs) for _, pairs in _basis_pairs(kind, n)]
 
 
-def _basis_pairs(kind: ChainKind, n: int) -> list[tuple[tuple[int, int], ...]]:
-    """The canonical pairs of every basis diagram, in canonical key order.  Only the
-    noncrossing matchings need sorting: they read the bottom row backwards."""
+def _basis_pairs(kind: ChainKind, n: int) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
+    """(key, canonical pairs) of every basis diagram, in canonical key order; each key
+    is spelled once.  Only the noncrossing matchings need reordering: they read the
+    bottom row backwards."""
     if kind is ChainKind.BMW_STRUCTURAL:
         raise ArgumentError("BMW diagrams carry no multiplication data")
     if kind is ChainKind.SYMMETRIC_GROUP:
@@ -184,24 +207,28 @@ def _basis_pairs(kind: ChainKind, n: int) -> list[tuple[tuple[int, int], ...]]:
             for perm in permutations(range(1, n + 1))
         ]
     elif kind is ChainKind.TEMPERLEY_LIEB:
-        boundary = list(range(1, n + 1)) + list(range(2 * n, n, -1))
-        out = [canonical_pairs(m) for m in _noncrossing(boundary)]
+        # boundary position p is point p + 1 on top (p < n), point 3n - p below
+        point = [*range(1, n + 1), *range(2 * n, n, -1)]
+        pair = {(p, q): (point[p], point[q]) if p < n else (point[q], point[p])
+                for q in range(2 * n) for p in range(q)}
+        out = [tuple(sorted(map(pair.__getitem__, m))) for m in _noncrossing(0, 2 * n)]
     else:
         out = [tuple(m) for m in _pairings(list(range(1, 2 * n + 1)))]
-    return sorted(out, key=pairs_key)
+    return sorted(zip(map(pairs_key, out), out))
 
 
-def _noncrossing(points: list[int]):
-    """Noncrossing perfect matchings of points in the given circular order."""
-    if not points:
-        yield []
-        return
-    first = points[0]
-    for k in range(1, len(points), 2):
-        inside, outside = points[1:k], points[k + 1 :]
-        for left in _noncrossing(inside):
-            for right in _noncrossing(outside):
-                yield [(first, points[k])] + left + right
+@lru_cache(maxsize=None)
+def _noncrossing(i: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Noncrossing perfect matchings of the boundary positions i..j-1 (j - i even),
+    memoised per interval: pairs (p, q) with p < q, in increasing p."""
+    if i == j:
+        return ((),)
+    return tuple(
+        ((i, k), *left, *right)
+        for k in range(i + 1, j, 2)
+        for left in _noncrossing(i + 1, k)
+        for right in _noncrossing(k + 1, j)
+    )
 
 
 def _pairings(items: list[int]):
@@ -278,8 +305,7 @@ def relation_instances(kind: ChainKind, n: int):
             )
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     kind: ChainKind
     n: int
     checked: int
@@ -364,17 +390,26 @@ def _route(kind: ChainKind, n: int, pairs) -> tuple[tuple[Token, ...], tuple]:
     tl = kind is ChainKind.TEMPERLEY_LIEB
     j = next(a for a, b in pairs if b == 2 * n)
     if j == n or (j < n and not tl):
-        tokens, cut = tuple(("r", k) for k in range(j, n)), (j, 2 * n)
-        to = [p - (p > j) for p in range(2 * n + 1)]
+        cut = (j, 2 * n)
     else:
         arcs = [(a, b) for a, b in pairs if b <= n and (b == a + 1 or not tl)]
         if not arcs:
             raise FactorizationError(f"no admissible top edge in {pairs_key(pairs)}")
         cut = arcs[-1] if tl else arcs[0]
-        a, b = cut
-        tokens = er_word_tokens(a, b, n)
-        to = [p - (p > a) - (p > b) if p <= n else p - 1 for p in range(2 * n)] + [n - 1]
-    return tokens, canonical_pairs((to[u], to[v]) for u, v in pairs if (u, v) != cut)
+    tokens, to = _cut(n, *cut)
+    sub = [(to[u], to[v]) for u, v in pairs if (u, v) != cut]
+    return tokens, tuple(sorted([(u, v) if u < v else (v, u) for u, v in sub]))
+
+
+@lru_cache(maxsize=None)
+def _cut(n: int, a: int, b: int) -> tuple[tuple[Token, ...], tuple[int, ...]]:
+    """(tokens of y, new label of each point) for the strand or arc (a, b) that `_route`
+    drops from a size-n diagram: the strand (j, 2n) is routed by r_j..r_{n-1}, a top
+    arc by its ER word, which moves 2n to the last top point."""
+    if b == 2 * n:
+        return tuple(("r", k) for k in range(a, n)), tuple(p - (p > a) for p in range(2 * n + 1))
+    to = [p - (p > a) - (p > b) if p <= n else p - 1 for p in range(2 * n)]
+    return er_word_tokens(a, b, n), (*to, n - 1)
 
 
 def grow(b: Diagram, n: int) -> Diagram:
@@ -397,9 +432,9 @@ def route_table(kind: ChainKind, n: int) -> dict[str, tuple[tuple[Token, ...], s
     if n < 1:
         raise ArgumentError("routes need n >= 1")
     table = {}
-    for pairs in _basis_pairs(kind, n):
+    for key, pairs in _basis_pairs(kind, n):
         tokens, sub = _route(kind, n, pairs)
-        table[pairs_key(pairs)] = (tokens, pairs_key(sub))
+        table[key] = (tokens, pairs_key(sub))
     return table
 
 

@@ -37,7 +37,6 @@ at the end; `rho_blocks` and `character` are views decoded from the row, and
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -94,26 +93,20 @@ def image_layout(kind: ChainKind, n: int) -> tuple[tuple[Partition, int, int], .
     return tuple(layout)
 
 
-@dataclass
 class AdaptedRep:
-    """Complete chain-adapted irreducible set at level n for one chain kind."""
+    """Complete chain-adapted irreducible set at level n for one chain kind: the local
+    blocks of its generators, and the memoised tables built from them."""
 
-    kind: ChainKind
-    n: int
-    q: Fraction
-    B: object
-    blocks: dict
-    _cols: dict = field(default_factory=dict, repr=False)
-    _scales: dict = field(default_factory=dict, repr=False)
-    _pre: dict = field(default_factory=dict, repr=False)
-    _levels: dict = field(default_factory=dict, repr=False)
-    _rows: dict = field(default_factory=dict, repr=False)
-    _ints: dict = field(default_factory=dict, repr=False)
-    _char: dict = field(default_factory=dict, repr=False)
-    _flat: object = None
-    _trace: object = None
-    _packed: object = None
-    _gram: object = None
+    def __init__(self, kind: ChainKind, n: int, q: Fraction, B, blocks: dict):
+        self.kind, self.n, self.q, self.B, self.blocks = kind, n, q, B, blocks
+        self._cols: dict = {}
+        self._scales: dict = {}
+        self._pre: dict = {}
+        self._levels: dict = {}
+        self._rows: dict = {}
+        self._ints: dict = {}
+        self._char: dict = {}
+        self._flat = self._trace = self._packed = self._gram = None
 
     # -- basic structure -------------------------------------------------
     def vertices(self, level: int | None = None):
@@ -180,10 +173,10 @@ class AdaptedRep:
         if level == 0:
             return {"": 1}
         if level not in self._pre:
-            below = self.prescale(level - 1)
+            below, table = self.prescale(level - 1), route_table(self.kind, level)
+            factor = {t: self.identity_factor(level, t) for t in {t for t, _ in table.values()}}
             self._pre[level] = {
-                key: self.identity_factor(level, tokens) * below[sub]
-                for key, (tokens, sub) in route_table(self.kind, level).items()
+                key: factor[tokens] * below[sub] for key, (tokens, sub) in table.items()
             }
         return self._pre[level]
 

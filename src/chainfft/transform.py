@@ -28,11 +28,15 @@ the zero pattern, so the operation counts are those of the rational program.
 Each engine ends in one `FourierImage`, the one form of Fourier-space data:
 flat integer numerators over one reduced denominator, which `inverse_ft` reads
 as it stands.  No `Fraction` is made until a reader asks for a dense view.
+
+The records are `NamedTuple`s, and `AlgebraElement` and `FourierImage` check
+their fields in `__new__`; `OpCounter` is a mutable slots class.  So importing
+the package loads no `dataclasses`.  A coefficient file's plain integer strings
+are read by `int`, and only the other strings by `Fraction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -52,38 +56,51 @@ from .errors import ArgumentError, FactorizationError
 from .reps.core import AdaptedRep, Token, image_layout
 
 
-@dataclass
 class OpCounter:
     """Scalar multiplications and additions attributed to a transform run."""
 
-    mul: int = 0
-    add: int = 0
+    __slots__ = ("mul", "add")
+
+    def __init__(self, mul: int = 0, add: int = 0):
+        self.mul, self.add = mul, add
+
+    def __eq__(self, other):
+        if type(other) is not OpCounter:
+            return NotImplemented
+        return (self.mul, self.add) == (other.mul, other.add)
+
+    def __repr__(self) -> str:
+        return f"OpCounter(mul={self.mul}, add={self.add})"
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Finitely supported coefficient table over canonical diagram keys, as `from_dict`
-    builds it: a tuple of (basis key, nonzero int or `Fraction`) pairs in increasing
-    key order, at a size n that is a non-negative int."""
-
+class _ElementFields(NamedTuple):
     kind: ChainKind
     n: int
     coeffs: tuple[tuple[str, Fraction], ...]
 
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
-            raise ArgumentError(f"n={self.n!r} is not a non-negative int")
-        if not isinstance(self.coeffs, tuple):
-            raise ArgumentError(f"coeffs={self.coeffs!r} is not a tuple of (key, value) pairs")
-        basis = (route_table(self.kind, self.n) if self.n else ("",)) if self.coeffs else ()
-        for j, entry in enumerate(self.coeffs):
+
+class AlgebraElement(_ElementFields):
+    """Finitely supported coefficient table over canonical diagram keys, as `from_dict`
+    builds it: a tuple of (basis key, nonzero int or `Fraction`) pairs in increasing
+    key order, at a size n that is a non-negative int."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: ChainKind, n: int, coeffs: tuple[tuple[str, Fraction], ...]):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ArgumentError(f"n={n!r} is not a non-negative int")
+        if not isinstance(coeffs, tuple):
+            raise ArgumentError(f"coeffs={coeffs!r} is not a tuple of (key, value) pairs")
+        basis = (route_table(kind, n) if n else ("",)) if coeffs else ()
+        for j, entry in enumerate(coeffs):
             if not (isinstance(entry, tuple) and len(entry) == 2):
                 raise ArgumentError(f"{entry!r} is not a (key, value) pair")
             key, value = entry
-            if not (isinstance(key, str) and key in basis) or j and key <= self.coeffs[j - 1][0]:
+            if not (isinstance(key, str) and key in basis) or j and key <= coeffs[j - 1][0]:
                 raise ArgumentError(f"{key!r} is not the next basis key in increasing order")
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)) or not value:
                 raise ArgumentError(f"{key!r}: {value!r} is not a nonzero int or Fraction")
+        return tuple.__new__(cls, (kind, n, coeffs))
 
     @staticmethod
     def from_dict(kind: ChainKind, n: int, table: dict) -> "AlgebraElement":
@@ -99,13 +116,14 @@ class AlgebraElement:
             if isinstance(value, (bool, float)):
                 raise ArgumentError(
                     f"coefficient {value!r} of {key!r}: give an int, a Fraction or a string")
-            try:
-                value = Fraction(value)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ArgumentError(
-                    f"coefficient {value!r} of {key!r} is not a rational number") from None
+            if type(value) is not Fraction:
+                try:
+                    value = Fraction(value)
+                except (TypeError, ValueError, ZeroDivisionError):
+                    raise ArgumentError(
+                        f"coefficient {value!r} of {key!r} is not a rational number") from None
             key = basis_key(kind, n, key)
-            sums[key] = sums.get(key, Fraction(0)) + value
+            sums[key] = sums[key] + value if key in sums else value
         return AlgebraElement(kind, n, tuple(sorted((k, v) for k, v in sums.items() if v)))
 
     def table(self) -> dict[str, Fraction]:
@@ -123,8 +141,14 @@ def _dense(values, d: int, den: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(entries[i : i + d]) for i in range(0, d * d, d))
 
 
-@dataclass(frozen=True)
-class FourierImage:
+class _ImageFields(NamedTuple):
+    kind: ChainKind
+    n: int
+    flat: tuple[int, ...]
+    den: int
+
+
+class FourierImage(_ImageFields):
     """The transform as flat integer numerators over one denominator.
 
     flat holds Σ dim(lam)^2 ints in the layout of `AdaptedRep.rho_row`
@@ -133,28 +157,26 @@ class FourierImage:
     zero image and equality of images is exact equality.  Anything else is refused
     with `ArgumentError`."""
 
-    kind: ChainKind
-    n: int
-    flat: tuple[int, ...]
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        layout = image_layout(self.kind, self.n)
-        if not isinstance(self.flat, tuple):
-            raise ArgumentError(f"the image's entries are a {type(self.flat).__name__}, "
+    def __new__(cls, kind: ChainKind, n: int, flat: tuple[int, ...], den: int):
+        layout = image_layout(kind, n)
+        if not isinstance(flat, tuple):
+            raise ArgumentError(f"the image's entries are a {type(flat).__name__}, "
                                 "not a tuple of ints")
-        if not {int}.issuperset(map(type, self.flat)):
-            x = next(x for x in self.flat if type(x) is not int)
+        if not {int}.issuperset(map(type, flat)):
+            x = next(x for x in flat if type(x) is not int)
             raise ArgumentError(f"entry {x!r} of the image is not an int")
         size = sum(d * d for _, _, d in layout)
-        if len(self.flat) != size:
-            raise ArgumentError(f"the image has {len(self.flat)} entries, not the {size} "
-                                f"of {self.kind.value} n={self.n}")
-        if type(self.den) is not int or self.den <= 0:
-            raise ArgumentError(f"den={self.den!r} is not a positive int")
-        if gcd(self.den, *self.flat) != 1:
-            raise ArgumentError(f"the image is not reduced: den={self.den} shares a factor "
+        if len(flat) != size:
+            raise ArgumentError(f"the image has {len(flat)} entries, not the {size} "
+                                f"of {kind.value} n={n}")
+        if type(den) is not int or den <= 0:
+            raise ArgumentError(f"den={den!r} is not a positive int")
+        if gcd(den, *flat) != 1:
+            raise ArgumentError(f"the image is not reduced: den={den} shares a factor "
                                 "with every entry")
+        return tuple.__new__(cls, (kind, n, flat, den))
 
     @property
     def blocks(self) -> tuple[tuple[Partition, tuple[tuple[Fraction, ...], ...]], ...]:
@@ -213,8 +235,7 @@ def _check_inputs(f: AlgebraElement | FourierImage, rep: AdaptedRep) -> None:
 # SOV plan
 
 
-@dataclass(frozen=True)
-class SovStage:
+class SovStage(NamedTuple):
     i: int
     family: tuple[str, ...]
     w_size: int
@@ -222,8 +243,7 @@ class SovStage:
     predicted_mults: int
 
 
-@dataclass(frozen=True)
-class SovLevel:
+class SovLevel(NamedTuple):
     level: int
     algebra_dim: int
     combine_cost: int
@@ -231,8 +251,7 @@ class SovLevel:
     contribution: Fraction
 
 
-@dataclass(frozen=True)
-class SovPlan:
+class SovPlan(NamedTuple):
     kind: ChainKind
     n: int
     stages: tuple[SovStage, ...]
@@ -579,11 +598,16 @@ def element_to_json(f: AlgebraElement, q: Fraction) -> dict:
     }
 
 
-def _exact(value, name: str) -> Fraction:
-    """The rational of a JSON string or integer."""
+def _exact(value, name: str) -> int | Fraction:
+    """The rational of a JSON string or integer: an integer, or a plain ASCII integer
+    string (-?[0-9]+) read by `int`, is returned as an int; any other string is read
+    by `Fraction`."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise TypeError(f"{name}={value!r} is not a string or an integer")
-    return Fraction(value)
+    if isinstance(value, int):
+        return value
+    digits = value[1:] if value[:1] == "-" else value
+    return int(value) if digits.isascii() and digits.isdigit() else Fraction(value)
 
 
 def element_from_json(
@@ -596,7 +620,7 @@ def element_from_json(
     float or a bool is refused, not rounded or read as a number.
     """
     try:
-        chain, size, q = payload["chain"], payload["n"], _exact(payload["q"], "q")
+        chain, size, q = payload["chain"], payload["n"], Fraction(_exact(payload["q"], "q"))
         if isinstance(size, bool) or not isinstance(size, int):
             raise TypeError(f"n={size!r} is not an integer")
         table: dict = {}

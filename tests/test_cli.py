@@ -323,6 +323,53 @@ def test_cli_import_loads_only_the_program():
     ]
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_statistics():
+    """The records of the package are NamedTuples and slots classes, and only `bench`
+    reads `statistics`, so importing the CLI loads none of these modules beyond what
+    the interpreter loaded at start-up."""
+    code = ('import sys; heavy = ("dataclasses", "inspect", "statistics"); '
+            'before = {m for m in heavy if m in sys.modules}; import chainfft.cli; '
+            'print(" ".join(m for m in heavy if m in sys.modules and m not in before))')
+    env = dict(os.environ, PYTHONPATH=str(Path(chainfft.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []
+
+
+# Runs `main` in a fresh interpreter, where every cache is empty, counting the
+# `Diagram`s made, then counts those that `all_diagrams(TL, 3)` makes.
+COLD_MAIN = """
+import sys
+import chainfft.cli as cli
+import chainfft.diagrams as D
+from chainfft.combinat import ChainKind
+made = []
+new = D.Diagram.__new__
+D.Diagram.__new__ = lambda cls, *args: made.append(args) or new(cls, *args)
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(code, len(made), file=sys.stderr)
+D.all_diagrams(ChainKind.TEMPERLEY_LIEB, 3)
+print(len(made), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("algo", ["sov", "naive"])
+def test_cold_fft_constructs_no_diagram(tmp_path, algo):
+    """A cold `fft` reads route tables, which are built from pairs: it constructs no
+    `Diagram`, while `all_diagrams` constructs one per basis element."""
+    tl = ChainKind.TEMPERLEY_LIEB
+    coeffs = tmp_path / "tl6.json"
+    coeffs.write_text(json.dumps(element_to_json(random_element(tl, 6, 0), Fraction(10, 3))))
+    env = dict(os.environ, PYTHONPATH=str(Path(chainfft.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_MAIN, "fft", "--chain", "tl", "-n", "6", "--algo", algo,
+         "--coeffs", str(coeffs)],
+        env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout)["level"] == 6
+    assert proc.stderr.split() == ["0", "0", "5"]
+
+
 @pytest.mark.parametrize("args", [
     ("plan", "--chain", "bmw", "-n", "4"),
     ("bratteli", "--chain", "tl", "-n", "10"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfft.combinat import ChainKind, algebra_dim
+from chainfft.combinat import ChainKind, algebra_dim, catalan
 from chainfft.diagrams import (
     Diagram,
     GeneratorWord,
@@ -22,9 +22,11 @@ from chainfft.diagrams import (
     grow,
     identity_diagram,
     is_planar,
+    pairs_key,
     route_table,
     word_of,
 )
+import chainfft.diagrams as D
 from chainfft.errors import ArgumentError
 
 BR = ChainKind.BRAUER
@@ -241,6 +243,29 @@ def test_route_tables_pinned():
         for m in range(1, n_max + 1):
             h.update(json.dumps([kind.value, m, list(route_table(kind, m).items())]).encode())
     assert h.hexdigest() == "8c6d7e8ff0e2c6b7b0b27f061f4e3b43212cbad24cc3a3a4af533dc7c652473a"
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_noncrossing_matchings_are_the_tl_basis(n):
+    """The memoised enumeration gives Catalan(n) distinct noncrossing matchings of the
+    2n boundary positions, and `_basis_pairs` gives them as planar canonical pairs,
+    keyed and in key order."""
+    matchings = D._noncrossing(0, 2 * n)
+    assert len(set(matchings)) == len(matchings) == catalan(n)
+    basis = D._basis_pairs(TL, n)
+    keys = [key for key, _ in basis]
+    assert len(set(keys)) == len(keys) == catalan(n) and keys == sorted(keys)
+    for key, pairs in basis:
+        assert pairs == canonical_pairs(pairs) and is_planar(pairs, n)
+        assert pairs_key(pairs) == key
+
+
+@pytest.mark.parametrize("kind,n", [(BR, 5), (SN, 5), (TL, 0), (SN, 0), (BR, 0)])
+def test_basis_pairs_keyed_in_key_order(kind, n):
+    basis = D._basis_pairs(kind, n)
+    assert [key for key, _ in basis] == sorted(pairs_key(p) for _, p in basis)
+    assert [d.pairs for d in all_diagrams(kind, n)] == [p for _, p in basis]
+    assert len(basis) == algebra_dim(kind, n)
 
 
 def test_factor_map_identity_case():

@@ -196,7 +196,7 @@ def test_warm_sov_builds_no_routing(rep_cache, monkeypatch):
     rep = rep_cache(TL, 6)
     fft_sov(random_element(TL, 6, 0), rep)
     f = random_element(TL, 6, 1)
-    calls = {"_route": 0, "__post_init__": 0}
+    calls = {"_route": 0, "__new__": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -208,13 +208,13 @@ def test_warm_sov_builds_no_routing(rep_cache, monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counting(D, "_route")
-    counting(D.Diagram, "__post_init__")
+    counting(D.Diagram, "__new__")
     img, _ = fft_sov(f, rep)
-    assert calls == {"_route": 0, "__post_init__": 0}
+    assert calls == {"_route": 0, "__new__": 0}
     assert img == fft_naive(f, rep)[0]
     # the counter sees a routing build, which checks no Diagram
     D.route_table.__wrapped__(TL, 3)
-    assert calls == {"_route": 5, "__post_init__": 0}
+    assert calls == {"_route": 5, "__new__": 0}
 
 
 def test_warm_sov_kernel_is_integer(rep_cache, monkeypatch):
@@ -419,8 +419,9 @@ def test_from_dict_takes_basis_keys_without_parsing(monkeypatch):
 
     table = random_element(TL, 5, 0).table()
     calls = []
-    original = D.Diagram.__post_init__
-    monkeypatch.setattr(D.Diagram, "__post_init__", lambda d: calls.append(d) or original(d))
+    original = D.Diagram.__new__
+    monkeypatch.setattr(D.Diagram, "__new__",
+                        lambda cls, *args: calls.append(args) or original(cls, *args))
     assert AlgebraElement.from_dict(TL, 5, table).table() == table
     assert calls == []
     # other spellings are parsed and summed onto the canonical key
@@ -1254,6 +1255,60 @@ def test_from_dict_refuses_malformed_values(value):
     key = identity_diagram(TL, 2).key()
     with pytest.raises(ArgumentError, match=f"of {re.escape(repr(key))} is not a rational number"):
         AlgebraElement.from_dict(TL, 2, {key: value})
+
+
+def _fraction_reading(value, name: str):
+    """(value, None) or (None, message): a JSON coefficient or q read by `Fraction`,
+    after the refusal of a bool and of anything but a string or an integer."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        return None, (f"malformed coefficient payload: {name}={value!r} "
+                      "is not a string or an integer")
+    try:
+        return Fraction(value), None
+    except (ValueError, ArithmeticError) as exc:
+        return None, f"malformed coefficient payload: {exc}"
+
+
+def _check_parse_as_fraction(value):
+    """`element_from_json` reads value, as a coefficient and as q, to what `Fraction`
+    reads, stored as a `Fraction`, or refuses it with the same `ArgumentError`."""
+    key = "1-2,3-4"  # e_1, a basis key of TL 2
+    row = {"chain": "tl", "n": 2, "q": "10/3", "coeffs": [{"diagram": key, "value": value}]}
+    for payload, name in ((row, "value"), ({**row, "q": value, "coeffs": []}, "q")):
+        want, message = _fraction_reading(value, name)
+        if message is not None:
+            with pytest.raises(ArgumentError) as exc:
+                element_from_json(payload, TL, 2)
+            assert str(exc.value) == message
+            continue
+        f, q = element_from_json(payload, TL, 2)
+        got = q if name == "q" else (f.coeffs[0][1] if f.coeffs else Fraction(0))
+        assert got == want and type(got) is Fraction
+        assert name == "q" or f.coeffs == (((key, want),) if want else ())
+
+
+@pytest.mark.parametrize("value", [
+    "0", "-0", "7", "-12", "007", "+5", " 5 ", "5\n", "1_0", "1__0", "_1", "\u0663",
+    "\uff11\uff12", "-\u0663", "\u00b2", "1\u00b2", "1/0", "0/0", "3/6", "-1/3", "1e3",
+    "1E-2", "5.0", ".5", "", "-", "--1", "+-1", "1-", "abc", "1" * 5000, "-" + "1" * 5000,
+    "9" * 4300,
+    0, 5, -3, 10**40, True, False, 1.0, 0.5, None, [1],
+], ids=lambda v: repr(v) if len(repr(v)) < 50 else f"{repr(v)[:5]}..{len(v)}-chars")
+def test_coefficient_parse_matches_fraction(value):
+    _check_parse_as_fraction(value)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.integers().map(str),
+    st.from_regex(r"\A[ +-]?[0-9_\u0660-\u0669\u00b2]{0,5}([./eE][+-]?[0-9_]{0,3})?[ \n]?\Z"),
+    st.text(max_size=6),
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+))
+def test_coefficient_parse_matches_fraction_property(value):
+    _check_parse_as_fraction(value)
 
 
 def test_from_dict_canonicalises_keys():
