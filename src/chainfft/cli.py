@@ -22,7 +22,6 @@ from .combinat import (
     cached_bratteli,
     hom_count_brute,
     hom_count_closed,
-    paper_bounds,
     stage_quiver_shape,
 )
 from .diagrams import all_diagrams, check_relations, diagram_mul, evaluate, factor_map
@@ -30,7 +29,6 @@ from .errors import ArgumentError, CapabilityError, ChainFFTError
 from .reps import DEFAULT_Q, adapted_rep
 from .transform import (
     element_from_json,
-    element_to_json,
     fft_naive,
     fft_sov,
     image_to_json,

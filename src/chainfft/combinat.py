@@ -11,6 +11,7 @@ import json
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 from typing import NamedTuple
 
@@ -130,12 +131,13 @@ class BratteliDiagram:
 
     levels[i] lists the level-i vertices in canonical order; edges[i] holds
     (source index at level i-1, target index at level i) pairs; dims[i][j] is
-    the number of root-to-vertex paths of levels[i][j].  Path counts, paths and
-    extensions are memoised on the diagram.
+    the number of root-to-vertex paths of levels[i][j].  The rows of level i are its
+    paths, numbered across its vertices (`row_moves`).  Path counts, paths and row
+    moves are memoised on the diagram.
     """
 
     __slots__ = ("kind", "n", "levels", "edges", "dims",
-                 "_path_count_memo", "_paths_memo", "_extensions_memo")
+                 "_path_count_memo", "_paths_memo", "_moves_memo")
 
     def __init__(
         self,
@@ -148,7 +150,7 @@ class BratteliDiagram:
         self.kind, self.n, self.levels, self.edges, self.dims = kind, n, levels, edges, dims
         self._path_count_memo: dict = {}
         self._paths_memo: dict = {}
-        self._extensions_memo: dict = {}
+        self._moves_memo: dict = {}
 
     def vertices(self, level: int) -> tuple[Partition, ...]:
         self._check_level(level)
@@ -201,18 +203,25 @@ class BratteliDiagram:
             memo[key] = (paths, {p: j for j, p in enumerate(paths)})
         return memo[key]
 
-    def extensions(self, level: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
-        """Level-(level-1) vertex mu -> ((lam, offset), ...) over its edges to `level`:
-        in lam's `paths` order the paths through mu fill one range from offset on."""
-        memo = self._extensions_memo
+    def row_moves(self, level: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row r of level-1 -> ((row at level, column offset), ...), one pair per edge.
+
+        A level's rows are its paths numbered across its vertices: vertex order, then
+        `paths` order.  The path p, row r below, moves to the row of p + (lam,), and in
+        lam's `paths` order the paths through p's end fill one range from the offset on.
+        """
+        if not 1 <= level <= self.n:
+            raise InvalidVertexError(f"level {level} outside 1..{self.n}")
+        memo = self._moves_memo
         if level not in memo:
-            out: dict[Partition, list] = {}
-            for lam in self.vertices(level):
-                offset = 0
-                for mu in self.in_neighbors(level, lam):
-                    out.setdefault(mu, []).append((lam, offset))
-                    offset += self.dim(level - 1, mu)
-            memo[level] = {mu: tuple(edges) for mu, edges in out.items()}
+            dims, firsts = self.dims[level - 1], list(accumulate(self.dims[level], initial=0))
+            starts, offsets = list(accumulate(dims, initial=0)), [0] * len(firsts)
+            moves: list[list] = [[] for _ in range(starts[-1])]
+            for a, b in self.edges[level]:  # sorted, so each lam meets its mu in order
+                for k in range(dims[a]):
+                    moves[starts[a] + k].append((firsts[b] + offsets[b] + k, offsets[b]))
+                offsets[b] += dims[a]
+            memo[level] = tuple(map(tuple, moves))
         return memo[level]
 
     def _check_level(self, level: int) -> None:

@@ -38,6 +38,8 @@ class Diagram(_DiagramFields):
     def __new__(cls, kind: ChainKind, n: int, pairs: tuple[tuple[int, int], ...]):
         if kind is ChainKind.BMW_STRUCTURAL:
             raise ArgumentError("BMW diagrams carry no multiplication data")
+        if not all(isinstance(pair, tuple) and len(pair) == 2 for pair in pairs):
+            raise ArgumentError(f"{pairs!r} is not a tuple of 2-tuples")
         seen = sorted(p for pair in pairs for p in pair)
         if seen != list(range(1, 2 * n + 1)):
             raise ArgumentError(f"not a perfect matching on 2n={2 * n} points")

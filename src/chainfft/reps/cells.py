@@ -119,18 +119,18 @@ def _embedding_columns(rep: AdaptedRep, level, nu, mu, tokens):
     q, d_mu = rep.q, rep.dim(mu, level - 1)
     dim_nu = len(cell_basis(level, nu))
     unknowns = dim_nu * d_mu
-    constraints = []  # D(i) rho_nu(tok) X - X (D(i) rho_mu(tok)) = 0 for every token
+    constraints = []  # rho_nu(tok) X - X rho_mu(tok) = 0 for every token
     for tok in tokens:
-        rho_nu, scale = cell_matrix(level, nu, tok, q), rep.token_scale(tok[1])
-        cols = rep.token_columns(mu, tok, level - 1)
+        rho_nu, rho_mu = cell_matrix(level, nu, tok, q), rep.token_matrix(mu, tok, level - 1)
         for r in range(dim_nu):
             for c in range(d_mu):
                 row = [Fraction(0)] * unknowns
                 for k in range(dim_nu):
                     if rho_nu[r][k]:
-                        row[k * d_mu + c] += scale * rho_nu[r][k]
-                for k, v in cols[c]:
-                    row[r * d_mu + k] -= v
+                        row[k * d_mu + c] += rho_nu[r][k]
+                for k in range(d_mu):
+                    if rho_mu[k][c]:
+                        row[r * d_mu + k] -= rho_mu[k][c]
                 constraints.append(row)
     kernel = nullspace(constraints, unknowns)
     if len(kernel) != 1:

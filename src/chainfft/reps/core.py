@@ -11,15 +11,17 @@ mass.  So every rho is built by the SOV level routine on the route's one stream
 (one fiber, whose keys are the columns), with a throwaway counter, and memoised
 at every level.
 
-Everything is stored as integer numerators, in one form each.  A generator at
-index i, over D(i), the lcm of the denominators of its local blocks, is a tuple
-of sparse columns (`token_columns`), the form the kernel reads: column r sends
-row r to its output rows.  A level-L rho below n, over S_L = prod_{i<L} D(i)^(L-i)
-(`scale`), is row-major block data {lam: {row: {col: value}}} (`_block_data`),
-the form of every level table of the SOV kernel, memoised for the recursion
-until every level-n row is compiled; then nothing reads those tables, and they
-are dropped.  A rho at level n is stored only as its compiled row (`rho_row`),
-built per basis key on first use: the flat positions of its nonzero entries and
+Everything is stored as integer numerators, in one form each.  A level's rows
+are its Gel'fand-Tsetlin paths, numbered across its blocks in vertex order and
+then `paths` order.  A generator at index i, over D(i), the lcm of the
+denominators of its local blocks, is one tuple of sparse columns per level, one
+column per row (`token_columns`), the form the kernel reads: column r sends row
+r to its output rows.  A level-L rho below n, over its own scale, the product of
+D(i) over its route's tokens, is a row-major level table {row: {col: value}}
+(`_block_data`), the form of every level table of the SOV kernel, memoised for
+the recursion until every level-n row is compiled; then nothing reads those
+tables, and they are dropped.  A rho at level n is stored only as its compiled
+row (`rho_row`), built per basis key on first use: the flat positions of its nonzero entries and
 their numerators over a denominator of its own, so that the naive sum is one
 scatter per row, and the flat layout of those positions is the layout of a
 `transform.FourierImage`.  Inversion reads rows of its own, the rows of T^-1
@@ -31,7 +33,8 @@ position, entry (r, c) of a row at position (c, r), weighted by w_lam
 (`packed_traces`), so that every coefficient of an image's preimage comes out of
 one packed sum over its numerators as they stand (`traces`).  Readers divide once
 at the end; `rho_blocks` and `character` are views decoded from the row, and
-`token_matrix` is an uncached rational view.
+`token_matrix` is an uncached rational view of one vertex's block of a
+generator, which the Brauer build reads.
 """
 
 from __future__ import annotations
@@ -119,34 +122,36 @@ class AdaptedRep:
         lvl = self.n if level is None else level
         return sum(d * d for d in self.B.dims[lvl])
 
-    def token_columns(self, lam: Partition, token: Token, level: int):
-        """D(i) times the columns of a generator on the level-`level` vertex lam:
-        ((row, int value), ...) each.
+    def token_columns(self, token: Token, level: int):
+        """D(i) times the columns of a generator at level `level`: one
+        ((row, int value), ...) per row of the level, rows numbered across its blocks
+        in vertex order and then `paths` order (`BratteliDiagram.row_moves`).
 
         Entry (P', P) is nonzero only when the paths agree away from the token's
         level; the value is read from the block of the shared two-step frame.
         """
-        key = (level, tuple(lam), token)
+        key = (level, token)
         if key not in self._cols:
             sym, i = token
             if not 1 <= i <= level - 1 or sym not in {s for (s, _), _, _ in self.blocks}:
                 raise ArgumentError(f"token {token} invalid at level {level} of {self.kind.value}")
-            scale = self.token_scale(i)
-            paths, pos = self.B.paths(level, lam)
-            cols = []
-            for p in paths:
-                mu, nu = p[i - 1], p[i + 1]
-                block = self.blocks.get((token, mu, nu))
-                col = []
-                if block is not None:
-                    mids = middles(self.B, i, mu, nu)
-                    kc = mids.index(p[i])
-                    for kr, kappa in enumerate(mids):
-                        val = block[kr][kc]
-                        if val:
-                            row = pos[p[:i] + (kappa,) + p[i + 1 :]]
-                            col.append((row, val.numerator * (scale // val.denominator)))
-                cols.append(tuple(sorted(col)))
+            scale, cols, first = self.token_scale(i), [], 0
+            for lam in self.B.vertices(level):
+                paths, pos = self.B.paths(level, lam)
+                for p in paths:
+                    mu, nu = p[i - 1], p[i + 1]
+                    block = self.blocks.get((token, mu, nu))
+                    col = []
+                    if block is not None:
+                        mids = middles(self.B, i, mu, nu)
+                        kc = mids.index(p[i])
+                        for kr, kappa in enumerate(mids):
+                            val = block[kr][kc]
+                            if val:
+                                row = first + pos[p[:i] + (kappa,) + p[i + 1 :]]
+                                col.append((row, val.numerator * (scale // val.denominator)))
+                    cols.append(tuple(sorted(col)))
+                first += len(paths)
             self._cols[key] = tuple(cols)
         return self._cols[key]
 
@@ -158,7 +163,7 @@ class AdaptedRep:
         return self._scales[i]
 
     def scale(self, level: int | None = None) -> int:
-        """S_L = prod_{i<L} D(i)^(L-i): the denominator of every level-L block datum."""
+        """S_L = prod_{i<L} D(i)^(L-i): the one scale of every level-L stream of the SOV kernel."""
         level = self.n if level is None else level
         return prod(self.token_scale(i) ** (level - i) for i in range(1, level))
 
@@ -181,32 +186,35 @@ class AdaptedRep:
         return self._pre[level]
 
     def token_matrix(self, lam: Partition, token: Token, level: int | None = None):
-        """Dense rational view of `token_columns` (level n by default); not cached."""
-        cols = self.token_columns(lam, token, self.n if level is None else level)
+        """Dense rational view of lam's block of `token_columns` (level n by default);
+        not cached."""
+        level = self.n if level is None else level
+        j, dims = self.B.vertex_index(level, lam), self.B.dims[level]
+        cols, d, first = self.token_columns(token, level), dims[j], sum(dims[:j])
         block: dict = {}
-        for c, col in enumerate(cols):
+        for c, col in enumerate(cols[first : first + d]):
             for r, v in col:
-                block.setdefault(r, {})[c] = v
-        return dense_matrix(len(cols), block, self.token_scale(token[1]))
+                block.setdefault(r - first, {})[c] = v
+        return dense_matrix(d, block, self.token_scale(token[1]))
 
     # -- representation of basis diagrams --------------------------------
     def _block_data(self, key: str, level: int) -> dict:
-        """Row-major block data {lam: {row: {col: numerator over S_level}}} of a basis key:
-        the SOV level routine on the route's one stream, rho_{level-1}(sub) embedded
-        times its identity factor, which applies only that stream's tokens.
+        """The level table {row: {col: numerator}} of rho of a basis key, over its own
+        scale, the product of D(i) over its route's tokens, which is
+        scale(level) // prescale(level)[key]: the SOV level routine on the route's one
+        stream, rho_{level-1}(sub) embedded, which applies only that stream's tokens.
 
         Memoised below level n, which is all that the recursion reads, until `rho_row`
         has compiled every level-n row; at level n it is built afresh, and `rho_row`
         keeps the one stored form."""
         if level <= 1:
-            return {(1,) if level else (): {0: {0: 1}}}
+            return {0: {0: 1}}
         if (level, key) in self._levels:
             return self._levels[(level, key)]
         from ..transform import OpCounter, _embed_blocks, _run_level, _schedule
 
         tokens, sub = route_table(self.kind, level)[key]
-        factor = self.identity_factor(level, tokens)
-        data = _embed_blocks(self, level, self._block_data(sub, level - 1), factor)
+        data = _embed_blocks(self, level, self._block_data(sub, level - 1))
         stream = _schedule(self.kind, level).stream_of[tokens]
         data = _run_level(self, level, {stream: data}, OpCounter())
         if level < self.n:
@@ -214,18 +222,19 @@ class AdaptedRep:
         return data
 
     def _layout(self):
-        """(offsets, positions) of the flat level-n image (`image_layout`), memoised:
-        offsets[lam] = (offset(lam), dim(lam)), and one shared int object per position."""
+        """(row_at, positions) of the flat level-n image (`image_layout`), memoised:
+        row_at[r] is the position of entry 0 of level row r, and positions holds one
+        shared int object per position."""
         if self._flat is None:
-            offsets = {lam: (at, d) for lam, at, d in image_layout(self.kind, self.n)}
-            self._flat = (offsets, list(range(self.algebra_dim())))
+            row_at = [at + k * d for _, at, d in image_layout(self.kind, self.n)
+                      for k in range(d)]
+            self._flat = (row_at, list(range(self.algebra_dim())))
         return self._flat
 
     def _identity_image(self) -> list[int]:
         """The flat level-n image of the identity: 1 on the diagonal of every block."""
-        offsets, positions = self._layout()
-        flat = [0] * len(positions)
-        for base, d in offsets.values():
+        flat = [0] * self.algebra_dim()
+        for _, base, d in image_layout(self.kind, self.n):
             flat[base : base + d * d : d + 1] = [1] * d
         return flat
 
@@ -234,8 +243,9 @@ class AdaptedRep:
         one stored form of a level-n rho, which the naive sum, the traces and the views
         all read.  Entry (r, c) of block lam sits at position
         offset(lam) + r . dim(lam) + c, the blocks in vertex order (`_layout`), and
-        its value is an integer numerator over den: the numerators over `scale()`
-        divided by their gcd with `scale()`, and den = `scale()` over that gcd.
+        its value is an integer numerator over den: the numerators of `_block_data`
+        over the key's own scale, scale() // prescale(n)[key], divided by their gcd
+        with it, and den that scale over the gcd.
 
         Compiled from `_block_data` on first use and memoised per key, so a sparse
         caller compiles only the rows of its support; compiling the last row drops the
@@ -246,15 +256,13 @@ class AdaptedRep:
         """
         row = self._rows.get(key)
         if row is None:
-            offsets, shared = self._layout()
+            row_at, shared = self._layout()
             positions, numerators = [], []
-            for lam, block in self._block_data(key, self.n).items():
-                base, d = offsets[lam]
-                for r, line in block.items():
-                    at = base + r * d
-                    positions.extend([shared[at + c] for c in line])
-                    numerators.extend(line.values())
-            scale = self.scale()
+            for r, line in self._block_data(key, self.n).items():
+                at = row_at[r]
+                positions.extend([shared[at + c] for c in line])
+                numerators.extend(line.values())
+            scale = self.scale() // self.prescale(self.n)[key]
             common = gcd(scale, *numerators)
             values = [v // common for v in numerators]
             row = (tuple(positions), tuple(map(self._ints.setdefault, values, values)),
@@ -272,12 +280,11 @@ class AdaptedRep:
         (numerator = value . scale() / den); nothing of it is kept.
         """
         positions, values, den = self.rho_row(basis_key(self.kind, self.n, key))
-        up, offsets = self.scale() // den, self._layout()[0]
-        vertices, bases = list(offsets), [base for base, _ in offsets.values()]
+        up, layout = self.scale() // den, image_layout(self.kind, self.n)
+        bases = [base for _, base, _ in layout]
         out: dict = {}
         for p, v in zip(positions, values):
-            lam = vertices[bisect_right(bases, p) - 1]
-            base, d = offsets[lam]
+            lam, base, d = layout[bisect_right(bases, p) - 1]
             r, c = divmod(p - base, d)
             out.setdefault(lam, {}).setdefault(r, {})[c] = v * up
         return out
@@ -376,7 +383,7 @@ class AdaptedRep:
         target[p] is the position of entry (c, r), and weight[p] is d_lam on S_n
         and 1 elsewhere."""
         target, weight = [], []
-        for base, d in self._layout()[0].values():
+        for _, base, d in image_layout(self.kind, self.n):
             target.extend(base + c * d + r for r in range(d) for c in range(d))
             weight.extend([d if self.kind is ChainKind.SYMMETRIC_GROUP else 1] * (d * d))
         return target, weight

@@ -13,7 +13,6 @@ from functools import lru_cache
 from ..combinat import (
     ChainKind,
     Partition,
-    add_box_results,
     cached_bratteli,
     partition_key,
 )

@@ -8,14 +8,14 @@ on first use, from the factorization table `diagrams.route_table`: basis keys
 become integer positions, and each position routes to a (stream, position one
 level down) pair.  A call routes every coefficient down to level 1, then goes
 back up in one pass per level over all fibers at once: a level's data is one
-row-major table per stream, {lam: {row: {key: int}}}, whose keys pack (fiber,
-column) into one int.  The table below is split by stream and embedded along
-the path offsets of `BratteliDiagram.extensions`; then one level routine,
-`_run_level`, which the rho recursion shares on its one fiber, applies the
-tokens of the live streams as sparse products across every fiber and merges
-them stage by stage.  Operation counters track scalar multiplications and
-additions of the transform proper; representation data, schedules and routing
-are precomputed and free.
+row-major table per stream, {row: {key: int}}, its rows the level's paths
+numbered across the blocks, whose keys pack (fiber, column) into one int.  The
+table below is split by stream and embedded along `BratteliDiagram.row_moves`;
+then one level routine, `_run_level`, which the rho recursion shares on its one
+fiber, applies the tokens of the live streams, one column table per (level,
+token), as sparse products across every fiber and merges them stage by stage.
+Operation counters track scalar multiplications and additions of the transform
+proper; representation data, schedules and routing are precomputed and free.
 
 Both engines run on Python ints: the SOV engine over the integer generator
 columns of `AdaptedRep`, the naive engine over its compiled rho rows
@@ -40,7 +40,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 from typing import NamedTuple
 
 from .combinat import (
@@ -378,8 +377,8 @@ def fft_sov(
 ) -> tuple[FourierImage, OpCounter]:
     """Separation-of-variables transform; exact match with fft_naive.
 
-    The kernel's block data, numerators over den . S_n, is written into the flat
-    positions of the image and reduced once."""
+    The kernel's level table, numerators over den . S_n, is written into the flat
+    positions of the image, one row at a time, and reduced once."""
     _check_inputs(f, rep)
     if plan is not None and (plan.kind != f.kind or plan.n != f.n):
         raise ArgumentError("plan does not match the input element")
@@ -388,23 +387,23 @@ def fft_sov(
     # c -> c . den . prescale, an int; the result is S_n . den times the transform
     den, prescale = lcm(*(c.denominator for _, c in f.coeffs)), rep.prescale(f.n)
     coeffs = {index[k]: c.numerator * (den // c.denominator) * prescale[k] for k, c in f.coeffs}
-    offsets, flat = rep._layout()[0], [0] * rep.algebra_dim()
-    for lam, block in _sov_level(rep, f.n, coeffs, counter).items():
-        base, d = offsets[lam]
-        for r, row in block.items():
-            at = base + r * d
-            for c, v in row.items():
-                flat[at + c] = v
+    row_at, flat = rep._layout()[0], [0] * rep.algebra_dim()
+    for r, row in _sov_level(rep, f.n, coeffs, counter).items():
+        at = row_at[r]
+        for c, v in row.items():
+            flat[at + c] = v
     return _reduced_image(f.kind, f.n, flat, den * rep.scale()), counter
 
 
-# Block data is row-major, {lam: {row: {key: int}}}, nonzero entries only.  A key
-# is a column of the block, or in `_sov_level` a fiber's column packed into one int.
+# A level table is row-major, {row: {key: int}}, nonzero entries only.  Its rows
+# are the level's paths, numbered across the blocks in vertex order and then `paths`
+# order (`BratteliDiagram.row_moves`).  A key is a column of the row's block, or in
+# `_sov_level` a fiber's column packed into one int.
 
 
 def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
-    """Transform {basis position: integer coefficient} at the given level into block data,
-    in one pass per level over all fibers.
+    """Transform {basis position: integer coefficient} at the given level into its level
+    table, in one pass per level over all fibers.
 
     Down: a coefficient of fiber F at level L >= 2 routes to (stream s, position one
     level down) in fiber F + s . K_L, K_L being the product of the stream counts of
@@ -422,32 +421,31 @@ def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
         span *= len(_schedule(rep.kind, lvl).streams)
     stride = max(max(dims) for dims in rep.B.dims[: level + 1])
     row = {f * stride: c for f, _, c in entries if c}
-    data = {(1,) if level else (): {0: row}} if row else {}
+    data = {0: row} if row else {}
     for lvl in range(2, level + 1):
         data = _run_level(rep, lvl, _split_streams(rep, lvl, data, spans.pop() * stride), counter)
     return data
 
 
 def _split_streams(rep: AdaptedRep, level: int, below: dict, width: int) -> dict:
-    """{stream: embedded block data} for level >= 2 from the table of the level below,
+    """{stream: embedded level table} for level >= 2 from the table of the level below,
     whose keys are stream . width + key one level up: each row is split by its stream
     digit, which is dropped, and each stream's part goes through `_embed_blocks`."""
     count = len(_schedule(rep.kind, level).streams)
     parts: dict[int, dict] = {}
-    for mu, block in below.items():
-        for r, row in block.items():
-            split: list[dict] = [{} for _ in range(count)]
-            for k, v in row.items():
-                split[k // width][k % width] = v
-            for s, part in enumerate(split):
-                if part:
-                    parts.setdefault(s, {}).setdefault(mu, {})[r] = part
+    for r, row in below.items():
+        split: list[dict] = [{} for _ in range(count)]
+        for k, v in row.items():
+            split[k // width][k % width] = v
+        for s, part in enumerate(split):
+            if part:
+                parts.setdefault(s, {})[r] = part
     return {s: _embed_blocks(rep, level, part) for s, part in parts.items()}
 
 
 def _run_level(rep: AdaptedRep, level: int, streams: dict, counter: OpCounter) -> dict:
     """Run the merge stages of level >= 2, highest index first, over its live streams
-    {stream: block data}, consuming them.
+    {stream: level table}, consuming them.
 
     A merge may leave a zero, which the stream's next token drops; if any merge sum
     was zero, the zeros left at the end are dropped in one pass over the level.  A
@@ -468,95 +466,76 @@ def _run_level(rep: AdaptedRep, level: int, streams: dict, counter: OpCounter) -
     data = streams.get(0, {})
     if not zeros:
         return data
-    result: dict[Partition, dict] = {}
-    for lam, block in data.items():
-        block = {r: kept for r, row in block.items()
-                 if (kept := {k: v for k, v in row.items() if v})}
-        if block:
-            result[lam] = block
-    return result
+    return {r: kept for r, row in data.items() if (kept := {k: v for k, v in row.items() if v})}
 
 
-def _merge_stream(dest_blocks: dict, data: dict, counter: OpCounter) -> bool:
-    """Add block data into the block data of a stream, moving its dicts in; each sum
-    onto a present entry is one add.  True if a sum is zero."""
+def _merge_stream(dest: dict, data: dict, counter: OpCounter) -> bool:
+    """Add a level table into the table of a stream, moving its rows in; each sum onto
+    a present entry is one add.  True if a sum is zero."""
     adds, zeros = 0, False
-    for lam, block in data.items():
-        dest = dest_blocks.get(lam)
-        if dest is None:
-            dest_blocks[lam] = block
+    for r, row in data.items():
+        acc = dest.get(r)
+        if acc is None:
+            dest[r] = row
             continue
-        for r, row in block.items():
-            acc = dest.get(r)
-            if acc is None:
-                dest[r] = row
-                continue
-            size = len(acc)
-            for k, v in row.items():
-                if k in acc:
-                    acc[k] += v
-                else:
-                    acc[k] = v
-            adds += size + len(row) - len(acc)
-            zeros = zeros or 0 in acc.values()
+        size = len(acc)
+        for k, v in row.items():
+            if k in acc:
+                acc[k] += v
+            else:
+                acc[k] = v
+        adds += size + len(row) - len(acc)
+        zeros = zeros or 0 in acc.values()
     counter.add += adds
     return zeros
 
 
-def _embed_blocks(rep: AdaptedRep, level: int, sub: dict, factor: int = 1) -> dict:
-    """Reindex level-(L-1) block data, times factor, into level L along shared extension
-    edges: rows and keys both move by the edge's offset."""
-    extensions = rep.B.extensions(level)
-    out: dict[Partition, dict] = {}
-    for mu, block in sub.items():
-        if factor != 1:
-            block = {r: {k: v * factor for k, v in row.items()} for r, row in block.items()}
-        for lam, offset in extensions[mu]:
-            dest = out.setdefault(lam, {})
-            for r, row in block.items():
-                dest[r + offset] = {k + offset: v for k, v in row.items()}
+def _embed_blocks(rep: AdaptedRep, level: int, sub: dict) -> dict:
+    """Reindex a level-(L-1) table into level L along `BratteliDiagram.row_moves`: each
+    row moves to one row per edge, and its keys move by the edge's column offset."""
+    moves = rep.B.row_moves(level)
+    out: dict[int, dict] = {}
+    for r, row in sub.items():
+        for rr, offset in moves[r]:
+            out[rr] = {k + offset: v for k, v in row.items()}
     return out
 
 
 def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCounter):
-    """Left-multiply integer block data by D(i) times one generator, block-locally.
+    """Left-multiply an integer level table by D(i) times one generator.
 
     Column r of the generator (`rep.token_columns`, so ints stay ints) sends input
     row r to its output rows rr: one pass over the row's keys, every fiber's at
-    once, per (live row, column entry).  Every scalar product of the straight-line program is counted, and
-    each accumulation beyond a first assignment counts as one addition.  Zero
-    entries of the result, and rows and blocks left empty, are dropped.
+    once, per (live row, column entry).  Every scalar product of the straight-line
+    program is counted, and each accumulation beyond a first assignment counts as one
+    addition.  Zero entries of the result, and rows left empty, are dropped.
     """
-    out: dict[Partition, dict] = {}
+    cols = rep.token_columns(token, level)
+    out: dict[int, dict] = {}
     muls = adds = 0
-    for lam, block in data.items():
-        cols = rep.token_columns(lam, token, level)
-        dest: dict = {}
-        for r, row in block.items():
-            images = cols[r]
-            muls += len(images) * len(row)
-            for rr, g in images:
-                acc = dest.get(rr)
-                if acc is None:
-                    dest[rr] = acc = {}
-                    for k, v in row.items():
-                        acc[k] = g * v
-                    continue
-                size = len(acc)
+    for r, row in data.items():
+        images = cols[r]
+        muls += len(images) * len(row)
+        for rr, g in images:
+            acc = out.get(rr)
+            if acc is None:
+                out[rr] = acc = {}
                 for k, v in row.items():
-                    if k in acc:
-                        acc[k] += g * v
-                    else:
-                        acc[k] = g * v
-                adds += size + len(row) - len(acc)
-        for rr in [rr for rr, acc in dest.items() if 0 in acc.values()]:
-            kept = {k: v for k, v in dest[rr].items() if v}
-            if kept:
-                dest[rr] = kept
-            else:
-                del dest[rr]
-        if dest:
-            out[lam] = dest
+                    acc[k] = g * v
+                continue
+            size = len(acc)
+            for k, v in row.items():
+                if k in acc:
+                    acc[k] += g * v
+                else:
+                    acc[k] = g * v
+            adds += size + len(row) - len(acc)
+    for rr in [rr for rr, acc in out.items() if 0 in acc.values()]:
+        kept = {k: v for k, v in out[rr].items() if v}
+        if kept:
+            out[rr] = kept
+        else:
+            del out[rr]
     counter.mul += muls
     counter.add += adds
     return out

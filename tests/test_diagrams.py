@@ -80,6 +80,22 @@ def test_planarity():
         Diagram(TL, 2, canonical_pairs([(1, 4), (2, 3)]))
 
 
+@pytest.mark.parametrize("kind,pairs", [
+    (BR, ((1, 2, 3), (4,))),
+    (BR, ((1,), (2, 3, 4))),
+    (BR, ((1, 2, 3, 4),)),
+    (TL, ((1,), (2,), (3,), (4,))),
+    (SN, ((1, 3, 2, 4),)),
+    (BR, ((1, 4), [2, 3])),
+    (BR, ((1, 4), 2, 3)),
+])
+def test_diagram_refuses_pairs_that_are_not_2_tuples(kind, pairs):
+    """Each point appears once, but not in two-point pairs: refused when made, so
+    no product ever reads them."""
+    with pytest.raises(ArgumentError, match="2-tuples"):
+        Diagram(kind, 2, pairs)
+
+
 def crosses_pairwise(pairs, n):
     """The definition: two strands cross when their boundary intervals interleave."""
     spans = [sorted((p if p <= n else 3 * n + 1 - p) for p in pair) for pair in pairs]

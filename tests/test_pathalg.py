@@ -13,7 +13,7 @@ import pytest
 
 from chainfft.combinat import ChainKind, build_bratteli, cached_bratteli
 from chainfft.diagrams import all_diagrams, grow, identity_diagram
-from chainfft.errors import ArgumentError
+from chainfft.errors import ArgumentError, InvalidVertexError
 from chainfft.transform import (
     AlgebraElement,
     FourierImage,
@@ -30,19 +30,28 @@ SN = ChainKind.SYMMETRIC_GROUP
 
 
 def sparse_blocks(img: FourierImage) -> dict:
-    """Row-major {vertex: {row: {col: value}}} of the nonzero entries, as _embed_blocks
-    takes."""
-    out = {}
-    for lam, m in img.blocks:
-        rows = {r: kept for r, row in enumerate(m)
-                if (kept := {c: v for c, v in enumerate(row) if v})}
-        if rows:
-            out[lam] = rows
+    """Row-major {row: {col: value}} of the nonzero entries, the rows numbered across
+    the blocks in vertex order, as _embed_blocks takes."""
+    out, first = {}, 0
+    for _, m in img.blocks:
+        for r, row in enumerate(m):
+            kept = {c: v for c, v in enumerate(row) if v}
+            if kept:
+                out[first + r] = kept
+        first += len(m)
     return out
 
 
-def entry_count(block: dict) -> int:
-    return sum(len(col) for col in block.values())
+def block_rows(B, level: int) -> dict:
+    """{vertex: range of its rows} at a level: the rows numbered in vertex order."""
+    out, first = {}, 0
+    for lam, d in zip(B.vertices(level), B.dims[level]):
+        out[lam], first = range(first, first + d), first + d
+    return out
+
+
+def entry_count(table: dict, rows: range) -> int:
+    return sum(len(table.get(r, {})) for r in rows)
 
 
 def identity_image(rep) -> FourierImage:
@@ -100,6 +109,36 @@ def test_pa_mul_level_mismatch(rep_cache):
         convolution_check(random_element(BR, 2, 0), random_element(BR, 3, 0), rep_cache(BR, 3))
 
 
+@pytest.mark.parametrize("kind,n", [(TL, n) for n in range(2, 7)] + [(SN, n) for n in range(1, 5)]
+                         + [(BR, 2), (BR, 3)], ids=lambda x: getattr(x, "value", x))
+def test_row_moves_follow_the_paths(kind, n):
+    """Row r of vertex mu at level L-1 is a path p; each move (rr, offset) of r lands
+    on lam's first row plus the position of p + (lam,) in lam's `paths` order, one
+    move per edge out of mu, and offset is that position less p's own in mu.  No two
+    rows move onto one row, and every level-L row is reached."""
+    B = build_bratteli(kind, n)
+    for level in range(1, n + 1):
+        moves, below, above = B.row_moves(level), block_rows(B, level - 1), block_rows(B, level)
+        assert len(moves) == sum(B.dims[level - 1])
+        reached = []
+        for mu, rows in below.items():
+            paths = B.paths(level - 1, mu)[0]
+            for r, p in zip(rows, paths):
+                lams = B.out_neighbors(level - 1, mu)
+                assert len(moves[r]) == len(lams)
+                for (rr, offset), lam in zip(moves[r], lams):
+                    at = B.paths(level, lam)[1][p + (lam,)]
+                    assert rr == above[lam].start + at
+                    assert offset == at - (r - rows.start)
+                reached.extend(rr for rr, _ in moves[r])
+        assert sorted(reached) == list(range(sum(B.dims[level])))
+    assert B.row_moves(n) is B.row_moves(n)
+    with pytest.raises(InvalidVertexError):
+        B.row_moves(0)
+    with pytest.raises(InvalidVertexError):
+        B.row_moves(n + 1)
+
+
 def test_embed_identity_to_identity(rep_cache):
     for level in (1, 2, 3):
         rep = rep_cache(BR, level)
@@ -108,9 +147,10 @@ def test_embed_identity_to_identity(rep_cache):
 
 
 def test_embed_level1_diagonal_fanout(rep_cache):
-    out = _embed_blocks(rep_cache(BR, 2), 2, {(1,): {0: {0: Fraction(1)}}})
-    assert set(out) == {(2,), (1, 1), ()}
-    assert all(block == {0: {0: 1}} for block in out.values())
+    rep = rep_cache(BR, 2)
+    out = _embed_blocks(rep, 2, {0: {0: Fraction(1)}})
+    assert rep.vertices(2) == ((2,), (1, 1), ()) and rep.B.dims[2] == (1, 1, 1)
+    assert out == {0: {0: 1}, 1: {0: 1}, 2: {0: 1}}
 
 
 def test_embed_is_algebra_homomorphism(rep_cache):
@@ -135,10 +175,11 @@ def test_embed_injective_on_random(rep_cache):
     B = rep_cache(BR, 3).B
     out = _embed_blocks(rep_cache(BR, 3), 3, sub)
     assert out
-    for lam, block in out.items():
+    below, above = block_rows(B, 2), block_rows(B, 3)
+    for lam, rows in above.items():
         # distinct level-2 entries land on distinct level-3 positions
-        assert entry_count(block) == sum(
-            entry_count(sub.get(mu, {})) for mu in B.in_neighbors(3, lam)
+        assert entry_count(out, rows) == sum(
+            entry_count(sub, below[mu]) for mu in B.in_neighbors(3, lam)
         )
 
 

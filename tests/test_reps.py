@@ -107,9 +107,9 @@ def test_tl_refuses_q_iff_a_weight_it_reads_vanishes(n):
                                         (TL, "x", 2), (SN, "r", 4), (BR, "e", 0)])
 def test_token_columns_refuse_tokens_the_chain_lacks(kind, sym, i):
     rep = adapted_rep.__wrapped__(kind, 4, Q)
+    with pytest.raises(ArgumentError):
+        rep.token_columns((sym, i), 4)
     for lam in rep.vertices():
-        with pytest.raises(ArgumentError):
-            rep.token_columns(lam, (sym, i), 4)
         with pytest.raises(ArgumentError):
             rep.token_matrix(lam, (sym, i))
     assert rep._cols == {}
@@ -216,8 +216,10 @@ def test_rho_is_the_product_of_its_word(kind, n, rep_cache):
 @pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 3)])
 def test_integer_kernel_scales(kind, n, rep_cache):
     """token_columns are the generators times D(i) in ints, with D(i) the lcm of the
-    denominators of the local blocks that the level-L paths read, at every level L;
-    each route's pre-scale times its tokens' D(i) is S_n = prod D(i)^(n-i)."""
+    denominators of the local blocks that the level-L paths read, at every level L:
+    one column per row of the level, and each vertex's slice, its rows numbered from
+    the vertex's first row, is D(i) times its token_matrix.  Each route's pre-scale
+    times its tokens' D(i) is S_n = prod D(i)^(n-i)."""
     rep = rep_cache(kind, n)
     syms = {sym for (sym, _), _, _ in rep.blocks}
     for level in range(2, n + 1):
@@ -228,15 +230,19 @@ def test_integer_kernel_scales(kind, n, rep_cache):
                     if j == i and (mu, nu) in frames for row in block for v in row}
             scale = rep.token_scale(i)
             assert scale == math.lcm(*dens)
-            for lam in rep.vertices(level):
-                for sym in syms:
-                    cols = rep.token_columns(lam, (sym, i), level)
+            for sym in syms:
+                cols = rep.token_columns((sym, i), level)
+                assert len(cols) == sum(rep.B.dims[level])
+                assert all(type(v) is int for col in cols for _, v in col)
+                first = 0
+                for lam in rep.vertices(level):
                     dense = rep.token_matrix(lam, (sym, i), level)
-                    assert all(type(v) is int for col in cols for _, v in col)
-                    assert cols == tuple(
-                        tuple((r, scale * row[c]) for r, row in enumerate(dense) if row[c])
+                    assert cols[first : first + len(dense)] == tuple(
+                        tuple((first + r, scale * row[c])
+                              for r, row in enumerate(dense) if row[c])
                         for c in range(len(dense))
                     )
+                    first += len(dense)
 
     def route_scale(key, level):
         if level <= 1:

@@ -228,9 +228,8 @@ def test_warm_sov_kernel_is_integer(rep_cache, monkeypatch):
 
     def checked(columns, level, token, data, counter):
         out = original(columns, level, token, data, counter)
-        for blocks in (data, out):
-            values.extend(v for block in blocks.values() for col in block.values()
-                          for v in col.values())
+        for table in (data, out):
+            values.extend(v for row in table.values() for v in row.values())
         return out
 
     monkeypatch.setattr(T, "_apply_token", checked)
@@ -252,8 +251,8 @@ def test_rho_recursion_and_sov_kernel_create_no_fraction(kind, n, monkeypatch):
 
     def checked(rep_, level, token, data, counter):
         out = original(rep_, level, token, data, counter)
-        values.extend(v for blocks in (data, out) for block in blocks.values()
-                      for col in block.values() for v in col.values())
+        values.extend(v for table in (data, out) for row in table.values()
+                      for v in row.values())
         return out
 
     monkeypatch.setattr(T, "_apply_token", checked)
@@ -266,8 +265,9 @@ def test_rho_recursion_and_sov_kernel_create_no_fraction(kind, n, monkeypatch):
     rep.character(identity_diagram(kind, n).key())
     assert made  # positive control: the one division of a reader is seen
     monkeypatch.undo()
-    values.extend(v for blocks in (*rhos, sov) for block in blocks.values()
+    values.extend(v for blocks in rhos for block in blocks.values()
                   for col in block.values() for v in col.values())
+    values.extend(v for row in sov.values() for v in row.values())
     assert all(type(v) is int for v in values)
 
 
@@ -450,25 +450,25 @@ def test_sov_single_diagram_matches_rho(rep_cache):
 
 @pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 5), (BR, 4)])
 def test_sov_level_matches_block_data_at_every_level(kind, n, rep_cache):
-    """At every level L <= n, the SOV driver on the point mass prescale(L)[key] gives
-    the rho driver's block data of the key (473 keys over the three cases)."""
+    """At every level L <= n, the SOV driver on the unit point mass of a key gives the
+    rho driver's level table of the key, both over the product of D(i) over the
+    key's route tokens (473 keys over the three cases)."""
     import chainfft.transform as T
 
     rep = rep_cache(kind, n)
     for level in range(1, n + 1):
         index = T._routing(kind, level).index
-        for key, scale in rep.prescale(level).items():
-            sov = T._sov_level(rep, level, {index[key]: scale}, OpCounter())
+        for key in rep.prescale(level):
+            sov = T._sov_level(rep, level, {index[key]: 1}, OpCounter())
             assert sov == rep._block_data(key, level), (level, key)
 
 
-def _no_zero_or_empty(blocks: dict) -> bool:
-    return all(block and all(col and all(col.values()) for col in block.values())
-               for block in blocks.values())
+def _no_zero_or_empty(table: dict) -> bool:
+    return all(row and all(row.values()) for row in table.values())
 
 
 def _run_level_outputs(f, rep):
-    """(live streams in, block data out) of every level-routine call of fft_sov(f)."""
+    """(live streams in, level table out) of every level-routine call of fft_sov(f)."""
     import chainfft.transform as T
 
     calls, original = [], T._run_level
@@ -492,7 +492,7 @@ def _run_level_outputs(f, rep):
 @given(st.sampled_from([(TL, 5), (SN, 4), (BR, 3)]), st.data())
 def test_level_routine_output_has_no_zero_or_empty_entry(case, data):
     """On random sparse supports the level routine's output holds no zero entry and
-    no empty column or block, with several live streams and with one."""
+    no empty row, with several live streams and with one."""
     import chainfft.transform as T
 
     kind, n = case
@@ -512,11 +512,13 @@ def test_level_routine_output_has_no_zero_or_empty_entry(case, data):
 
 
 def test_level_routine_drops_a_cancelled_block(rep_cache):
-    """id - r1 merges two streams whose trivial blocks cancel: the block is dropped."""
+    """id - r1 merges two streams whose trivial blocks cancel: the block's row, row 0
+    of S_2, is dropped, and only row 1, the block of (1, 1), is left."""
     rep = rep_cache(SN, 2)
     f = AlgebraElement.from_dict(SN, 2, {"1-3,2-4": 1, "1-4,2-3": -1})
     [(live, out)] = _run_level_outputs(f, rep)
-    assert live == 2 and list(out) == [(1, 1)] and _no_zero_or_empty(out)
+    assert rep.vertices(2) == ((2,), (1, 1)) and rep.B.dims[2] == (1, 1)
+    assert live == 2 and list(out) == [1] and _no_zero_or_empty(out)
 
 
 SCALARS = st.fractions(-5, 5, max_denominator=4)
