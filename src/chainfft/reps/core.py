@@ -45,6 +45,7 @@ from functools import lru_cache
 from itertools import compress
 from math import factorial, gcd, lcm, prod
 from operator import mul
+from struct import unpack
 
 from ..combinat import ChainKind, Partition, cached_bratteli
 from ..diagrams import all_diagrams, basis_key, diagram_mul, route_table
@@ -440,15 +441,23 @@ class AdaptedRep:
         return out
 
     def _packed_sum(self, x: tuple[int, ...] | list[int]) -> list[int]:
-        """The slots of one limb vector x, decoded from its packed sum."""
+        """The slots of one limb vector x, decoded from its packed sum.  Slots of up to
+        64 bits are copied into 8-byte lanes, w8 strided slices as `_pack_traces`
+        writes them, and unpacked at once as little-endian unsigned 64-bit ints; wider
+        slots are read one at a time."""
         width, columns, bias = self.packed_traces(max(map(abs, x)).bit_length())
         size, w8, half = len(columns), width // 8, 1 << (width - 1)
         total = sum(map(mul, compress(x, x), compress(columns, x)), bias)
         if not 0 <= total < 1 << (width * size):
             raise OverflowError(f"packed traces overflow their {width}-bit slots")
         data = total.to_bytes(size * w8, "little")
-        return [int.from_bytes(data[at : at + w8], "little") - half
-                for at in range(0, size * w8, w8)]
+        if w8 > 8:
+            return [int.from_bytes(data[at : at + w8], "little") - half
+                    for at in range(0, size * w8, w8)]
+        lanes = bytearray(8 * size)
+        for k in range(w8):
+            lanes[k::8] = data[k::w8]
+        return [v - half for v in unpack(f"<{size}Q", lanes)]
 
     def gram_matrix(self):
         """(basis diagrams, Gram matrix tau(b_i b_j) of the trace form

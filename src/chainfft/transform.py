@@ -6,14 +6,18 @@ word) and the order in which they merge; `sov_plan` prices that same schedule.
 The routing of the basis onto those streams is compiled once per (kind, level),
 on first use, from the factorization table `diagrams.route_table`: basis keys
 become integer positions, and each position routes to a (stream, position one
-level down) pair.  A call routes every coefficient down to level 1, then goes
-back up in one pass per level over all fibers at once: a level's data is one
-row-major table per stream, {row: {key: int}}, its rows the level's paths
-numbered across the blocks, whose keys pack (fiber, column) into one int.  The
-table below is split by stream and embedded along `BratteliDiagram.row_moves`;
-then one level routine, `_run_level`, which the rho recursion shares on its one
-fiber, applies the tokens of the live streams, one column table per (level,
-token), as sparse products across every fiber and merges them stage by stage.
+level down) pair.  The descent of every position to level 1 is compiled from
+those routes once per (kind, level) as well (`_descent`), so a call seeds each
+coefficient at its level-1 key and goes back up in one pass per level over all
+fibers at once: a level's data is one row-major table per stream,
+{row: {key: int}}, its rows the level's paths numbered across the blocks, whose
+keys pack (fiber, column) into one int.  The table below is split by stream,
+each entry written once at its place under its row's first Bratteli edge
+(`BratteliDiagram.row_moves`) and copied only for further edges; then one level
+routine, `_run_level`, which the rho recursion shares on its one fiber, applies the tokens of the live streams, one
+column table per (level, token), as sparse products across every fiber and
+merges them stage by stage.  Zeros are dropped where a sum ran: in the rows a
+token summed into, and after a merge that left one.
 Operation counters track scalar multiplications and additions of the transform
 proper; representation data, schedules and routing are precomputed and free.
 
@@ -405,51 +409,74 @@ def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
     """Transform {basis position: integer coefficient} at the given level into its level
     table, in one pass per level over all fibers.
 
-    Down: a coefficient of fiber F at level L >= 2 routes to (stream s, position one
-    level down) in fiber F + s . K_L, K_L being the product of the stream counts of
-    the levels above L.  Level 1 then holds one coefficient per fiber, at key
-    fiber . M, with M bounding every vertex dimension.  Up: level L splits the table
-    below by the stream digit of its keys, s . K_L . M + (F . M + column), embeds
-    each stream's part and runs `_run_level`.  At the top K = 1: keys are columns.
+    Level 1 holds one coefficient per fiber, seeded at the key that `_descent` holds
+    for its position.  Up: level L splits the table below by the stream digit of its
+    keys, s . K_L . M + (F . M + column), embedding each entry as it goes
+    (`_split_streams`), and runs `_run_level`.  At the top K = 1: keys are columns.
     """
-    entries = [(0, j, c) for j, c in coeffs.items()]  # (fiber, position, coefficient)
+    seeds, widths = _descent(rep.kind, level)
+    row = {seeds[j]: c for j, c in coeffs.items() if c}
+    data = {0: row} if row else {}
+    for lvl, width in enumerate(widths, 2):
+        data = _run_level(rep, lvl, _split_streams(rep, lvl, data, width), counter)
+    return data
+
+
+@lru_cache(maxsize=None)
+def _descent(kind: ChainKind, level: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(seeds, widths): the route of every level-`level` position down to level 1.
+
+    A coefficient of fiber F at level L >= 2 routes to (stream s, position one level
+    down) in fiber F + s . K_L, K_L being the product of the stream counts of the
+    levels above L.  seeds[j] is the level-1 key of top position j, its fiber times M,
+    with M bounding every vertex dimension up to the top; widths[L - 2] is K_L . M, the
+    split width of level L.  Below level 2 the one position seeds key 0."""
+    if level <= 1:
+        return (0,), ()
+    entries = [(0, j) for j in range(len(_routing(kind, level).routes))]  # (fiber, position)
     spans, span = [], 1
     for lvl in range(level, 1, -1):
-        routes = _routing(rep.kind, lvl).routes
-        entries = [(f + s * span, sub, c) for f, j, c in entries for s, sub in (routes[j],)]
+        routes = _routing(kind, lvl).routes
+        entries = [(f + s * span, sub) for f, j in entries for s, sub in (routes[j],)]
         spans.append(span)
-        span *= len(_schedule(rep.kind, lvl).streams)
-    stride = max(max(dims) for dims in rep.B.dims[: level + 1])
-    row = {f * stride: c for f, _, c in entries if c}
-    data = {0: row} if row else {}
-    for lvl in range(2, level + 1):
-        data = _run_level(rep, lvl, _split_streams(rep, lvl, data, spans.pop() * stride), counter)
-    return data
+        span *= len(_schedule(kind, lvl).streams)
+    stride = max(max(dims) for dims in cached_bratteli(kind, level).dims)
+    return (tuple(f * stride for f, _ in entries),
+            tuple(span * stride for span in reversed(spans)))
 
 
 def _split_streams(rep: AdaptedRep, level: int, below: dict, width: int) -> dict:
     """{stream: embedded level table} for level >= 2 from the table of the level below,
-    whose keys are stream . width + key one level up: each row is split by its stream
-    digit, which is dropped, and each stream's part goes through `_embed_blocks`."""
+    whose keys are stream . width + key one level up.  Each row is split by its stream
+    digit, which is dropped, and each entry is written once, at its key moved by the
+    offset of the row's first edge along `BratteliDiagram.row_moves`; a stream's part
+    is copied only for the row's further edges."""
     count = len(_schedule(rep.kind, level).streams)
+    moves = rep.B.row_moves(level)
     parts: dict[int, dict] = {}
     for r, row in below.items():
+        (rr, offset), *more = moves[r]
         split: list[dict] = [{} for _ in range(count)]
         for k, v in row.items():
-            split[k // width][k % width] = v
+            split[k // width][k % width + offset] = v
         for s, part in enumerate(split):
             if part:
-                parts.setdefault(s, {})[r] = part
-    return {s: _embed_blocks(rep, level, part) for s, part in parts.items()}
+                out = parts.setdefault(s, {})
+                out[rr] = part
+                for rr2, offset2 in more:
+                    shift = offset2 - offset
+                    out[rr2] = {k + shift: v for k, v in part.items()}
+    return parts
 
 
 def _run_level(rep: AdaptedRep, level: int, streams: dict, counter: OpCounter) -> dict:
     """Run the merge stages of level >= 2, highest index first, over its live streams
     {stream: level table}, consuming them.
 
-    A merge may leave a zero, which the stream's next token drops; if any merge sum
-    was zero, the zeros left at the end are dropped in one pass over the level.  A
-    lone live stream merges with nothing, so it applies only the tokens of its word.
+    A merge may leave a zero.  Once one has, the zeros that each later token of the
+    level gives are dropped after it, and the zeros left at the end of the level are
+    dropped in one pass.  A lone live stream merges with nothing, so it applies only
+    the tokens of its word.
     """
     zeros = False
     for moves in _schedule(rep.kind, level).stages:
@@ -458,15 +485,29 @@ def _run_level(rep: AdaptedRep, level: int, streams: dict, counter: OpCounter) -
             token, dest = moves[s]
             if token:
                 data = _apply_token(rep, level, token, data, counter)
+                if zeros:
+                    _drop_zeros(data, list(data))
             if dest in merged:
                 zeros |= _merge_stream(merged[dest], data, counter)
             else:
                 merged[dest] = data
         streams = merged
     data = streams.get(0, {})
-    if not zeros:
-        return data
-    return {r: kept for r, row in data.items() if (kept := {k: v for k, v in row.items() if v})}
+    if zeros:
+        _drop_zeros(data, list(data))
+    return data
+
+
+def _drop_zeros(table: dict, rows) -> None:
+    """Drop the zero entries of the given rows of a level table, and the rows left empty."""
+    for r in rows:
+        row = table[r]
+        if 0 in row.values():
+            kept = {k: v for k, v in row.items() if v}
+            if kept:
+                table[r] = kept
+            else:
+                del table[r]
 
 
 def _merge_stream(dest: dict, data: dict, counter: OpCounter) -> bool:
@@ -508,10 +549,13 @@ def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCoun
     row r to its output rows rr: one pass over the row's keys, every fiber's at
     once, per (live row, column entry).  Every scalar product of the straight-line
     program is counted, and each accumulation beyond a first assignment counts as one
-    addition.  Zero entries of the result, and rows left empty, are dropped.
+    addition.  Zero entries of the rows that took a sum, and rows left empty, are
+    dropped: a column entry is nonzero, so a first assignment holds a zero only where
+    its input row does, which only a merge leaves (`_run_level`).
     """
     cols = rep.token_columns(token, level)
     out: dict[int, dict] = {}
+    summed = set()
     muls = adds = 0
     for r, row in data.items():
         images = cols[r]
@@ -530,12 +574,8 @@ def _apply_token(rep: AdaptedRep, level: int, token, data: dict, counter: OpCoun
                 else:
                     acc[k] = g * v
             adds += size + len(row) - len(acc)
-    for rr in [rr for rr, acc in out.items() if 0 in acc.values()]:
-        kept = {k: v for k, v in out[rr].items() if v}
-        if kept:
-            out[rr] = kept
-        else:
-            del out[rr]
+            summed.add(rr)
+    _drop_zeros(out, summed)
     counter.mul += muls
     counter.add += adds
     return out

@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainfft.combinat import ChainKind, cached_bratteli, hom_count_closed, paper_bounds
@@ -519,6 +519,106 @@ def test_level_routine_drops_a_cancelled_block(rep_cache):
     [(live, out)] = _run_level_outputs(f, rep)
     assert rep.vertices(2) == ((2,), (1, 1)) and rep.B.dims[2] == (1, 1)
     assert live == 2 and list(out) == [1] and _no_zero_or_empty(out)
+
+
+def _route_down(kind, level, coeffs, dims):
+    """(level-1 row, split widths from level 2 up) of {position: coefficient}, routed
+    down on every call as `_sov_level` once did: a coefficient of fiber F at level
+    L >= 2 moves to fiber F + s . K_L, and level 1 keys it at fiber . M."""
+    import chainfft.transform as T
+
+    entries = [(0, j, c) for j, c in coeffs.items()]
+    spans, span = [], 1
+    for lvl in range(level, 1, -1):
+        routes = T._routing(kind, lvl).routes
+        entries = [(f + s * span, sub, c) for f, j, c in entries for s, sub in (routes[j],)]
+        spans.append(span)
+        span *= len(T._schedule(kind, lvl).streams)
+    stride = max(max(d) for d in dims[: level + 1])
+    return {f * stride: c for f, _, c in entries if c}, [k * stride for k in reversed(spans)]
+
+
+@pytest.mark.parametrize("kind,top", [(TL, 9), (SN, 6), (BR, 4)],
+                         ids=lambda x: getattr(x, "value", x))
+def test_descent_seeds_equal_the_route_down(kind, top):
+    """`_descent` holds, for every position of every level 0..top, the level-1 key and
+    the split widths that routing its coefficient down on every call gives, with the
+    vertex bound M read from the largest diagram."""
+    import chainfft.transform as T
+
+    dims = cached_bratteli(kind, top).dims
+    for level in range(top + 1):
+        size = len(T._routing(kind, level).routes) if level else 1
+        row, widths = _route_down(kind, level, {j: j + 1 for j in range(size)}, dims)
+        seeds, held = T._descent(kind, level)
+        assert len(seeds) == size and list(held) == widths
+        assert {seeds[j]: j + 1 for j in range(size)} == row, (kind, level)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([TL, SN, BR]), st.integers(2, 5), st.integers(1, 3), st.data())
+def test_split_streams_equals_split_then_embed(kind, level, fibers, data):
+    """Writing each entry once under its row's first edge, and copying a stream's part
+    only for the further edges, gives what splitting the table by stream and then
+    embedding each part does, on random tables whose keys span several streams."""
+    from types import SimpleNamespace
+
+    import chainfft.transform as T
+
+    B = cached_bratteli(kind, level)
+    rep = SimpleNamespace(kind=kind, B=B)
+    count = len(T._schedule(kind, level).streams)
+    stride = max(max(d) for d in B.dims)
+    width = fibers * stride
+    rows = sum(B.dims[level - 1])
+    key = st.builds(lambda s, f, c: s * width + f * stride + c, st.integers(0, count - 1),
+                    st.integers(0, fibers - 1), st.integers(0, max(B.dims[level - 1]) - 1))
+    below = data.draw(st.dictionaries(st.integers(0, rows - 1),
+                                      st.dictionaries(key, st.sampled_from([-2, -1, 1, 2]),
+                                                      min_size=1, max_size=6),
+                                      min_size=1, max_size=rows))
+    if count > 1:
+        assume(len({k // width for row in below.values() for k in row}) > 1)
+    parts: dict = {}
+    for r, row in below.items():
+        for k, v in row.items():
+            parts.setdefault(k // width, {}).setdefault(r, {})[k % width] = v
+    expected = {s: T._embed_blocks(rep, level, part) for s, part in parts.items()}
+    assert T._split_streams(rep, level, below, width) == expected
+
+
+def test_merge_zero_is_dropped_after_the_next_token(rep_cache):
+    """At Brauer 3 level 3 two streams merge into entries that sum to zero, and the
+    merged stream's next token reads them: its zeros are dropped before the next
+    merge, and the counts are those of the program that drops every token's zeros
+    (42 products, 15 adds; a kept zero would add one more)."""
+    import chainfft.transform as T
+
+    rep = rep_cache(BR, 3)
+    f = AlgebraElement.from_dict(BR, 3, {"1-3,2-4,5-6": 1, "1-4,2-5,3-6": 1,
+                                         "1-6,2-5,3-4": -1})
+    events = []
+    apply, merge = T._apply_token, T._merge_stream
+
+    def applied(rep_, level, token, data, counter):
+        events.append(("token", level, any(0 in row.values() for row in data.values())))
+        return apply(rep_, level, token, data, counter)
+
+    def merged(dest, data, counter):
+        zero_in = any(0 in row.values() for table in (dest, data) for row in table.values())
+        left = merge(dest, data, counter)
+        events.append(("merge", zero_in, left))
+        return left
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_apply_token", applied)
+        mp.setattr(T, "_merge_stream", merged)
+        img, ops = fft_sov(f, rep)
+    assert img == fft_naive(f, rep)[0]
+    assert (ops.mul, ops.add) == (42, 15)
+    at = events.index(("merge", False, True))  # a merge leaves a zero ...
+    assert events[at + 1] == ("token", 3, True)  # ... which the next token reads
+    assert events[at + 2] == ("merge", False, True)  # and holds none at the next merge
 
 
 SCALARS = st.fractions(-5, 5, max_denominator=4)
@@ -1182,6 +1282,31 @@ def test_packed_traces_refuse_to_decode_an_overflow(monkeypatch):
     assert rep.traces([3, 0]) == [3, 3]
     with pytest.raises(OverflowError, match="8-bit slots"):
         rep.traces([1000, 0])
+
+
+@pytest.mark.parametrize("w8", [1, 2, 3, 4, 5, 6, 7, 8, 11])
+def test_packed_sum_decodes_every_slot_width(w8):
+    """The packed sum's decode reads what one `int.from_bytes` per slot reads, at every
+    byte width that fits a 64-bit lane and at one above, on slots at 0 and at
+    +-(2^(W-1) - 1); a sum that carries out of its top slot or below 0 is refused."""
+    from types import SimpleNamespace
+
+    from chainfft.reps.core import AdaptedRep
+
+    width = 8 * w8
+    half, top = 1 << (width - 1), (1 << (width - 1)) - 1
+    x = [0, top, -top, 1, -1, 0, top, -top, 5]
+    columns = [1 << (width * j) for j in range(len(x))]  # slot j holds x[j]
+    bias = sum(half << (width * j) for j in range(len(x)))
+    packed = SimpleNamespace(packed_traces=lambda bits: (width, columns, bias))
+    total = bias + sum(v * c for v, c in zip(x, columns))
+    data = total.to_bytes(w8 * len(x), "little")
+    per_slot = [int.from_bytes(data[at : at + w8], "little") - half
+                for at in range(0, len(data), w8)]
+    assert AdaptedRep._packed_sum(packed, x) == per_slot == x
+    for last in (half, -half - 1):
+        with pytest.raises(OverflowError, match=f"{width}-bit slots"):
+            AdaptedRep._packed_sum(packed, x[:-1] + [last])
 
 
 def test_inverse_refused_at_s7_before_any_rho(monkeypatch):
