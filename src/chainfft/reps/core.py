@@ -25,14 +25,16 @@ row (`rho_row`), built per basis key on first use: the flat positions of its non
 their numerators over a denominator of its own, so that the naive sum is one
 scatter per row, and the flat layout of those positions is the layout of a
 `transform.FourierImage`.  Inversion reads rows of its own, the rows of T^-1
-(`trace_rows`): for each basis key b_j, the row of rho of its dual basis element
-under the weighted trace form tau_w = sum_lam w_lam chi_lam (`gram_dual`; w_lam is
-d_lam on S_n, where the dual of g is g^-1 / n!, and 1 elsewhere), summed from the
-`rho_row`s of the dual.  They are Kronecker-packed into one big int per image
-position, entry (r, c) of a row at position (c, r), weighted by w_lam
-(`packed_traces`), so that every coefficient of an image's preimage comes out of
-one packed sum over its numerators as they stand (`traces`).  Readers divide once
-at the end; `rho_blocks` and `character` are views decoded from the row, and
+(`trace_rows`), where T is the naive transform, whose column k is the image of
+the basis key b_k.  On S_n the row of g is the `rho_row` of g^-1 over n!, the
+Fourier inversion formula (`gram_dual`, the one dual table); on TL and Brauer T,
+built from the `rho_row`s, is inverted once by `ratlinalg.invert`.  A row lies in
+the layout of the `rho_row`s, entry (r, c) of block lam at the position of entry
+(c, r) of the image and divided by the weight w_lam (d_lam on S_n, 1 elsewhere).
+The rows are Kronecker-packed into one big int per image position, weighted by
+w_lam (`packed_traces`), so that every coefficient of an image's preimage comes
+out of one packed sum over its numerators as they stand (`traces`).  Readers
+divide once at the end; `rho_blocks` is a view decoded from the row, and
 `token_matrix` is an uncached rational view of one vertex's block of a
 generator, which the Brauer build reads.
 """
@@ -48,7 +50,7 @@ from operator import mul
 from struct import unpack
 
 from ..combinat import ChainKind, Partition, cached_bratteli
-from ..diagrams import all_diagrams, basis_key, diagram_mul, route_table
+from ..diagrams import basis_key, route_table
 from ..errors import ArgumentError, CapabilityError, ParameterError
 from ..ratlinalg import invert
 from .seminormal import middles, sn_block_table, tl_block_table
@@ -109,7 +111,6 @@ class AdaptedRep:
         self._levels: dict = {}
         self._rows: dict = {}
         self._ints: dict = {}
-        self._char: dict = {}
         self._flat = self._trace = self._packed = self._gram = None
 
     # -- basic structure -------------------------------------------------
@@ -232,13 +233,6 @@ class AdaptedRep:
             self._flat = (row_at, list(range(self.algebra_dim())))
         return self._flat
 
-    def _identity_image(self) -> list[int]:
-        """The flat level-n image of the identity: 1 on the diagonal of every block."""
-        flat = [0] * self.algebra_dim()
-        for _, base, d in image_layout(self.kind, self.n):
-            flat[base : base + d * d : d + 1] = [1] * d
-        return flat
-
     def rho_row(self, key: str) -> tuple:
         """(positions, values, den): rho(key) at level n for a canonical basis key, the
         one stored form of a level-n rho, which the naive sum, the traces and the views
@@ -290,56 +284,61 @@ class AdaptedRep:
             out.setdefault(lam, {}).setdefault(r, {})[c] = v * up
         return out
 
-    def character(self, key: str) -> Fraction:
-        """The trace of rho(key), read off the diagonal of its row; memoised."""
-        if key not in self._char:
-            positions, values, den = self.rho_row(basis_key(self.kind, self.n, key))
-            ones = self._identity_image().__getitem__
-            self._char[key] = Fraction(sum(map(mul, map(ones, positions), values)), den)
-        return self._char[key]
-
     # -- trace form -------------------------------------------------------
     def trace_rows(self):
-        """(keys, rows, den): the basis keys b_j of `gram_dual` in canonical order, for
-        each the row of rho(b_j^v), b_j^v = sum_k G_w^-1[k][j] b_k its dual basis
-        element, and den, the lcm of the rows' dens.  A row is summed from the
-        `rho_row`s of the dual, in their layout and reduced as they are.  Since
-        tau_w(f b_j^v) = f_j, these are the rows of T^-1; inversion reads them packed
-        (`packed_traces`, `traces`), entry (r, c) of block lam paired with entry (c, r)
-        of the image.
+        """(keys, rows, den): the basis keys b_j in canonical order, for each the row j
+        of T^-1, and den, the lcm of the rows' dens.  T is the naive transform, whose
+        column k is the image of b_k, so f(b_j) = sum_p T^-1[j][p] x_p for the image x
+        of f.  A row holds T^-1[j][p] / w_lam at the position of entry (r, c) for p the
+        position of entry (c, r) (`_image_positions`), reduced as a `rho_row` is, its
+        values interned with theirs; inversion reads the rows packed (`packed_traces`,
+        `traces`).
 
-        Memoised.  `gram_dual` is read first, so beyond `GRAM_LIMITS` this raises
-        `CapabilityError` before any row is compiled.
+        On S_n the row of g is the `rho_row` of g^-1 over den . n!, the dual table of
+        `gram_dual`, and shares that row's tuples.  On TL and Brauer T is inverted once
+        by `ratlinalg.invert`, from the matrix whose rows are the `rho_row`s, so that
+        column j of its inverse is row j of T^-1; a singular T raises `ParameterError`.
+
+        Memoised.  Beyond `GRAM_LIMITS` this raises `CapabilityError` before any row is
+        compiled.
         """
         if self._trace is None:
-            keys, duals, dual_den = self.gram_dual()
-            rows = [self._dual_row(dual, dual_den) for dual in duals]
+            self._check_limit()
+            if self.kind is ChainKind.SYMMETRIC_GROUP:
+                keys, duals, dual_den = self.gram_dual()
+                rows = [(p, v, den * dual_den) for p, v, den in (self.rho_row(k) for [k] in duals)]
+            else:
+                keys = self._keys()
+                rows = self._inverse_rows(keys)
             self._trace = (keys, rows, lcm(*(den for _, _, den in rows)))
         return self._trace
 
-    def _dual_row(self, dual: dict, dual_den: int) -> tuple:
-        """The row of rho(sum_k dual[k] b_k / dual_den): the `rho_row`s of the keys k
-        summed position by position over their lcm den, then divided by the gcd of the
-        sums and the den, as `rho_row` reduces.  A dual that is one key with
-        coefficient 1 whose row has nothing to reduce against dual_den (every dual on
-        S_n) shares that key's row tuples over den . dual_den."""
-        if len(dual) == 1:
-            [(key, c)] = dual.items()
+    def _inverse_rows(self, keys: list[str]) -> list[tuple]:
+        """The rows of T^-1 for `trace_rows`, from one `invert` of the matrix whose row
+        k is the `rho_row` of keys[k]."""
+        matrix = []
+        for key in keys:
             positions, values, den = self.rho_row(key)
-            if c == 1 and gcd(dual_den, *values) == 1:
-                return positions, values, den * dual_den
-        rows = [self.rho_row(key) for key in dual]
-        common = lcm(*(den for _, _, den in rows))
-        sums: dict = {}
-        for (positions, values, den), c in zip(rows, dual.values()):
-            up = c * (common // den)
+            line = [0] * len(keys)
             for p, v in zip(positions, values):
-                sums[p] = sums.get(p, 0) + v * up
-        sums = {p: v for p, v in sums.items() if v}
-        den = dual_den * common
-        reduce = gcd(den, *sums.values())
-        values = [v // reduce for v in sums.values()]
-        return tuple(sums), tuple(map(self._ints.setdefault, values, values)), den // reduce
+                line[p] = Fraction(v, den)
+            matrix.append(line)
+        try:
+            columns = list(zip(*invert(matrix)))
+        except ValueError:
+            raise ParameterError(
+                f"transform singular at q={self.q} for {self.kind.value} n={self.n}"
+            ) from None
+        target, _ = self._image_positions()
+        shared = self._layout()[1]
+        rows = []
+        for column in columns:
+            entries = [(p, column[t]) for p, t in enumerate(target) if column[t]]
+            den = lcm(*(x.denominator for _, x in entries))
+            values = [x.numerator * (den // x.denominator) for _, x in entries]
+            rows.append((tuple(shared[p] for p, _ in entries),
+                         tuple(map(self._ints.setdefault, values, values)), den))
+        return rows
 
     def packed_traces(self, x_bits: int) -> tuple:
         """(width, columns, bias): the rows of `trace_rows` Kronecker-packed (Harvey,
@@ -347,7 +346,7 @@ class AdaptedRep:
         numerators have at most x_bits bits.  columns[p] is
         sum_j R'[j][p] . 2^(width . j), where R'[j][p] is entry (r, c) of row j, for p
         the image position of entry (c, r) of the same block lam, scaled by den / den_j
-        and by the weight w_lam of `gram_dual` (d_lam on S_n, 1 elsewhere).  So
+        and by the weight w_lam (d_lam on S_n, 1 elsewhere).  So
         sum_p x_p . columns[p] holds, in the j-th width-bit slot, the coefficient of
         b_j in the element whose image is x, times the rows' common den.  width is
         x_bits, plus the bits of max |R'|, plus the bits of the longest row, plus 1,
@@ -459,63 +458,37 @@ class AdaptedRep:
             lanes[k::8] = data[k::w8]
         return [v - half for v in unpack(f"<{size}Q", lanes)]
 
-    def gram_matrix(self):
-        """(basis diagrams, Gram matrix tau(b_i b_j) of the trace form
-        tau = sum_lam chi_lam), which is the G_w of `gram_dual` on TL and Brauer."""
-        basis = all_diagrams(self.kind, self.n)
-        size = len(basis)
-        gram = [[Fraction(0)] * size for _ in range(size)]
-        for i, di in enumerate(basis):
-            for j in range(i, size):
-                prod = diagram_mul(di, basis[j])
-                val = self.q ** prod.loops * self.character(prod.diagram.key())
-                gram[i][j] = val
-                gram[j][i] = val
-        return basis, gram
+    def _keys(self) -> list[str]:
+        """The basis keys in canonical order."""
+        return sorted(route_table(self.kind, self.n)) if self.n else [""]
 
-    def gram_dual(self):
-        """(keys, duals, den): the dual basis of the weighted trace form
-        tau_w = sum_lam w_lam chi_lam, w_lam the block weight of `packed_traces`.  The
-        keys are in canonical order, and the dual of keys[j] is
-        {key k: G_w^-1[k][j] . den} over the nonzero entries, G_w[i][j] = tau_w(b_i b_j),
-        each an integer numerator over the one den of the whole table.
-
-        On TL and Brauer w = 1, and `gram_matrix` is inverted by `ratlinalg.invert`.
-        On S_n w_lam = d_lam, so tau_w(g) = n! [g = 1] (Serre, Linear Representations
-        of Finite Groups, 6.2): the dual of g is {key of g^-1: 1} over n!, read with
-        `sn_permutation`, and no Gram matrix is built.
-
-        Memoised.  Beyond `GRAM_LIMITS` this raises `CapabilityError`.
-        """
-        if self._gram is not None:
-            return self._gram
+    def _check_limit(self) -> None:
         limit = GRAM_LIMITS.get(self.kind)
         if limit is not None and self.n > limit:
             raise CapabilityError(f"dual basis limited to n <= {limit} for {self.kind.value}")
-        if self.kind is ChainKind.SYMMETRIC_GROUP:
-            keys = sorted(route_table(self.kind, self.n)) if self.n else [""]
+
+    def gram_dual(self):
+        """(keys, duals, den) on S_n: the dual basis of the weighted trace form
+        tau_w = sum_lam d_lam chi_lam, which `trace_rows` reads.  The keys are in
+        canonical order, and the dual of keys[j] is {key k: G_w^-1[k][j] . den},
+        G_w[i][j] = tau_w(b_i b_j).  Since tau_w(g) = n! [g = 1] (Serre, Linear
+        Representations of Finite Groups, 6.2), the dual of g is {key of g^-1: 1} over
+        n!, read with `sn_permutation`, and no Gram matrix is built.
+
+        On TL and Brauer this raises `CapabilityError`: `trace_rows` inverts T itself.
+        Memoised.  Beyond `GRAM_LIMITS` this raises `CapabilityError`.
+        """
+        if self.kind is not ChainKind.SYMMETRIC_GROUP:
+            raise CapabilityError(
+                f"no dual table for {self.kind.value}: trace_rows inverts the transform")
+        if self._gram is None:
+            self._check_limit()
+            keys = self._keys()
             perms = [sn_permutation(key, self.n) for key in keys]
             key_of = dict(zip(perms, keys))
             duals = [{key_of[tuple(sorted(range(self.n), key=perm.__getitem__))]: 1}
                      for perm in perms]
             self._gram = (keys, duals, factorial(self.n))
-            return self._gram
-        basis, gram = self.gram_matrix()
-        size = len(basis)
-        try:
-            ginv = invert(gram)
-        except ValueError:
-            raise ParameterError(
-                f"trace form degenerate at q={self.q} for {self.kind.value} n={self.n}"
-            ) from None
-        den = lcm(*(x.denominator for row in ginv for x in row))
-        keys = [d.key() for d in basis]
-        duals = [
-            {keys[k]: ginv[k][j].numerator * (den // ginv[k][j].denominator)
-             for k in range(size) if ginv[k][j]}
-            for j in range(size)
-        ]
-        self._gram = (keys, duals, den)
         return self._gram
 
 

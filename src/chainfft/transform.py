@@ -23,8 +23,10 @@ proper; representation data, schedules and routing are precomputed and free.
 
 Both engines run on Python ints: the SOV engine over the integer generator
 columns of `AdaptedRep`, the naive engine over its compiled rho rows
-(`AdaptedRep.rho_row`), which the inverse sums into the rows of T^-1 and reads
-packed (`AdaptedRep.trace_rows`, `AdaptedRep.traces`).
+(`AdaptedRep.rho_row`).  The inverse reads the rows of T^-1 packed
+(`AdaptedRep.trace_rows`, `AdaptedRep.traces`): on S_n the rho rows of the
+inverse permutations over n!, elsewhere one inversion of T built from the rho
+rows.
 The inputs are scaled by their common denominator, in the SOV engine by
 `AdaptedRep.prescale` as well, so that every stream carries one scale, and in
 the naive engine to the lcm of the support rows' denominators.  Scaling keeps
@@ -589,9 +591,9 @@ def inverse_ft(img: FourierImage, rep: AdaptedRep) -> AlgebraElement:
     """Recover the coefficients by one packed product x -> T^-1 x, in ints, with one
     `Fraction` per output coefficient.
 
-    The rows of `AdaptedRep.trace_rows` are the rows of the inverse transform: the
-    row of key b_j is rho of its dual basis element under the weighted trace form of
-    `AdaptedRep.gram_dual`, so its weighted trace against f-hat is f(b_j).  One packed
+    The rows of `AdaptedRep.trace_rows` are the rows of the inverse transform T^-1:
+    on S_n the rho row of g^-1 over n!, by the Fourier inversion formula, and on TL
+    and Brauer the columns of one inverse of T, built from the rho rows.  One packed
     sum over the image's own numerators (`AdaptedRep.traces`) gives f(b_j) times den,
     the common denominator of the rows, and the image's den, for every key at once.
     Beyond `GRAM_LIMITS` this raises `CapabilityError` before any row is compiled."""
@@ -636,15 +638,25 @@ def element_from_json(
 
     They are checked before any key is read, so a payload's n never sizes a basis.
     n must be a JSON integer, and q and each value a string or an integer: a
-    float or a bool is refused, not rounded or read as a number.
+    float or a bool is refused, not rounded or read as a number.  A payload of the
+    wrong shape is refused with the wrong field named.
     """
     try:
+        if not isinstance(payload, dict):
+            raise TypeError("the payload is not a JSON object")
         chain, size, q = payload["chain"], payload["n"], Fraction(_exact(payload["q"], "q"))
         if isinstance(size, bool) or not isinstance(size, int):
             raise TypeError(f"n={size!r} is not an integer")
+        if not isinstance(payload["coeffs"], list):
+            raise TypeError("coeffs is not a list")
         table: dict = {}
-        for row in payload["coeffs"]:
-            table[row["diagram"]] = table.get(row["diagram"], 0) + _exact(row["value"], "value")
+        for i, row in enumerate(payload["coeffs"]):
+            if not isinstance(row, dict):
+                raise TypeError(f"coeffs[{i}] is not an object")
+            key = row["diagram"]
+            if not isinstance(key, str):
+                raise TypeError(f"coeffs[{i}].diagram is not a string")
+            table[key] = table.get(key, 0) + _exact(row["value"], "value")
     except KeyError as exc:
         raise ArgumentError(f"coefficient payload lacks the field {exc}") from None
     except (TypeError, ValueError, ArithmeticError) as exc:

@@ -1,19 +1,21 @@
 """Exact references that the tests check the program against and no program path
-reads: a dense view of rho and of one image block, the naive transform matrix and
-its rank, the image of dense rational blocks, and the product of two elements with
+reads: a dense view of rho and of one image block, the character, the naive
+transform matrix and its rank, the Gram matrix of the trace form and its dual
+basis, the image of dense rational blocks, and the product of two elements with
 the convolution check built on it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from chainfft.combinat import ChainKind, Partition
-from chainfft.diagrams import Diagram, all_diagrams, diagram_from_key, diagram_mul
+from chainfft.diagrams import Diagram, all_diagrams, basis_key, diagram_from_key, diagram_mul
 from chainfft.errors import ArgumentError
-from chainfft.ratlinalg import Matrix, rref
-from chainfft.reps.core import AdaptedRep, dense_matrix, image_layout
+from chainfft.ratlinalg import Matrix, invert, rref
+from chainfft.reps.core import AdaptedRep, adapted_rep, dense_matrix, image_layout
 from chainfft.transform import AlgebraElement, FourierImage, _dense, fft_naive
 
 
@@ -27,6 +29,55 @@ def rho(rep: AdaptedRep, d: Diagram | str, lam: Partition):
     lam = tuple(lam)
     block = rep.rho_blocks(d if isinstance(d, str) else d.key()).get(lam, {})
     return dense_matrix(rep.dim(lam), block, rep.scale())
+
+
+def character(rep: AdaptedRep, key: str) -> Fraction:
+    """The trace of rho(key), read off the diagonal of its `rho_row`; any spelling of
+    a diagram is accepted."""
+    positions, values, den = rep.rho_row(basis_key(rep.kind, rep.n, key))
+    diagonal = {at + k * (d + 1) for _, at, d in image_layout(rep.kind, rep.n) for k in range(d)}
+    return Fraction(sum(v for p, v in zip(positions, values) if p in diagonal), den)
+
+
+def gram_matrix(rep: AdaptedRep):
+    """(basis diagrams, Gram matrix tau(b_i b_j)) of the trace form tau = sum_lam chi_lam:
+    q^loops times the `character` of each `diagram_mul` product."""
+    basis = all_diagrams(rep.kind, rep.n)
+    size, chars = len(basis), {}
+    gram = [[Fraction(0)] * size for _ in range(size)]
+    for i, di in enumerate(basis):
+        for j in range(i, size):
+            prod = diagram_mul(di, basis[j])
+            key = prod.diagram.key()
+            if key not in chars:
+                chars[key] = character(rep, key)
+            gram[i][j] = gram[j][i] = rep.q**prod.loops * chars[key]
+    return basis, gram
+
+
+@lru_cache(maxsize=None)
+def gram_dual(kind: ChainKind, n: int):
+    """(keys, duals, den): the dual basis of tau on TL or Brauer at the default q, by
+    `invert` of `gram_matrix`.  The keys are in canonical order, and the dual of
+    keys[j] is {key k: G^-1[k][j] . den} over the nonzero entries, over the one den of
+    the whole table.  Since tau(f b_j^v) = f(b_j), the rho of the duals are the rows
+    of T^-1, which `AdaptedRep.trace_rows` gets from T itself."""
+    basis, gram = gram_matrix(adapted_rep(kind, n))
+    ginv = invert(gram)
+    den = lcm(*(x.denominator for row in ginv for x in row))
+    keys = [d.key() for d in basis]
+    duals = [{keys[k]: ginv[k][j].numerator * (den // ginv[k][j].denominator)
+              for k in range(len(keys)) if ginv[k][j]}
+             for j in range(len(keys))]
+    return keys, duals, den
+
+
+def dual_table(rep: AdaptedRep):
+    """The dual basis whose rho are the rows of T^-1: the closed-form table of
+    `AdaptedRep.gram_dual` on S_n, the Gram dual of `gram_dual` elsewhere."""
+    if rep.kind is ChainKind.SYMMETRIC_GROUP:
+        return rep.gram_dual()
+    return gram_dual(rep.kind, rep.n)
 
 
 def naive_transform_matrix(rep: AdaptedRep):

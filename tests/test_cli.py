@@ -95,6 +95,31 @@ def test_verify_all_brauer3(capsys):
         assert f"{suite}: pass" in out
 
 
+def test_factor_set_suite_reads_the_route_table(capsys, monkeypatch):
+    """The suite checks the route table the engine reads, evaluating each factor-set
+    word once: an entry whose word is not a factor-set word, or whose sub-diagram
+    does not give the diagram back, makes it FAIL on that diagram."""
+    import chainfft.cli as cli
+    from chainfft.diagrams import factor_set, route_table
+
+    kind = ChainKind.TEMPERLEY_LIEB
+    evaluated = []
+    evaluate = cli.evaluate
+    monkeypatch.setattr(cli, "evaluate", lambda *a: evaluated.append(a) or evaluate(*a))
+    code, out, _ = run(capsys, "verify", "--chain", "tl", "-n", "4", "--suite", "factor-set")
+    assert (code, out) == (0, "factor-set: pass (14 diagrams)\n")
+    assert len(evaluated) == len(factor_set(kind, 4))
+    table = route_table(kind, 4)
+    key, (tokens, sub) = next((k, v) for k, v in table.items() if v[0])
+    other = next(s for t, s in table.values() if s != sub)
+    for entry in ((tokens + (("e", 1),), sub), (tokens, other)):
+        with monkeypatch.context() as patch:
+            patch.setitem(table, key, entry)
+            code, out, _ = run(capsys, "verify", "--chain", "tl", "-n", "4",
+                               "--suite", "factor-set")
+        assert (code, out) == (1, f"factor-set: FAIL (diagram {key})\n"), entry
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "fft", "--chain", "bmw", "-n", "3", "--coeffs", "x.json")
     assert code == 2 and "structural" in err
@@ -160,6 +185,24 @@ def test_bench_columns(capsys):
         assert int(sov_mul) <= int(paper)
         assert int(sov_add) <= int(sov_mul)
         assert Fraction(int(sov_mul), int(dim)) == Fraction(reduced)
+
+
+def test_bench_prints_the_exact_median(capsys):
+    """An even --trials prints the mean of the two middle counts, an int or "p/2"; an
+    odd one prints the middle count.  At TL 4 the sov_add counts of seeds 0 and 1 are
+    24 and 29, so two trials print 53/2."""
+    from chainfft.reps import adapted_rep
+    from chainfft.transform import fft_sov
+
+    rep = adapted_rep(ChainKind.TEMPERLEY_LIEB, 4)
+    counts = [fft_sov(random_element(ChainKind.TEMPERLEY_LIEB, 4, seed), rep)[1].add
+              for seed in range(3)]
+    for trials in (2, 3):
+        code, out, _ = run(capsys, "bench", "--chain", "tl", "-n", "4", "--trials", str(trials))
+        middle = sorted(counts[:trials])
+        median = Fraction(middle[trials // 2] + middle[(trials - 1) // 2], 2)
+        assert code == 0 and out.splitlines()[1].split(",")[4] == str(median)
+    assert counts[:2] == [24, 29]
 
 
 def test_bench_n_max_below_n_is_a_usage_error(capsys):
@@ -232,6 +275,25 @@ def test_malformed_numbers_are_refused(tmp_path, capsys, command, n, payload):
     code, out, err = run(capsys, command, "--chain", "tl", "-n", n, "--coeffs", str(path))
     assert code == 2 and out == "" and err.startswith("error: malformed"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fft", "invert"])
+@pytest.mark.parametrize("text,field", [
+    ("[1, 2]", "the payload is not a JSON object"),
+    ('"tl"', "the payload is not a JSON object"),
+    ('{"chain": "tl", "n": 3, "q": "1", "coeffs": {"1-2": "1"}}', "coeffs is not a list"),
+    ('{"chain": "tl", "n": 3, "q": "1", "coeffs": [["1-2", "1"]]}', "coeffs[0] is not an object"),
+    ('{"chain": "tl", "n": 3, "q": "1", "coeffs": [{"diagram": ["1-2"], "value": "1"}]}',
+     "coeffs[0].diagram is not a string"),
+], ids=["list", "string", "coeffs-object", "coeffs-of-lists", "diagram-list"])
+def test_malformed_payload_structure_names_the_field(tmp_path, capsys, command, text, field):
+    """A payload of the wrong shape is refused with the wrong field named, not with
+    Python's own message about indices or hashing."""
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--chain", "tl", "-n", "3", "--coeffs", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed coefficient payload: {field}\n"
 
 
 @pytest.mark.parametrize("chain", ["sn", "tl", "brauer"])

@@ -36,7 +36,7 @@ from chainfft.reps import (
 from chainfft.reps.cells import _cell_matrix_of_diagram, brauer_semisimple, cell_matrix
 from chainfft.reps.core import sn_permutation
 from oracle import _rational_roots, oracle_irreps, oracle_matrix, solve
-from reference import naive_transform_matrix, rank, rho
+from reference import character, dual_table, gram_matrix, naive_transform_matrix, rank, rho
 
 BR = ChainKind.BRAUER
 TL = ChainKind.TEMPERLEY_LIEB
@@ -289,7 +289,7 @@ def test_rho_at_n0_and_n1(kind):
         rep = adapted_rep(kind, n)
         assert rho(rep, key, lam) == [[Fraction(1)]]
         assert rep.rho_blocks(key) == {lam: {0: {0: Fraction(1)}}}
-        assert rep.character(key) == 1
+        assert character(rep, key) == 1
         with pytest.raises(ArgumentError):
             rho(rep, "1-3", lam)
 
@@ -325,7 +325,7 @@ def test_rho_builds_a_spelled_key_once(monkeypatch):
     rho(rep, spelled, rep.vertices()[0])
     assert calls  # positive control: the first call runs the level recursion
     calls.clear()
-    rep.character(spelled)
+    character(rep, spelled)
     rho(rep, d, rep.vertices()[-1])
     assert calls == []
 
@@ -344,7 +344,7 @@ def test_trace_of_identity(rep_cache):
     for kind, n in [(BR, 3), (TL, 4)]:
         rep = rep_cache(kind, n)
         key = identity_diagram(kind, n).key()
-        assert rep.character(key) == sum(
+        assert character(rep, key) == sum(
             rep.dim(lam) for lam in rep.vertices()
         )
 
@@ -357,24 +357,26 @@ def test_trace_central(rep_cache):
         a, b = rng.choice(ds), rng.choice(ds)
         ab = diagram_mul(a, b)
         ba = diagram_mul(b, a)
-        tau_ab = Q**ab.loops * rep.character(ab.diagram.key())
-        tau_ba = Q**ba.loops * rep.character(ba.diagram.key())
+        tau_ab = Q**ab.loops * character(rep, ab.diagram.key())
+        tau_ba = Q**ba.loops * character(rep, ba.diagram.key())
         assert tau_ab == tau_ba
 
 
 def _weighted_trace_form(rep):
-    """tau_w(product) of `gram_dual`, read from `diagram_mul`: n! [x = 1] on S_n,
+    """tau_w(product) of `dual_table`, read from `diagram_mul`: n! [x = 1] on S_n,
     and q^loops times the character elsewhere."""
     if rep.kind is SN:
         one = identity_diagram(SN, rep.n).key()
         return lambda prod: math.factorial(rep.n) * (prod.diagram.key() == one)
-    return lambda prod: Q**prod.loops * rep.character(prod.diagram.key())
+    return lambda prod: Q**prod.loops * character(rep, prod.diagram.key())
 
 
 @pytest.mark.parametrize("kind,n", [(BR, 2), (BR, 3), (TL, 4), (TL, 5), (SN, 3), (SN, 4)])
 def test_gram_dual_delta_property(kind, n, rep_cache):
+    """The program's dual table on S_n, and the reference Gram dual on TL and Brauer,
+    are dual bases of their trace forms."""
     rep = rep_cache(kind, n)
-    keys, duals, den = rep.gram_dual()
+    keys, duals, den = dual_table(rep)
     assert keys == sorted(route_table(kind, n))
     assert all(type(c) is int for dual in duals for c in dual.values())
     basis = {key: diagram_from_key(kind, n, key) for key in keys}
@@ -389,8 +391,15 @@ def test_gram_dual_delta_property(kind, n, rep_cache):
 
 def test_gram_capability_limit(rep_cache):
     rep = rep_cache(BR, 5)
-    with pytest.raises(CapabilityError):
-        rep.gram_dual()
+    with pytest.raises(CapabilityError, match="n <= 4"):
+        rep.trace_rows()
+
+
+@pytest.mark.parametrize("kind", [TL, BR])
+def test_gram_dual_is_refused_on_tl_and_brauer(kind):
+    """TL and Brauer have no dual table: their rows of T^-1 come from T itself."""
+    with pytest.raises(CapabilityError, match="trace_rows"):
+        adapted_rep(kind, 3).gram_dual()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
@@ -412,8 +421,8 @@ def test_sn_gram_dual_equals_gram_inverse(n):
 
 
 def test_sn_gram_dual_builds_no_gram_matrix(monkeypatch):
-    """On S_5 the dual table is the inverse permutation over 5!: no product diagram,
-    no Gram matrix and no elimination."""
+    """On S_5 the dual table is the inverse permutation over 5!: no product diagram
+    and no elimination."""
     import chainfft.diagrams
     import chainfft.reps.core as core
 
@@ -423,10 +432,8 @@ def test_sn_gram_dual_builds_no_gram_matrix(monkeypatch):
     def spy(name):
         return lambda *a, **k: calls.append(name)
 
-    monkeypatch.setattr(core, "diagram_mul", spy("diagram_mul"))
     monkeypatch.setattr(chainfft.diagrams, "diagram_mul", spy("diagram_mul"))
     monkeypatch.setattr(core, "invert", spy("invert"))
-    monkeypatch.setattr(core.AdaptedRep, "gram_matrix", spy("gram_matrix"))
     keys, duals, den = rep.gram_dual()
     assert calls == []
     assert (len(keys), sum(map(len, duals)), den) == (120, 120, 120)
@@ -450,7 +457,7 @@ def test_trace_rows_reproduce_the_traces_of_rho_blocks(kind, n, rep_cache):
     weight = {lam: rep.dim(lam) if kind is SN else 1 for lam in rep.vertices()}
     flat = [x * weight[lam] for lam in rep.vertices() for col in zip(*image[lam]) for x in col]
     keys, rows, den = rep.trace_rows()
-    _, duals, dual_den = rep.gram_dual()
+    _, duals, dual_den = dual_table(rep)
     assert keys == [d.key() for d in all_diagrams(kind, n)]
     blocks = {key: rep.rho_blocks(key) for key in keys}
     traces = {key: sum(weight[lam] * image[lam][c][r] * Fraction(v, rep.scale())
@@ -502,7 +509,7 @@ class SemisimplicityReport:
 
 def verify_semisimple(rep: AdaptedRep) -> SemisimplicityReport:
     """Certify the specialization: Gram nondegeneracy and transform bijectivity."""
-    basis, gram = rep.gram_matrix()
+    basis, gram = gram_matrix(rep)
     g_rank = rank(gram)
     t_rank = rank(naive_transform_matrix(rep))
     return SemisimplicityReport(rep.kind, rep.n, rep.q, len(basis), g_rank, t_rank)

@@ -30,7 +30,9 @@ from chainfft.transform import (
     sov_plan,
 )
 from reference import (
+    character,
     convolution_check,
+    dual_table,
     from_blocks,
     image_block,
     multiply_elements,
@@ -262,7 +264,7 @@ def test_rho_recursion_and_sov_kernel_create_no_fraction(kind, n, monkeypatch):
     sov = T._sov_level(rep, n, {j: j + 1 for j in range(len(rep.prescale(n)))}, OpCounter())
     rhos = [rep.rho_blocks(d.key()) for d in all_diagrams(kind, n)]
     assert made == [] and values
-    rep.character(identity_diagram(kind, n).key())
+    character(rep, identity_diagram(kind, n).key())
     assert made  # positive control: the one division of a reader is seen
     monkeypatch.undo()
     values.extend(v for blocks in rhos for block in blocks.values()
@@ -959,7 +961,7 @@ def test_inverse_checks_the_image_before_the_dual_basis(rep_cache, monkeypatch):
     img, _ = fft_sov(random_element(SN, 3, 0), rep_cache(SN, 3))
     rep = rep_cache(TL, 3)
     calls = []
-    monkeypatch.setattr(type(rep), "gram_dual", lambda self: calls.append(self))
+    monkeypatch.setattr(type(rep), "trace_rows", lambda self: calls.append(self))
     with pytest.raises(ArgumentError, match="input is sn n=3, the representation tl n=3"):
         inverse_ft(img, rep)
     assert calls == []
@@ -1090,7 +1092,7 @@ def test_sn_inverse_equals_the_dual_table_inverse(n, rep_cache):
 
 def test_sn_inverse_reads_no_dual_table(monkeypatch):
     """A fresh S_5 inversion reads no Gram matrix: its dual table is the inverse
-    permutation, so it calls no `gram_matrix`, `invert` or `diagram_mul`."""
+    permutation, so it calls no `invert` or `diagram_mul`."""
     import chainfft.diagrams
     import chainfft.reps.core as core
 
@@ -1100,10 +1102,8 @@ def test_sn_inverse_reads_no_dual_table(monkeypatch):
     def spy(name):
         return lambda *a, **k: calls.append(name)
 
-    monkeypatch.setattr(core.AdaptedRep, "gram_matrix", spy("gram_matrix"))
     monkeypatch.setattr(core, "invert", spy("invert"))
-    for module in (core, chainfft.diagrams):
-        monkeypatch.setattr(module, "diagram_mul", spy("diagram_mul"))
+    monkeypatch.setattr(chainfft.diagrams, "diagram_mul", spy("diagram_mul"))
     for seed in range(3):
         f = random_element(SN, 5, seed)
         assert inverse_ft(fft_sov(f, rep)[0], rep) == f
@@ -1131,6 +1131,61 @@ def test_trace_rows_are_the_inverse_transform(kind, n, rep_cache):
     assert product == [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
 
 
+def _dual_rows(rep):
+    """The rows of T^-1 summed from the reference dual table: the row of rho(b_j^v),
+    b_j^v = sum_k dual[k] b_k / dual_den, position by position from the `rho_row`s
+    over their lcm den, then divided by the gcd of the sums and the den."""
+    _, duals, dual_den = dual_table(rep)
+    rows = []
+    for dual in duals:
+        parts = [rep.rho_row(key) for key in dual]
+        common = math.lcm(*(den for _, _, den in parts))
+        sums: dict = {}
+        for (positions, values, den), c in zip(parts, dual.values()):
+            for p, v in zip(positions, values):
+                sums[p] = sums.get(p, 0) + v * c * (common // den)
+        sums = {p: v for p, v in sums.items() if v}
+        reduce = math.gcd(dual_den * common, *sums.values())
+        rows.append(({p: v // reduce for p, v in sums.items()}, dual_den * common // reduce))
+    return rows
+
+
+@pytest.mark.parametrize("kind,n", [(TL, n) for n in range(6)] + [(BR, n) for n in range(4)],
+                         ids=lambda x: getattr(x, "value", x))
+def test_trace_rows_equal_the_gram_dual_rows(kind, n, rep_cache):
+    """The rows that `trace_rows` reads off T^-1 are, entry for entry and den for den,
+    the rows summed from the dual basis of the reference Gram matrix."""
+    rep = rep_cache(kind, n)
+    keys, rows, _ = rep.trace_rows()
+    assert keys == dual_table(rep)[0]
+    assert [(dict(zip(positions, values)), den) for positions, values, den in rows] \
+        == _dual_rows(rep)
+
+
+@pytest.mark.parametrize("kind,n", [(TL, 5), (BR, 3)], ids=lambda x: getattr(x, "value", x))
+def test_inverse_setup_multiplies_no_diagram(kind, n, monkeypatch):
+    """The first inverse on a fresh representation builds the rows of T^-1 by one
+    `invert` of T itself: no diagram product, and so no Gram matrix."""
+    import sys
+
+    import chainfft.reps.core as core
+
+    rep = adapted_rep.__wrapped__(kind, n, Q)
+    f = random_element(kind, n, 0)
+    img = fft_sov(f, rep)[0]
+    calls = []
+
+    def counted(name, function):
+        return lambda *a, **k: calls.append(name) or function(*a, **k)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("chainfft")]:
+        if hasattr(module, "diagram_mul"):
+            monkeypatch.setattr(module, "diagram_mul", counted("diagram_mul", module.diagram_mul))
+    monkeypatch.setattr(core, "invert", counted("invert", core.invert))
+    assert inverse_ft(img, rep) == f
+    assert calls == ["invert"]
+
+
 def _dot_product_inverse(img, rep):
     """The inverse that the packed trace sum replaced, kept as its reference: each
     trace one dot product of the `rho_row` of a basis key with the flat image, over
@@ -1154,7 +1209,7 @@ def _dot_product_inverse(img, rep):
         inverses = [index[tuple(sorted(range(rep.n), key=perm.__getitem__))] for perm in perms]
         outputs = ((key, traces[j], scale * rows[j][2]) for key, j in zip(keys, inverses))
     else:
-        _, duals, dual_den = rep.gram_dual()
+        _, duals, dual_den = dual_table(rep)
         scaled = (w * (rows_den // row_den) for w, (_, _, row_den) in zip(traces, rows))
         by_key = dict(zip(keys, scaled)).__getitem__
         total = dual_den * den * rows_den
@@ -1196,10 +1251,10 @@ def test_packed_inverse_of_many_limbs(kind, n, rep_cache):
 def test_fresh_table_first_inverts_a_narrow_image(kind, n, rep_cache, monkeypatch):
     """A fresh representation whose first inverse is of the identity's image packs a
     table only a few bits wider than its rows, where a row of den 1 is scaled by the
-    whole common den.  The round trip and the dot products agree.  The dual table is
-    borrowed from the shared representation, so only the packed table is fresh."""
+    whole common den.  The round trip and the dot products agree.  The rows of T^-1
+    are borrowed from the shared representation, so only the packed table is fresh."""
     rep = adapted_rep.__wrapped__(kind, n, Q)
-    monkeypatch.setattr(rep, "gram_dual", rep_cache(kind, n).gram_dual)
+    monkeypatch.setattr(rep, "trace_rows", rep_cache(kind, n).trace_rows)
     f = AlgebraElement.from_dict(kind, n, {identity_diagram(kind, n).key(): Fraction(1)})
     img = fft_sov(f, rep)[0]
     assert inverse_ft(img, rep) == _dot_product_inverse(img, rep) == f
@@ -1210,24 +1265,21 @@ def test_fresh_table_first_inverts_a_narrow_image(kind, n, rep_cache, monkeypatc
                          ids=lambda x: getattr(x, "value", x))
 def test_fresh_table_first_packs_a_one_bit_vector(kind, n, rep_cache, monkeypatch):
     """The first packed sum of a fresh representation, over an image of -1, 0 and 1,
-    equals sum_k G_w^-1[k][j] times the weighted trace of rho(b_k), one dot product
-    per `rho_row`, scaled to the rows' common den.  The dual table is borrowed from
-    the shared representation, so only the rows and the packed table are fresh."""
+    equals one dot product per row of T^-1 in the row layout, scaled to the rows'
+    common den.  The rows are borrowed from the shared representation, so only the
+    packed table is fresh."""
     rep = adapted_rep.__wrapped__(kind, n, Q)
-    monkeypatch.setattr(rep, "gram_dual", rep_cache(kind, n).gram_dual)
+    monkeypatch.setattr(rep, "trace_rows", rep_cache(kind, n).trace_rows)
     rng = random.Random(n)
     x = tuple(rng.choice((-1, 0, 1)) for _ in range(rep.algebra_dim()))
-    _, _, den = rep.trace_rows()
-    keys, duals, dual_den = rep.gram_dual()
+    _, rows, den = rep.trace_rows()
     # x in the row layout: transposed block by block, and weighted by d_lam on S_n
     rowwise = [v.numerator * (len(block) if kind is SN else 1)
                for _, block in FourierImage(kind, n, x, 1).blocks
                for col in zip(*block) for v in col]
     at = rowwise.__getitem__
-    traces = {key: Fraction(sum(map(operator.mul, map(at, positions), values)), row_den)
-              for key, (positions, values, row_den) in zip(keys, map(rep.rho_row, keys))}
-    expected = [sum(Fraction(g, dual_den) * traces[k] for k, g in dual.items()) * den
-                for dual in duals]
+    expected = [sum(map(operator.mul, map(at, positions), values)) * (den // row_den)
+                for positions, values, row_den in rows]
     assert rep.traces(x) == expected
 
 
@@ -1260,7 +1312,7 @@ def test_warm_inverse_builds_no_table(monkeypatch):
         img = fft_sov(f, rep)[0]
         assert inverse_ft(img, rep) == f
         calls = []
-        for name in ("_pack_traces", "_block_data", "gram_dual", "rho_row"):
+        for name in ("_pack_traces", "_block_data", "gram_dual", "_inverse_rows", "rho_row"):
             monkeypatch.setattr(AdaptedRep, name,
                                 lambda self, *a, _name=name: calls.append(_name))
         assert inverse_ft(img, rep) == f
