@@ -23,11 +23,9 @@ from .diagrams import (
     check_relations,
     diagram_mul,
     evaluate,
-    factor_map,
     factor_set,
     generator,
     identity_diagram,
-    word_of,
 )
 from .reps import (
     DEFAULT_Q,

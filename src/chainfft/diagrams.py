@@ -368,18 +368,6 @@ def er_word_tokens(a: int, b: int, n: int) -> tuple[Token, ...]:
     )
 
 
-def factor_map(d: Diagram) -> tuple[GeneratorWord, Diagram]:
-    """First-match factorization d = evaluate(y) * b with zero loops (see `_route`).
-
-    b keeps size n with its last strand vertical, so it lies in the embedded
-    level-(n-1) diagram basis.
-    """
-    if d.n == 0:
-        return GeneratorWord(()), d
-    tokens, sub = _route(d.kind, d.n, d.pairs)
-    return GeneratorWord(tokens), grow(Diagram(d.kind, d.n - 1, sub), d.n)
-
-
 def _route(kind: ChainKind, n: int, pairs) -> tuple[tuple[Token, ...], tuple]:
     """(tokens of y, canonical pairs of b) with d = evaluate(y) * grow(b) and no loops,
     for the canonical pairs of a size-n >= 1 basis diagram d; y is the first fit.
@@ -429,7 +417,8 @@ def route_table(kind: ChainKind, n: int) -> dict[str, tuple[tuple[Token, ...], s
 
     Each entry is the `_route` of the diagram, made once per (kind, n) from the
     pairs of `_basis_pairs` in canonical key order; no `Diagram` is built.  The
-    SOV routing, the level recursion of `AdaptedRep` and `word_of` read it.
+    SOV routing (`transform._routing`) reads it, and through that routing the level
+    recursion of `AdaptedRep`.
     """
     if n < 1:
         raise ArgumentError("routes need n >= 1")
@@ -438,16 +427,6 @@ def route_table(kind: ChainKind, n: int) -> dict[str, tuple[tuple[Token, ...], s
         tokens, sub = _route(kind, n, pairs)
         table[key] = (tokens, pairs_key(sub))
     return table
-
-
-def word_of(d: Diagram) -> GeneratorWord:
-    """A generator word reproducing d with zero loops (recursive factorization)."""
-    tokens: list[Token] = []
-    key = d.key()
-    for level in range(d.n, 1, -1):
-        head, key = route_table(d.kind, level)[key]
-        tokens.extend(head)
-    return GeneratorWord(tuple(tokens))
 
 
 def basis_key(kind: ChainKind, n: int, key: str) -> str:

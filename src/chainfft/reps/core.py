@@ -6,10 +6,11 @@ denominators at that value.
 
 A level-(L-1) diagram acts block-diagonally at level L of the Gel'fand-Tsetlin
 basis, so rho_L(d) = rho_L(head tokens) . embed(rho_{L-1}(b)) along the route
-d -> (head tokens, b) in `diagrams.route_table`: the SOV level step on a point
-mass.  So every rho is built by the SOV level routine on the route's one stream
-(one fiber, whose keys are the columns), with a throwaway counter, and memoised
-at every level.
+d -> (stream of the head tokens, b), read by position from `transform._routing`:
+the SOV level step on a point mass.  So every rho is built by the SOV level
+routine on the route's one stream (one fiber, whose keys are the columns), with a
+throwaway counter, and memoised at every level by position.  The SOV input scale
+(`prescale`) is read by position from the same routes.
 
 Everything is stored as integer numerators, in one form each.  A level's rows
 are its Gel'fand-Tsetlin paths, numbered across its blocks in vertex order and
@@ -50,7 +51,7 @@ from operator import mul
 from struct import unpack
 
 from ..combinat import ChainKind, Partition, cached_bratteli
-from ..diagrams import basis_key, route_table
+from ..diagrams import basis_key
 from ..errors import ArgumentError, CapabilityError, ParameterError
 from ..ratlinalg import invert
 from .seminormal import middles, sn_block_table, tl_block_table
@@ -169,22 +170,21 @@ class AdaptedRep:
         level = self.n if level is None else level
         return prod(self.token_scale(i) ** (level - i) for i in range(1, level))
 
-    def identity_factor(self, level: int, tokens) -> int:
-        """The product of D(i) over the indices 1..level-1 that `tokens` leave as identity."""
-        moved = {i for _, i in tokens}
-        return prod(self.token_scale(i) for i in range(1, level) if i not in moved)
-
-    def prescale(self, level: int) -> dict[str, int]:
-        """{basis key: product of the identity factors of its route at this level and
-        every level below}: the SOV input scale that gives all streams one scale."""
+    def prescale(self, level: int) -> tuple[int, ...]:
+        """The SOV input scale that gives all streams one scale, by position of
+        `transform._routing(kind, level)`: for the route (s, sub), the identity factor
+        of stream s, the product of D(i) over the indices its word leaves as identity
+        (None in `_schedule(kind, level).streams[s]`), times prescale(level - 1)[sub]."""
         if level == 0:
-            return {"": 1}
+            return (1,)
         if level not in self._pre:
-            below, table = self.prescale(level - 1), route_table(self.kind, level)
-            factor = {t: self.identity_factor(level, t) for t in {t for t, _ in table.values()}}
-            self._pre[level] = {
-                key: factor[tokens] * below[sub] for key, (tokens, sub) in table.items()
-            }
+            from ..transform import _routing, _schedule
+
+            below = self.prescale(level - 1)
+            factor = [prod(self.token_scale(i) for i, sym in enumerate(word, 1) if sym is None)
+                      for word in _schedule(self.kind, level).streams]
+            self._pre[level] = tuple(factor[s] * below[sub]
+                                     for s, sub in _routing(self.kind, level).routes)
         return self._pre[level]
 
     def token_matrix(self, lam: Partition, token: Token, level: int | None = None):
@@ -200,27 +200,27 @@ class AdaptedRep:
         return dense_matrix(d, block, self.token_scale(token[1]))
 
     # -- representation of basis diagrams --------------------------------
-    def _block_data(self, key: str, level: int) -> dict:
-        """The level table {row: {col: numerator}} of rho of a basis key, over its own
-        scale, the product of D(i) over its route's tokens, which is
-        scale(level) // prescale(level)[key]: the SOV level routine on the route's one
-        stream, rho_{level-1}(sub) embedded, which applies only that stream's tokens.
+    def _block_data(self, j: int, level: int) -> dict:
+        """The level table {row: {col: numerator}} of rho of the basis diagram at
+        position j of `transform._routing(kind, level)`, over its own scale, the product
+        of D(i) over its route's tokens, which is scale(level) // prescale(level)[j]:
+        the SOV level routine on the route's one stream, rho_{level-1}(sub) embedded,
+        which applies only that stream's tokens.
 
         Memoised below level n, which is all that the recursion reads, until `rho_row`
         has compiled every level-n row; at level n it is built afresh, and `rho_row`
         keeps the one stored form."""
         if level <= 1:
             return {0: {0: 1}}
-        if (level, key) in self._levels:
-            return self._levels[(level, key)]
-        from ..transform import OpCounter, _embed_blocks, _run_level, _schedule
+        if (level, j) in self._levels:
+            return self._levels[(level, j)]
+        from ..transform import OpCounter, _embed_blocks, _routing, _run_level
 
-        tokens, sub = route_table(self.kind, level)[key]
+        stream, sub = _routing(self.kind, level).routes[j]
         data = _embed_blocks(self, level, self._block_data(sub, level - 1))
-        stream = _schedule(self.kind, level).stream_of[tokens]
         data = _run_level(self, level, {stream: data}, OpCounter())
         if level < self.n:
-            self._levels[(level, key)] = data
+            self._levels[(level, j)] = data
         return data
 
     def _layout(self):
@@ -239,8 +239,8 @@ class AdaptedRep:
         all read.  Entry (r, c) of block lam sits at position
         offset(lam) + r . dim(lam) + c, the blocks in vertex order (`_layout`), and
         its value is an integer numerator over den: the numerators of `_block_data`
-        over the key's own scale, scale() // prescale(n)[key], divided by their gcd
-        with it, and den that scale over the gcd.
+        over the key's own scale, scale() // prescale(n)[j] at the key's position j,
+        divided by their gcd with it, and den that scale over the gcd.
 
         Compiled from `_block_data` on first use and memoised per key, so a sparse
         caller compiles only the rows of its support; compiling the last row drops the
@@ -251,13 +251,16 @@ class AdaptedRep:
         """
         row = self._rows.get(key)
         if row is None:
+            from ..transform import _routing
+
             row_at, shared = self._layout()
+            j = _routing(self.kind, self.n).index[key]
             positions, numerators = [], []
-            for r, line in self._block_data(key, self.n).items():
+            for r, line in self._block_data(j, self.n).items():
                 at = row_at[r]
                 positions.extend([shared[at + c] for c in line])
                 numerators.extend(line.values())
-            scale = self.scale() // self.prescale(self.n)[key]
+            scale = self.scale() // self.prescale(self.n)[j]
             common = gcd(scale, *numerators)
             values = [v // common for v in numerators]
             row = (tuple(positions), tuple(map(self._ints.setdefault, values, values)),
@@ -460,7 +463,9 @@ class AdaptedRep:
 
     def _keys(self) -> list[str]:
         """The basis keys in canonical order."""
-        return sorted(route_table(self.kind, self.n)) if self.n else [""]
+        from ..transform import _routing
+
+        return list(_routing(self.kind, self.n).index)
 
     def _check_limit(self) -> None:
         limit = GRAM_LIMITS.get(self.kind)
@@ -492,9 +497,16 @@ class AdaptedRep:
         return self._gram
 
 
+def _exact_q(q) -> Fraction:
+    """q as a `Fraction`; a float or a bool is refused, not rounded or read as 0 or 1."""
+    if isinstance(q, (bool, float)):
+        raise ArgumentError(f"q={q!r}: give an int, a Fraction or a string")
+    return Fraction(q)
+
+
 def local_blocks(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q):
     """Complete local-block data for every generator of the chain at size n."""
-    q = Fraction(q)
+    q = _exact_q(q)
     if kind is ChainKind.SYMMETRIC_GROUP:
         return sn_block_table(n)
     if kind is ChainKind.TEMPERLEY_LIEB:
@@ -506,8 +518,8 @@ def local_blocks(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q):
     raise ArgumentError("BMW carries no representation data (structural only)")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a cached 1 must not answer for True
 def adapted_rep(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q) -> AdaptedRep:
-    q = Fraction(q)
+    q = _exact_q(q)
     B = cached_bratteli(kind, n)
     return AdaptedRep(kind, n, q, B, local_blocks(kind, n, q))

@@ -4,20 +4,21 @@ The SOV engine runs through the chain one level at a time.  One schedule per
 (kind, level), built from the factor set, names the streams (one per factor
 word) and the order in which they merge; `sov_plan` prices that same schedule.
 The routing of the basis onto those streams is compiled once per (kind, level),
-on first use, from the factorization table `diagrams.route_table`: basis keys
-become integer positions, and each position routes to a (stream, position one
-level down) pair.  The descent of every position to level 1 is compiled from
-those routes once per (kind, level) as well (`_descent`), so a call seeds each
-coefficient at its level-1 key and goes back up in one pass per level over all
-fibers at once: a level's data is one row-major table per stream,
-{row: {key: int}}, its rows the level's paths numbered across the blocks, whose
-keys pack (fiber, column) into one int.  The table below is split by stream,
-each entry written once at its place under its row's first Bratteli edge
-(`BratteliDiagram.row_moves`) and copied only for further edges; then one level
-routine, `_run_level`, which the rho recursion shares on its one fiber, applies the tokens of the live streams, one
-column table per (level, token), as sparse products across every fiber and
-merges them stage by stage.  Zeros are dropped where a sum ran: in the rows a
-token summed into, and after a merge that left one.
+on first use, from the factorization table `diagrams.route_table` (`_routing`):
+basis keys become integer positions, each position routes to a (stream, position
+one level down) pair, and its fiber numbers that route down to level 1.  Every
+route is read by position: by the SOV engine, by `AdaptedRep.prescale` and by the
+rho recursion.  A call seeds each coefficient at the level-1 key of its fiber and
+goes back up in one pass per level over all fibers at once: a level's data is one
+row-major table per stream, {row: {key: int}}, its rows the level's paths
+numbered across the blocks, whose keys pack (fiber, column) into one int.  The
+table below is split by stream, each entry written once at its place under its
+row's first Bratteli edge (`BratteliDiagram.row_moves`) and copied only for
+further edges; then one level routine, `_run_level`, which the rho recursion
+shares on its one fiber, applies the tokens of the live streams, one column table
+per (level, token), as sparse products across every fiber and merges them stage
+by stage.  Zeros are dropped where a sum ran: in the rows a token summed into,
+and after a merge that left one.
 Operation counters track scalar multiplications and additions of the transform
 proper; representation data, schedules and routing are precomputed and free.
 
@@ -359,23 +360,32 @@ class _Routing(NamedTuple):
 
     index: dict[str, int]  # basis key -> position in canonical key order
     routes: tuple[tuple[int, int], ...]  # position -> (stream, position one level down)
+    fibers: tuple[int, ...]  # position -> fiber of its route down to level 1
+    spans: tuple[int, ...]  # K_{L+1} ... K_level for L = 2..level, K the stream counts
 
 
 @lru_cache(maxsize=None)
 def _routing(kind: ChainKind, level: int) -> _Routing:
-    """Compile the routing of every level-`level` basis diagram (level >= 1)."""
-    table = route_table(kind, level)
-    below = _routing(kind, level - 1).index if level > 1 else {"": 0}
-    stream_of = _schedule(kind, level).stream_of
+    """Compile the routing of every level-`level` basis diagram.  The fiber of a
+    position with route (s, sub) is s + K . fibers[sub], K the level's stream count:
+    the streams of its route down to level 1 as mixed-radix digits, this level's the
+    lowest.  Level 0 is the one empty diagram, in fiber 0."""
+    if level == 0:
+        return _Routing({"": 0}, ((0, 0),), (0,), ())
+    table, below = route_table(kind, level), _routing(kind, level - 1)
+    schedule = _schedule(kind, level)
+    stream_of, count = schedule.stream_of, len(schedule.streams)
     routes = []
     for key, (tokens, sub) in table.items():
         if tokens not in stream_of:
             raise FactorizationError(
                 f"{kind.value} level {level}: the route of {key} is not a factor-set word")
-        routes.append((stream_of[tokens], below[sub]))
+        routes.append((stream_of[tokens], below.index[sub]))
     if len(set(routes)) != len(routes):
         raise FactorizationError(f"{kind.value} level {level}: two diagrams share a route")
-    return _Routing({key: j for j, key in enumerate(table)}, tuple(routes))
+    return _Routing({key: j for j, key in enumerate(table)}, tuple(routes),
+                    tuple(s + count * below.fibers[sub] for s, sub in routes),
+                    (*(span * count for span in below.spans), 1) if level > 1 else ())
 
 
 def fft_sov(
@@ -389,10 +399,11 @@ def fft_sov(
     if plan is not None and (plan.kind != f.kind or plan.n != f.n):
         raise ArgumentError("plan does not match the input element")
     counter = OpCounter()
-    index = _routing(f.kind, f.n).index if f.n else {"": 0}
+    index = _routing(f.kind, f.n).index
     # c -> c . den . prescale, an int; the result is S_n . den times the transform
     den, prescale = lcm(*(c.denominator for _, c in f.coeffs)), rep.prescale(f.n)
-    coeffs = {index[k]: c.numerator * (den // c.denominator) * prescale[k] for k, c in f.coeffs}
+    coeffs = {(j := index[k]): c.numerator * (den // c.denominator) * prescale[j]
+              for k, c in f.coeffs}
     row_at, flat = rep._layout()[0], [0] * rep.algebra_dim()
     for r, row in _sov_level(rep, f.n, coeffs, counter).items():
         at = row_at[r]
@@ -411,40 +422,19 @@ def _sov_level(rep: AdaptedRep, level: int, coeffs: dict, counter: OpCounter):
     """Transform {basis position: integer coefficient} at the given level into its level
     table, in one pass per level over all fibers.
 
-    Level 1 holds one coefficient per fiber, seeded at the key that `_descent` holds
-    for its position.  Up: level L splits the table below by the stream digit of its
-    keys, s . K_L . M + (F . M + column), embedding each entry as it goes
+    Level 1 holds one coefficient per fiber, seeded at key F . M for the fiber F of
+    its position (`_routing`), M the largest vertex dimension up to the level.
+    Up: level L splits the table below by the stream digit of its keys,
+    s . K . M + (F . M + column) with K the product of the stream counts of the
+    levels above L (`_Routing.spans`), embedding each entry as it goes
     (`_split_streams`), and runs `_run_level`.  At the top K = 1: keys are columns.
     """
-    seeds, widths = _descent(rep.kind, level)
-    row = {seeds[j]: c for j, c in coeffs.items() if c}
+    routing, stride = _routing(rep.kind, level), max(map(max, rep.B.dims[: level + 1]))
+    row = {routing.fibers[j] * stride: c for j, c in coeffs.items() if c}
     data = {0: row} if row else {}
-    for lvl, width in enumerate(widths, 2):
-        data = _run_level(rep, lvl, _split_streams(rep, lvl, data, width), counter)
+    for lvl, span in enumerate(routing.spans, 2):
+        data = _run_level(rep, lvl, _split_streams(rep, lvl, data, span * stride), counter)
     return data
-
-
-@lru_cache(maxsize=None)
-def _descent(kind: ChainKind, level: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(seeds, widths): the route of every level-`level` position down to level 1.
-
-    A coefficient of fiber F at level L >= 2 routes to (stream s, position one level
-    down) in fiber F + s . K_L, K_L being the product of the stream counts of the
-    levels above L.  seeds[j] is the level-1 key of top position j, its fiber times M,
-    with M bounding every vertex dimension up to the top; widths[L - 2] is K_L . M, the
-    split width of level L.  Below level 2 the one position seeds key 0."""
-    if level <= 1:
-        return (0,), ()
-    entries = [(0, j) for j in range(len(_routing(kind, level).routes))]  # (fiber, position)
-    spans, span = [], 1
-    for lvl in range(level, 1, -1):
-        routes = _routing(kind, lvl).routes
-        entries = [(f + s * span, sub) for f, j in entries for s, sub in (routes[j],)]
-        spans.append(span)
-        span *= len(_schedule(kind, lvl).streams)
-    stride = max(max(dims) for dims in cached_bratteli(kind, level).dims)
-    return (tuple(f * stride for f, _ in entries),
-            tuple(span * stride for span in reversed(spans)))
 
 
 def _split_streams(rep: AdaptedRep, level: int, below: dict, width: int) -> dict:
@@ -620,15 +610,18 @@ def element_to_json(f: AlgebraElement, q: Fraction) -> dict:
 
 
 def _exact(value, name: str) -> int | Fraction:
-    """The rational of a JSON string or integer: an integer, or a plain ASCII integer
-    string (-?[0-9]+) read by `int`, is returned as an int; any other string is read
-    by `Fraction`."""
+    """The rational of the JSON string or integer of the field `name`: an integer, or
+    a plain ASCII integer string (-?[0-9]+) read by `int`, is returned as an int; any
+    other string is read by `Fraction`.  A refusal names the field and its value."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise TypeError(f"{name}={value!r} is not a string or an integer")
     if isinstance(value, int):
         return value
     digits = value[1:] if value[:1] == "-" else value
-    return int(value) if digits.isascii() and digits.isdigit() else Fraction(value)
+    try:
+        return int(value) if digits.isascii() and digits.isdigit() else Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name}={value!r} is not a rational number") from None
 
 
 def element_from_json(
@@ -656,7 +649,7 @@ def element_from_json(
             key = row["diagram"]
             if not isinstance(key, str):
                 raise TypeError(f"coeffs[{i}].diagram is not a string")
-            table[key] = table.get(key, 0) + _exact(row["value"], "value")
+            table[key] = table.get(key, 0) + _exact(row["value"], f"coeffs[{i}].value")
     except KeyError as exc:
         raise ArgumentError(f"coefficient payload lacks the field {exc}") from None
     except (TypeError, ValueError, ArithmeticError) as exc:

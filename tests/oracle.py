@@ -23,11 +23,11 @@ from chainfft.diagrams import (
     generator,
     grow,
     identity_diagram,
-    word_of,
 )
 from chainfft.errors import CapabilityError, ParameterError
 from chainfft.ratlinalg import Matrix, identity, mat_mul, nullspace, rref
 from chainfft.reps import DEFAULT_Q
+from reference import word_of
 
 ORACLE_LIMITS = {
     ChainKind.BRAUER: 4,

@@ -1,8 +1,9 @@
 """Exact references that the tests check the program against and no program path
-reads: a dense view of rho and of one image block, the character, the naive
-transform matrix and its rank, the Gram matrix of the trace form and its dual
-basis, the image of dense rational blocks, and the product of two elements with
-the convolution check built on it."""
+reads: the factorization of one diagram and the generator word of a diagram, a
+dense view of rho and of one image block, the character, the naive transform
+matrix and its rank, the Gram matrix of the trace form and its dual basis, the
+image of dense rational blocks, and the product of two elements with the
+convolution check built on it."""
 
 from __future__ import annotations
 
@@ -12,11 +13,44 @@ from functools import lru_cache
 from math import lcm
 
 from chainfft.combinat import ChainKind, Partition
-from chainfft.diagrams import Diagram, all_diagrams, basis_key, diagram_from_key, diagram_mul
+from chainfft.diagrams import (
+    Diagram,
+    GeneratorWord,
+    _route,
+    all_diagrams,
+    basis_key,
+    diagram_from_key,
+    diagram_mul,
+    grow,
+    route_table,
+)
 from chainfft.errors import ArgumentError
 from chainfft.ratlinalg import Matrix, invert, rref
 from chainfft.reps.core import AdaptedRep, adapted_rep, dense_matrix, image_layout
 from chainfft.transform import AlgebraElement, FourierImage, _dense, fft_naive
+
+
+def factor_map(d: Diagram) -> tuple[GeneratorWord, Diagram]:
+    """First-match factorization d = evaluate(y) * b with zero loops (see
+    `diagrams._route`).
+
+    b keeps size n with its last strand vertical, so it lies in the embedded
+    level-(n-1) diagram basis.
+    """
+    if d.n == 0:
+        return GeneratorWord(()), d
+    tokens, sub = _route(d.kind, d.n, d.pairs)
+    return GeneratorWord(tokens), grow(Diagram(d.kind, d.n - 1, sub), d.n)
+
+
+def word_of(d: Diagram) -> GeneratorWord:
+    """A generator word reproducing d with zero loops (recursive factorization)."""
+    tokens = []
+    key = d.key()
+    for level in range(d.n, 1, -1):
+        head, key = route_table(d.kind, level)[key]
+        tokens.extend(head)
+    return GeneratorWord(tuple(tokens))
 
 
 def rank(m: Matrix) -> int:

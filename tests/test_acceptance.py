@@ -26,7 +26,6 @@ from chainfft.diagrams import (
     check_relations,
     diagram_mul,
     evaluate,
-    factor_map,
     relation_instances,
 )
 from chainfft.ratlinalg import identity, mat_mul
@@ -38,7 +37,7 @@ from chainfft.transform import (
     random_element,
     sov_plan,
 )
-from reference import convolution_check, naive_transform_matrix, rank
+from reference import convolution_check, factor_map, naive_transform_matrix, rank
 
 BR = ChainKind.BRAUER
 TL = ChainKind.TEMPERLEY_LIEB

@@ -285,7 +285,15 @@ def test_malformed_numbers_are_refused(tmp_path, capsys, command, n, payload):
     ('{"chain": "tl", "n": 3, "q": "1", "coeffs": [["1-2", "1"]]}', "coeffs[0] is not an object"),
     ('{"chain": "tl", "n": 3, "q": "1", "coeffs": [{"diagram": ["1-2"], "value": "1"}]}',
      "coeffs[0].diagram is not a string"),
-], ids=["list", "string", "coeffs-object", "coeffs-of-lists", "diagram-list"])
+    ('{"chain": "tl", "n": 3, "q": "1", "coeffs": [{"diagram": "1-2", "value": "1/0"}]}',
+     "coeffs[0].value='1/0' is not a rational number"),
+    ('{"chain": "tl", "n": 3, "q": "1", "coeffs": [{"diagram": "1-2", "value": "1"}, '
+     '{"diagram": "1-2", "value": "abc"}]}', "coeffs[1].value='abc' is not a rational number"),
+    ('{"chain": "tl", "n": 3, "q": "abc", "coeffs": []}', "q='abc' is not a rational number"),
+    ('{"chain": "tl", "n": 3, "q": "1", "coeffs": [{"diagram": "1-2", "value": 0.5}]}',
+     "coeffs[0].value=0.5 is not a string or an integer"),
+], ids=["list", "string", "coeffs-object", "coeffs-of-lists", "diagram-list", "value-1/0",
+        "value-abc", "q-abc", "value-float"])
 def test_malformed_payload_structure_names_the_field(tmp_path, capsys, command, text, field):
     """A payload of the wrong shape is refused with the wrong field named, not with
     Python's own message about indices or hashing."""

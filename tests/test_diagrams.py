@@ -16,7 +16,6 @@ from chainfft.diagrams import (
     diagram_from_key,
     diagram_mul,
     evaluate,
-    factor_map,
     factor_set,
     generator,
     grow,
@@ -24,10 +23,10 @@ from chainfft.diagrams import (
     is_planar,
     pairs_key,
     route_table,
-    word_of,
 )
 import chainfft.diagrams as D
 from chainfft.errors import ArgumentError
+from reference import factor_map, word_of
 
 BR = ChainKind.BRAUER
 TL = ChainKind.TEMPERLEY_LIEB

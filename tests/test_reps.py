@@ -21,7 +21,6 @@ from chainfft.diagrams import (
     identity_diagram,
     relation_instances,
     route_table,
-    word_of,
 )
 from chainfft.errors import ArgumentError, CapabilityError, ParameterError
 from chainfft.ratlinalg import identity, invert, mat_mul, nullspace, rref
@@ -35,8 +34,17 @@ from chainfft.reps import (
 )
 from chainfft.reps.cells import _cell_matrix_of_diagram, brauer_semisimple, cell_matrix
 from chainfft.reps.core import sn_permutation
+from chainfft.transform import _routing
 from oracle import _rational_roots, oracle_irreps, oracle_matrix, solve
-from reference import character, dual_table, gram_matrix, naive_transform_matrix, rank, rho
+from reference import (
+    character,
+    dual_table,
+    gram_matrix,
+    naive_transform_matrix,
+    rank,
+    rho,
+    word_of,
+)
 
 BR = ChainKind.BRAUER
 TL = ChainKind.TEMPERLEY_LIEB
@@ -252,10 +260,25 @@ def test_integer_kernel_scales(kind, n, rep_cache):
 
     total = math.prod(rep.token_scale(i) for L in range(2, n + 1) for i in range(1, L))
     assert rep.scale(n) == total
-    prescale = rep.prescale(n)
-    assert prescale.keys() == route_table(kind, n).keys()
-    for key, pre in prescale.items():
-        assert pre * route_scale(key, n) == total
+    prescale, index = rep.prescale(n), _routing(kind, n).index
+    assert len(prescale) == len(index) and list(index) == list(route_table(kind, n))
+    for key, j in index.items():
+        assert prescale[j] * route_scale(key, n) == total
+
+
+@pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 5), (BR, 4)])
+def test_prescale_by_position_is_the_route_formula(kind, n, rep_cache):
+    """prescale(n)[index[key]] is the product, over the levels L of the key's route,
+    of D(i) over the indices 1..L-1 that the route's level-L tokens leave as identity."""
+    rep = rep_cache(kind, n)
+    prescale, index = rep.prescale(n), _routing(kind, n).index
+    for key in route_table(kind, n):
+        want, sub = 1, key
+        for level in range(n, 0, -1):
+            tokens, sub = route_table(kind, level)[sub]
+            moved = {i for _, i in tokens}
+            want *= math.prod(rep.token_scale(i) for i in range(1, level) if i not in moved)
+        assert prescale[index[key]] == want, key
 
 
 @pytest.mark.parametrize("kind,n", [(TL, 6), (SN, 4), (BR, 4)])
@@ -594,6 +617,16 @@ def test_degenerate_q_flagged():
     assert report.ok
     with pytest.raises(ParameterError):
         local_blocks(TL, 2, Fraction(0))
+
+
+@pytest.mark.parametrize("n,q", [(4, 0.1), (4, 0.5), (2, 1.0), (2, True), (1, False)])
+def test_float_or_bool_q_refused(n, q):
+    """A float or a bool q is refused, not rounded (0.1 is no 1/10) or read as 1 or
+    0, also where the rep of the equal Fraction is cached."""
+    adapted_rep(TL, n, Fraction(q))
+    for build in (adapted_rep, local_blocks):
+        with pytest.raises(ArgumentError, match=f"q={q!r}: give an int, a Fraction"):
+            build(TL, n, q)
 
 
 def test_chebyshev_values():

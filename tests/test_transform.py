@@ -459,10 +459,9 @@ def test_sov_level_matches_block_data_at_every_level(kind, n, rep_cache):
 
     rep = rep_cache(kind, n)
     for level in range(1, n + 1):
-        index = T._routing(kind, level).index
-        for key in rep.prescale(level):
-            sov = T._sov_level(rep, level, {index[key]: 1}, OpCounter())
-            assert sov == rep._block_data(key, level), (level, key)
+        for j in range(len(T._routing(kind, level).routes)):
+            sov = T._sov_level(rep, level, {j: 1}, OpCounter())
+            assert sov == rep._block_data(j, level), (level, j)
 
 
 def _no_zero_or_empty(table: dict) -> bool:
@@ -543,18 +542,19 @@ def _route_down(kind, level, coeffs, dims):
 @pytest.mark.parametrize("kind,top", [(TL, 9), (SN, 6), (BR, 4)],
                          ids=lambda x: getattr(x, "value", x))
 def test_descent_seeds_equal_the_route_down(kind, top):
-    """`_descent` holds, for every position of every level 0..top, the level-1 key and
-    the split widths that routing its coefficient down on every call gives, with the
-    vertex bound M read from the largest diagram."""
+    """At every level 0..top, `_routing` holds the fiber of every position and the
+    split spans whose level-1 keys (fiber . M) and split widths (span . M) are what
+    routing each coefficient down on every call gives, with the vertex bound M read
+    from the largest diagram."""
     import chainfft.transform as T
 
     dims = cached_bratteli(kind, top).dims
     for level in range(top + 1):
-        size = len(T._routing(kind, level).routes) if level else 1
+        routing, stride = T._routing(kind, level), max(max(d) for d in dims[: level + 1])
+        size = len(routing.fibers)
         row, widths = _route_down(kind, level, {j: j + 1 for j in range(size)}, dims)
-        seeds, held = T._descent(kind, level)
-        assert len(seeds) == size and list(held) == widths
-        assert {seeds[j]: j + 1 for j in range(size)} == row, (kind, level)
+        assert [span * stride for span in routing.spans] == widths
+        assert {routing.fibers[j] * stride: j + 1 for j in range(size)} == row, level
 
 
 @settings(max_examples=40)
@@ -1438,14 +1438,15 @@ def test_from_dict_refuses_malformed_values(value):
 
 def _fraction_reading(value, name: str):
     """(value, None) or (None, message): a JSON coefficient or q read by `Fraction`,
-    after the refusal of a bool and of anything but a string or an integer."""
+    after the refusal of a bool and of anything but a string or an integer; either
+    refusal names the field and its value."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         return None, (f"malformed coefficient payload: {name}={value!r} "
                       "is not a string or an integer")
     try:
         return Fraction(value), None
-    except (ValueError, ArithmeticError) as exc:
-        return None, f"malformed coefficient payload: {exc}"
+    except (ValueError, ArithmeticError):
+        return None, f"malformed coefficient payload: {name}={value!r} is not a rational number"
 
 
 def _check_parse_as_fraction(value):
@@ -1453,7 +1454,7 @@ def _check_parse_as_fraction(value):
     reads, stored as a `Fraction`, or refuses it with the same `ArgumentError`."""
     key = "1-2,3-4"  # e_1, a basis key of TL 2
     row = {"chain": "tl", "n": 2, "q": "10/3", "coeffs": [{"diagram": key, "value": value}]}
-    for payload, name in ((row, "value"), ({**row, "q": value, "coeffs": []}, "q")):
+    for payload, name in ((row, "coeffs[0].value"), ({**row, "q": value, "coeffs": []}, "q")):
         want, message = _fraction_reading(value, name)
         if message is not None:
             with pytest.raises(ArgumentError) as exc:
