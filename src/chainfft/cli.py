@@ -24,8 +24,8 @@ from .combinat import (
     hom_count_closed,
     stage_quiver_shape,
 )
-from .diagrams import (check_relations, diagram_from_key, diagram_mul, evaluate, factor_set,
-                       grow, route_table)
+from .diagrams import (_routing, _schedule, check_relations, diagram_from_key, diagram_mul,
+                       evaluate, factor_set, grow)
 from .errors import ArgumentError, CapabilityError, ChainFFTError
 from .reps import DEFAULT_Q, adapted_rep
 from .transform import (
@@ -279,17 +279,18 @@ def run_suite(kind: ChainKind, n: int, suite: str, args) -> tuple[bool, str]:
             return True, " (skipped: structural)"
         if n == 0:
             return True, " (1 diagrams)"  # the empty diagram, the empty word
-        # the route table the engine reads: each word a factor-set word, evaluated once
-        heads = {word.tokens: evaluate(word, kind, n) for word in factor_set(kind, n)}
-        table = route_table(kind, n)
-        for key, (tokens, sub) in table.items():
-            head = heads.get(tokens)
+        # the routing the engine reads: each stream's factor-set word evaluated once
+        stream_of = _schedule(kind, n).stream_of
+        heads = {stream_of[word.tokens]: evaluate(word, kind, n) for word in factor_set(kind, n)}
+        routing, subs = _routing(kind, n), list(_routing(kind, n - 1).index)
+        for key, (s, sub) in zip(routing.index, routing.routes):
+            head = heads.get(s)
             if head is None:
                 return False, f" (diagram {key})"
-            prod = diagram_mul(head.diagram, grow(diagram_from_key(kind, n - 1, sub), n))
+            prod = diagram_mul(head.diagram, grow(diagram_from_key(kind, n - 1, subs[sub]), n))
             if prod.diagram.key() != key or prod.loops or head.loops:
                 return False, f" (diagram {key})"
-        return True, f" ({len(table)} diagrams)"
+        return True, f" ({len(routing.routes)} diagrams)"
     if suite == "hom-counts":
         B = cached_bratteli(kind, n)
         for i in range(2, n + 1):

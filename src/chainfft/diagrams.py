@@ -5,11 +5,12 @@ Products concatenate with the left factor on top; closed loops are returned
 as an integer exponent, never folded into scalars here.
 
 A `Diagram` is a `NamedTuple` checked in `__new__`, so it compares and hashes
-as its fields.  The SOV routing (`route_table`) is built on canonical pair
-tuples, which the enumerators of `_basis_pairs` make valid by construction: no
-`Diagram` is checked.  It takes one pass per level: every key is spelled once,
-the noncrossing matchings are memoised per boundary interval, and the relabelling
-of each cut (`_cut`) is made once, not once per diagram.
+as its fields.  The SOV routing (`_routing`, on the streams of `_schedule`) is
+built on canonical pair tuples, which the enumerators of `_basis_pairs` make
+valid by construction: no `Diagram` is checked.  It takes one pass per level:
+every key is spelled once, the noncrossing matchings are memoised per boundary
+interval, and the relabelling of each cut (`_cut`) is made once, not once per
+diagram.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ class GeneratorWord(_WordFields):
 
     def __str__(self) -> str:
         return "id" if not self.tokens else "".join(f"{s}{i}" for s, i in self.tokens)
+
+
+def check_size(n) -> None:
+    """Refuse a size n that is not a non-negative int, a bool included."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ArgumentError(f"n={n!r} is not a non-negative int")
 
 
 def canonical_pairs(pairs) -> tuple[tuple[int, int], ...]:
@@ -411,27 +418,87 @@ def grow(b: Diagram, n: int) -> Diagram:
     return Diagram(b.kind, n, canonical_pairs(pairs))
 
 
-@lru_cache(maxsize=None)
-def route_table(kind: ChainKind, n: int) -> dict[str, tuple[tuple[Token, ...], str]]:
-    """Basis key -> (factor tokens, level-(n-1) key) for every diagram of size n >= 1.
+class _Schedule(NamedTuple):
+    """The SOV merge schedule of one (kind, level), read from its factor set.
 
-    Each entry is the `_route` of the diagram, made once per (kind, n) from the
-    pairs of `_basis_pairs` in canonical key order; no `Diagram` is built.  The
-    SOV routing (`transform._routing`) reads it, and through that routing the level
-    recursion of `AdaptedRep`.
+    A stream is a factor word written as its token per index 1..level-1 (None
+    for the identity); streams are numbered in `_stream_order`.  Stage k
+    applies index level-1-k: stream s applies token `stages[k][s][0]` (if any)
+    and merges into stream `stages[k][s][1]` of the next stage (stream 0 last).
     """
-    if n < 1:
-        raise ArgumentError("routes need n >= 1")
-    table = {}
-    for key, pairs in _basis_pairs(kind, n):
-        tokens, sub = _route(kind, n, pairs)
-        table[key] = (tokens, pairs_key(sub))
-    return table
+
+    streams: tuple[tuple[str | None, ...], ...]
+    stream_of: dict[tuple, int]  # factor word tokens -> stream number
+    stages: tuple[tuple[tuple[Token | None, int], ...], ...]
+
+
+def _stream_order(pending: tuple) -> tuple:
+    return tuple(sym or "" for sym in pending)
+
+
+@lru_cache(maxsize=None)
+def _schedule(kind: ChainKind, level: int) -> _Schedule:
+    """The schedule of level >= 1, read from the O(level^2) factor-set words alone."""
+    pending = {}
+    for word in factor_set(kind, level):
+        p = [None] * (level - 1)
+        for sym, i in word.tokens:
+            p[i - 1] = sym
+        pending[word.tokens] = tuple(p)
+    streams = tuple(sorted(pending.values(), key=_stream_order))
+    stream_of = {tokens: streams.index(p) for tokens, p in pending.items()}
+    current, stages = streams, []
+    for i in range(level - 1, 0, -1):
+        merged = sorted({p[: i - 1] for p in current}, key=_stream_order)
+        target = {p: s for s, p in enumerate(merged)}
+        stages.append(tuple((p[i - 1] and (p[i - 1], i), target[p[: i - 1]]) for p in current))
+        current = merged
+    return _Schedule(streams, stream_of, tuple(stages))
+
+
+class _Routing(NamedTuple):
+    """The SOV routing of one (kind, level): every basis diagram by its integer
+    position, routed onto the streams of `_schedule(kind, level)`."""
+
+    index: dict[str, int]  # basis key -> position in canonical key order
+    routes: tuple[tuple[int, int], ...]  # position -> (stream, position one level down)
+    fibers: tuple[int, ...]  # position -> fiber of its route down to level 1
+    spans: tuple[int, ...]  # K_{L+1} ... K_level for L = 2..level, K the stream counts
+
+
+@lru_cache(maxsize=None)
+def _routing(kind: ChainKind, level: int) -> _Routing:
+    """The `_route` of every level-`level` basis diagram d = y . grow(b), made once per
+    (kind, level) from the pairs of `_basis_pairs` with no `Diagram` built: y as its
+    stream, b as its position one level down.  The fiber of a position with route
+    (s, sub) is s + K . fibers[sub], K the level's stream count: the streams of its
+    route down to level 1 as mixed-radix digits, this level's the lowest.  Level 0 is
+    the one empty diagram, in fiber 0."""
+    if kind is ChainKind.BMW_STRUCTURAL:
+        raise ArgumentError("BMW diagrams carry no multiplication data")
+    check_size(level)
+    if level == 0:
+        return _Routing({"": 0}, ((0, 0),), (0,), ())
+    below, schedule = _routing(kind, level - 1), _schedule(kind, level)
+    stream_of, count = schedule.stream_of, len(schedule.streams)
+    index, routes = {}, []
+    for key, pairs in _basis_pairs(kind, level):
+        tokens, sub = _route(kind, level, pairs)
+        if tokens not in stream_of:
+            raise FactorizationError(
+                f"{kind.value} level {level}: the route of {key} is not a factor-set word")
+        index[key] = len(routes)
+        routes.append((stream_of[tokens], below.index[pairs_key(sub)]))
+    if len(set(routes)) != len(routes):
+        raise FactorizationError(f"{kind.value} level {level}: two diagrams share a route")
+    return _Routing(index, tuple(routes),
+                    tuple(s + count * below.fibers[sub] for s, sub in routes),
+                    (*(span * count for span in below.spans), 1) if level > 1 else ())
 
 
 def basis_key(kind: ChainKind, n: int, key: str) -> str:
     """The canonical key of a diagram; a basis key is taken without parsing."""
-    if n >= 1 and key in route_table(kind, n):
+    if isinstance(key, str) and key in _routing(kind, n).index:
         return key
     return diagram_from_key(kind, n, key).key()
 

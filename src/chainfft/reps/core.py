@@ -6,7 +6,7 @@ denominators at that value.
 
 A level-(L-1) diagram acts block-diagonally at level L of the Gel'fand-Tsetlin
 basis, so rho_L(d) = rho_L(head tokens) . embed(rho_{L-1}(b)) along the route
-d -> (stream of the head tokens, b), read by position from `transform._routing`:
+d -> (stream of the head tokens, b), read by position from `diagrams._routing`:
 the SOV level step on a point mass.  So every rho is built by the SOV level
 routine on the route's one stream (one fiber, whose keys are the columns), with a
 throwaway counter, and memoised at every level by position.  The SOV input scale
@@ -51,14 +51,12 @@ from operator import mul
 from struct import unpack
 
 from ..combinat import ChainKind, Partition, cached_bratteli
-from ..diagrams import basis_key
+from ..diagrams import Token, _routing, _schedule, basis_key, check_size
 from ..errors import ArgumentError, CapabilityError, ParameterError
 from ..ratlinalg import invert
 from .seminormal import middles, sn_block_table, tl_block_table
 
 DEFAULT_Q = Fraction(10, 3)
-
-Token = tuple[str, int]
 
 GRAM_LIMITS = {
     ChainKind.BRAUER: 4,
@@ -91,8 +89,7 @@ def image_layout(kind: ChainKind, n: int) -> tuple[tuple[Partition, int, int], .
     """((lam, offset, dim), ...) of the flat level-n image, the layout of `rho_row`
     and of `transform.FourierImage`: the blocks in vertex order, each row-major,
     block lam at positions offset .. offset + dim^2 - 1."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ArgumentError(f"n={n!r} is not a non-negative int")
+    check_size(n)
     B, layout, at = cached_bratteli(kind, n), [], 0
     for lam, d in zip(B.vertices(n), B.dims[n]):
         layout.append((lam, at, d))
@@ -172,14 +169,12 @@ class AdaptedRep:
 
     def prescale(self, level: int) -> tuple[int, ...]:
         """The SOV input scale that gives all streams one scale, by position of
-        `transform._routing(kind, level)`: for the route (s, sub), the identity factor
+        `diagrams._routing(kind, level)`: for the route (s, sub), the identity factor
         of stream s, the product of D(i) over the indices its word leaves as identity
         (None in `_schedule(kind, level).streams[s]`), times prescale(level - 1)[sub]."""
         if level == 0:
             return (1,)
         if level not in self._pre:
-            from ..transform import _routing, _schedule
-
             below = self.prescale(level - 1)
             factor = [prod(self.token_scale(i) for i, sym in enumerate(word, 1) if sym is None)
                       for word in _schedule(self.kind, level).streams]
@@ -202,7 +197,7 @@ class AdaptedRep:
     # -- representation of basis diagrams --------------------------------
     def _block_data(self, j: int, level: int) -> dict:
         """The level table {row: {col: numerator}} of rho of the basis diagram at
-        position j of `transform._routing(kind, level)`, over its own scale, the product
+        position j of `diagrams._routing(kind, level)`, over its own scale, the product
         of D(i) over its route's tokens, which is scale(level) // prescale(level)[j]:
         the SOV level routine on the route's one stream, rho_{level-1}(sub) embedded,
         which applies only that stream's tokens.
@@ -214,7 +209,7 @@ class AdaptedRep:
             return {0: {0: 1}}
         if (level, j) in self._levels:
             return self._levels[(level, j)]
-        from ..transform import OpCounter, _embed_blocks, _routing, _run_level
+        from ..transform import OpCounter, _embed_blocks, _run_level
 
         stream, sub = _routing(self.kind, level).routes[j]
         data = _embed_blocks(self, level, self._block_data(sub, level - 1))
@@ -247,14 +242,15 @@ class AdaptedRep:
         memoised tables below level n, which nothing reads after.  The per-key
         reduction keeps the values small (at most 21 bits at S_6, against 38 for
         `scale()`).  Positions and distinct values share one int object each across
-        the rows.  The result is shared; do not mutate it.
+        the rows.  The result is shared; do not mutate it.  A key outside the basis
+        is refused with `ArgumentError` when its row would be compiled.
         """
         row = self._rows.get(key)
         if row is None:
-            from ..transform import _routing
-
+            j = _routing(self.kind, self.n).index.get(key)
+            if j is None:
+                raise ArgumentError(f"{key!r} is not a basis key of {self.kind.value} n={self.n}")
             row_at, shared = self._layout()
-            j = _routing(self.kind, self.n).index[key]
             positions, numerators = [], []
             for r, line in self._block_data(j, self.n).items():
                 at = row_at[r]
@@ -311,7 +307,7 @@ class AdaptedRep:
                 keys, duals, dual_den = self.gram_dual()
                 rows = [(p, v, den * dual_den) for p, v, den in (self.rho_row(k) for [k] in duals)]
             else:
-                keys = self._keys()
+                keys = list(_routing(self.kind, self.n).index)
                 rows = self._inverse_rows(keys)
             self._trace = (keys, rows, lcm(*(den for _, _, den in rows)))
         return self._trace
@@ -461,12 +457,6 @@ class AdaptedRep:
             lanes[k::8] = data[k::w8]
         return [v - half for v in unpack(f"<{size}Q", lanes)]
 
-    def _keys(self) -> list[str]:
-        """The basis keys in canonical order."""
-        from ..transform import _routing
-
-        return list(_routing(self.kind, self.n).index)
-
     def _check_limit(self) -> None:
         limit = GRAM_LIMITS.get(self.kind)
         if limit is not None and self.n > limit:
@@ -488,7 +478,7 @@ class AdaptedRep:
                 f"no dual table for {self.kind.value}: trace_rows inverts the transform")
         if self._gram is None:
             self._check_limit()
-            keys = self._keys()
+            keys = list(_routing(self.kind, self.n).index)
             perms = [sn_permutation(key, self.n) for key in keys]
             key_of = dict(zip(perms, keys))
             duals = [{key_of[tuple(sorted(range(self.n), key=perm.__getitem__))]: 1}
@@ -498,14 +488,19 @@ class AdaptedRep:
 
 
 def _exact_q(q) -> Fraction:
-    """q as a `Fraction`; a float or a bool is refused, not rounded or read as 0 or 1."""
+    """q as a `Fraction`; a float or a bool is refused, not rounded or read as 0 or 1,
+    and so is a value that `Fraction` cannot read."""
     if isinstance(q, (bool, float)):
         raise ArgumentError(f"q={q!r}: give an int, a Fraction or a string")
-    return Fraction(q)
+    try:
+        return Fraction(q)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ArgumentError(f"q={q!r} is not a rational number") from None
 
 
 def local_blocks(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q):
     """Complete local-block data for every generator of the chain at size n."""
+    check_size(n)
     q = _exact_q(q)
     if kind is ChainKind.SYMMETRIC_GROUP:
         return sn_block_table(n)
@@ -520,6 +515,7 @@ def local_blocks(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q):
 
 @lru_cache(maxsize=None, typed=True)  # typed: a cached 1 must not answer for True
 def adapted_rep(kind: ChainKind, n: int, q: Fraction = DEFAULT_Q) -> AdaptedRep:
+    check_size(n)
     q = _exact_q(q)
     B = cached_bratteli(kind, n)
     return AdaptedRep(kind, n, q, B, local_blocks(kind, n, q))

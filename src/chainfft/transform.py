@@ -1,15 +1,15 @@
 """Fourier transforms on diagram-algebra chains: naive and SOV-scheduled engines.
 
 The SOV engine runs through the chain one level at a time.  One schedule per
-(kind, level), built from the factor set, names the streams (one per factor
-word) and the order in which they merge; `sov_plan` prices that same schedule.
-The routing of the basis onto those streams is compiled once per (kind, level),
-on first use, from the factorization table `diagrams.route_table` (`_routing`):
-basis keys become integer positions, each position routes to a (stream, position
-one level down) pair, and its fiber numbers that route down to level 1.  Every
-route is read by position: by the SOV engine, by `AdaptedRep.prescale` and by the
-rho recursion.  A call seeds each coefficient at the level-1 key of its fiber and
-goes back up in one pass per level over all fibers at once: a level's data is one
+(kind, level), built from the factor set (`diagrams._schedule`), names the streams
+(one per factor word) and the order in which they merge; `sov_plan` prices that
+same schedule.  The routing of the basis onto those streams (`diagrams._routing`)
+is built once per (kind, level), on first use: basis keys become integer
+positions, each position routes to a (stream, position one level down) pair, and
+its fiber numbers that route down to level 1.  Every route is read by position:
+by the SOV engine, by `AdaptedRep.prescale` and by the rho recursion.  A call
+seeds each coefficient at the level-1 key of its fiber and goes back up in one
+pass per level over all fibers at once: a level's data is one
 row-major table per stream, {row: {key: int}}, its rows the level's paths
 numbered across the blocks, whose keys pack (fiber, column) into one int.  The
 table below is split by stream, each entry written once at its place under its
@@ -45,7 +45,6 @@ are read by `int`, and only the other strings by `Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -57,9 +56,9 @@ from .combinat import (
     hom_count_closed,
     paper_bounds,
 )
-from .diagrams import basis_key, factor_set, route_table
-from .errors import ArgumentError, FactorizationError
-from .reps.core import AdaptedRep, Token, image_layout
+from .diagrams import _routing, _schedule, basis_key, check_size
+from .errors import ArgumentError
+from .reps.core import AdaptedRep, image_layout
 
 
 class OpCounter:
@@ -93,11 +92,10 @@ class AlgebraElement(_ElementFields):
     __slots__ = ()
 
     def __new__(cls, kind: ChainKind, n: int, coeffs: tuple[tuple[str, Fraction], ...]):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ArgumentError(f"n={n!r} is not a non-negative int")
+        check_size(n)
         if not isinstance(coeffs, tuple):
             raise ArgumentError(f"coeffs={coeffs!r} is not a tuple of (key, value) pairs")
-        basis = (route_table(kind, n) if n else ("",)) if coeffs else ()
+        basis = _routing(kind, n).index if coeffs else ()
         for j, entry in enumerate(coeffs):
             if not (isinstance(entry, tuple) and len(entry) == 2):
                 raise ArgumentError(f"{entry!r} is not a (key, value) pair")
@@ -114,8 +112,8 @@ class AlgebraElement(_ElementFields):
 
         Values are ints, `Fraction`s or strings; a float, a bool or a value that
         `Fraction` cannot read is refused with `ArgumentError`.  A key
-        is looked up in `route_table(kind, n)`, so this lists the whole basis of
-        size n once per (kind, n).
+        is looked up in `diagrams._routing(kind, n).index`, so this lists the whole
+        basis of size n once per (kind, n).
         """
         sums: dict[str, Fraction] = {}
         for key, value in table.items():
@@ -285,8 +283,7 @@ def sov_plan(kind: ChainKind, n: int) -> SovPlan:
     that the engine runs.  The level schedule telescopes the per-level
     combines with dimension ratios.
     """
-    if n < 0:
-        raise ArgumentError("sov_plan needs n >= 0")
+    check_size(n)
     if n == 0:
         return SovPlan(kind, 0, (), (), Fraction(0), Fraction(0), None)
     B = cached_bratteli(kind, n)
@@ -312,80 +309,8 @@ def sov_plan(kind: ChainKind, n: int) -> SovPlan:
     return SovPlan(kind, n, stages, tuple(levels), predicted_total, reduced, paper)
 
 
-class _Schedule(NamedTuple):
-    """The SOV merge schedule of one (kind, level), read from its factor set.
-
-    A stream is a factor word written as its token per index 1..level-1 (None
-    for the identity); streams are numbered in `_stream_order`.  Stage k
-    applies index level-1-k: stream s applies token `stages[k][s][0]` (if any)
-    and merges into stream `stages[k][s][1]` of the next stage (stream 0 last).
-    """
-
-    streams: tuple[tuple[str | None, ...], ...]
-    stream_of: dict[tuple, int]  # factor word tokens -> stream number
-    stages: tuple[tuple[tuple[Token | None, int], ...], ...]
-
-
-def _stream_order(pending: tuple) -> tuple:
-    return tuple(sym or "" for sym in pending)
-
-
-@lru_cache(maxsize=None)
-def _schedule(kind: ChainKind, level: int) -> _Schedule:
-    """The schedule of level >= 1, read from the O(level^2) factor-set words alone."""
-    pending = {}
-    for word in factor_set(kind, level):
-        p = [None] * (level - 1)
-        for sym, i in word.tokens:
-            p[i - 1] = sym
-        pending[word.tokens] = tuple(p)
-    streams = tuple(sorted(pending.values(), key=_stream_order))
-    stream_of = {tokens: streams.index(p) for tokens, p in pending.items()}
-    current, stages = streams, []
-    for i in range(level - 1, 0, -1):
-        merged = sorted({p[: i - 1] for p in current}, key=_stream_order)
-        target = {p: s for s, p in enumerate(merged)}
-        stages.append(tuple((p[i - 1] and (p[i - 1], i), target[p[: i - 1]]) for p in current))
-        current = merged
-    return _Schedule(streams, stream_of, tuple(stages))
-
-
 # ---------------------------------------------------------------------------
 # SOV engine
-
-
-class _Routing(NamedTuple):
-    """The SOV routing of one (kind, level), compiled to integer indices on the
-    streams of `_schedule(kind, level)`."""
-
-    index: dict[str, int]  # basis key -> position in canonical key order
-    routes: tuple[tuple[int, int], ...]  # position -> (stream, position one level down)
-    fibers: tuple[int, ...]  # position -> fiber of its route down to level 1
-    spans: tuple[int, ...]  # K_{L+1} ... K_level for L = 2..level, K the stream counts
-
-
-@lru_cache(maxsize=None)
-def _routing(kind: ChainKind, level: int) -> _Routing:
-    """Compile the routing of every level-`level` basis diagram.  The fiber of a
-    position with route (s, sub) is s + K . fibers[sub], K the level's stream count:
-    the streams of its route down to level 1 as mixed-radix digits, this level's the
-    lowest.  Level 0 is the one empty diagram, in fiber 0."""
-    if level == 0:
-        return _Routing({"": 0}, ((0, 0),), (0,), ())
-    table, below = route_table(kind, level), _routing(kind, level - 1)
-    schedule = _schedule(kind, level)
-    stream_of, count = schedule.stream_of, len(schedule.streams)
-    routes = []
-    for key, (tokens, sub) in table.items():
-        if tokens not in stream_of:
-            raise FactorizationError(
-                f"{kind.value} level {level}: the route of {key} is not a factor-set word")
-        routes.append((stream_of[tokens], below.index[sub]))
-    if len(set(routes)) != len(routes):
-        raise FactorizationError(f"{kind.value} level {level}: two diagrams share a route")
-    return _Routing({key: j for j, key in enumerate(table)}, tuple(routes),
-                    tuple(s + count * below.fibers[sub] for s, sub in routes),
-                    (*(span * count for span in below.spans), 1) if level > 1 else ())
 
 
 def fft_sov(
@@ -687,6 +612,6 @@ def random_element(kind: ChainKind, n: int, seed: int) -> AlgebraElement:
 
     rng = _random.Random(seed)
     table = {}
-    for key in route_table(kind, n) if n else ("",):
+    for key in _routing(kind, n).index:
         table[key] = Fraction(rng.randint(-9, 9))
     return AlgebraElement.from_dict(kind, n, table)

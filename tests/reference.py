@@ -1,9 +1,9 @@
 """Exact references that the tests check the program against and no program path
-reads: the factorization of one diagram and the generator word of a diagram, a
-dense view of rho and of one image block, the character, the naive transform
-matrix and its rank, the Gram matrix of the trace form and its dual basis, the
-image of dense rational blocks, and the product of two elements with the
-convolution check built on it."""
+reads: the factorization of one diagram, the routes of a level spelled as words
+and keys, the generator word of a diagram, a dense view of rho and of one image
+block, the character, the naive transform matrix and its rank, the Gram matrix
+of the trace form and its dual basis, the image of dense rational blocks, and the
+product of two elements with the convolution check built on it."""
 
 from __future__ import annotations
 
@@ -16,13 +16,15 @@ from chainfft.combinat import ChainKind, Partition
 from chainfft.diagrams import (
     Diagram,
     GeneratorWord,
+    Token,
     _route,
+    _routing,
+    _schedule,
     all_diagrams,
     basis_key,
     diagram_from_key,
     diagram_mul,
     grow,
-    route_table,
 )
 from chainfft.errors import ArgumentError
 from chainfft.ratlinalg import Matrix, invert, rref
@@ -43,12 +45,23 @@ def factor_map(d: Diagram) -> tuple[GeneratorWord, Diagram]:
     return GeneratorWord(tokens), grow(Diagram(d.kind, d.n - 1, sub), d.n)
 
 
+@lru_cache(maxsize=None)
+def spelled_routes(kind: ChainKind, n: int) -> dict[str, tuple[tuple[Token, ...], str]]:
+    """Basis key -> (factor tokens, level-(n-1) key) for every diagram of size n >= 1,
+    in canonical key order: the engine's routing (`diagrams._routing`) spelled out,
+    each stream as the tokens of its factor word (`diagrams._schedule`) and each sub
+    position as its key."""
+    routing, words = _routing(kind, n), {s: t for t, s in _schedule(kind, n).stream_of.items()}
+    subs = list(_routing(kind, n - 1).index)
+    return {key: (words[s], subs[sub]) for key, (s, sub) in zip(routing.index, routing.routes)}
+
+
 def word_of(d: Diagram) -> GeneratorWord:
     """A generator word reproducing d with zero loops (recursive factorization)."""
     tokens = []
     key = d.key()
     for level in range(d.n, 1, -1):
-        head, key = route_table(d.kind, level)[key]
+        head, key = spelled_routes(d.kind, level)[key]
         tokens.extend(head)
     return GeneratorWord(tuple(tokens))
 

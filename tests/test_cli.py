@@ -96,11 +96,11 @@ def test_verify_all_brauer3(capsys):
 
 
 def test_factor_set_suite_reads_the_route_table(capsys, monkeypatch):
-    """The suite checks the route table the engine reads, evaluating each factor-set
-    word once: an entry whose word is not a factor-set word, or whose sub-diagram
-    does not give the diagram back, makes it FAIL on that diagram."""
+    """The suite checks the routing the engine reads, evaluating each factor-set
+    word once: a route whose stream is another word or none, or whose sub position
+    is another diagram, makes it FAIL on that diagram."""
     import chainfft.cli as cli
-    from chainfft.diagrams import factor_set, route_table
+    from chainfft.diagrams import _routing, _schedule, factor_set
 
     kind = ChainKind.TEMPERLEY_LIEB
     evaluated = []
@@ -109,15 +109,16 @@ def test_factor_set_suite_reads_the_route_table(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--chain", "tl", "-n", "4", "--suite", "factor-set")
     assert (code, out) == (0, "factor-set: pass (14 diagrams)\n")
     assert len(evaluated) == len(factor_set(kind, 4))
-    table = route_table(kind, 4)
-    key, (tokens, sub) = next((k, v) for k, v in table.items() if v[0])
-    other = next(s for t, s in table.values() if s != sub)
-    for entry in ((tokens + (("e", 1),), sub), (tokens, other)):
+    routing, count = _routing(kind, 4), len(_schedule(kind, 4).streams)
+    j, (s, sub) = next((j, route) for j, route in enumerate(routing.routes) if route[0])
+    key = list(routing.index)[j]
+    for route in ((s - 1, sub), (count, sub), (s, (sub + 1) % len(_routing(kind, 3).index))):
+        bad = routing._replace(routes=(*routing.routes[:j], route, *routing.routes[j + 1 :]))
         with monkeypatch.context() as patch:
-            patch.setitem(table, key, entry)
+            patch.setattr(cli, "_routing", lambda k, level: bad if level == 4 else _routing(k, level))
             code, out, _ = run(capsys, "verify", "--chain", "tl", "-n", "4",
                                "--suite", "factor-set")
-        assert (code, out) == (1, f"factor-set: FAIL (diagram {key})\n"), entry
+        assert (code, out) == (1, f"factor-set: FAIL (diagram {key})\n"), route
 
 
 def test_usage_errors(capsys):

@@ -22,11 +22,10 @@ from chainfft.diagrams import (
     identity_diagram,
     is_planar,
     pairs_key,
-    route_table,
 )
 import chainfft.diagrams as D
 from chainfft.errors import ArgumentError
-from reference import factor_map, word_of
+from reference import factor_map, spelled_routes, word_of
 
 BR = ChainKind.BRAUER
 TL = ChainKind.TEMPERLEY_LIEB
@@ -232,10 +231,11 @@ def test_factor_map_property(d):
 
 @pytest.mark.parametrize("kind,n_max", [(TL, 8), (BR, 5), (SN, 5)])
 def test_route_table_matches_factor_map(kind, n_max):
-    """Every cached route is factor_map with the last strand dropped, in canonical
-    key order, and its word times the grown sub-diagram gives the diagram back."""
+    """Every route of the engine's routing, spelled out, is factor_map with the last
+    strand dropped, in canonical key order, and its word times the grown sub-diagram
+    gives the diagram back."""
     for n in range(1, n_max + 1):
-        table = route_table(kind, n)
+        table = spelled_routes(kind, n)
         basis = all_diagrams(kind, n)
         assert list(table) == [d.key() for d in basis]
         for d in basis:
@@ -248,7 +248,8 @@ def test_route_table_matches_factor_map(kind, n_max):
 
 
 def test_route_tables_pinned():
-    """Keys, order and routes of every table over TL 1..9, Brauer 1..5 and S_n 1..6.
+    """Keys, order and routes of the engine's routing, spelled out as (tokens,
+    sub-key) tables, over TL 1..9, Brauer 1..5 and S_n 1..6.
 
     The digest was taken from the tables of the Diagram-level factorization
     (factor_map, then dropping the vertical last strand) that `_route` replaced.
@@ -256,7 +257,7 @@ def test_route_tables_pinned():
     h = sha256()
     for kind, n_max in ((TL, 9), (BR, 5), (SN, 6)):
         for m in range(1, n_max + 1):
-            h.update(json.dumps([kind.value, m, list(route_table(kind, m).items())]).encode())
+            h.update(json.dumps([kind.value, m, list(spelled_routes(kind, m).items())]).encode())
     assert h.hexdigest() == "8c6d7e8ff0e2c6b7b0b27f061f4e3b43212cbad24cc3a3a4af533dc7c652473a"
 
 

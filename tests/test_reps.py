@@ -19,8 +19,8 @@ from chainfft.diagrams import (
     evaluate,
     generator,
     identity_diagram,
+    _routing,
     relation_instances,
-    route_table,
 )
 from chainfft.errors import ArgumentError, CapabilityError, ParameterError
 from chainfft.ratlinalg import identity, invert, mat_mul, nullspace, rref
@@ -34,7 +34,6 @@ from chainfft.reps import (
 )
 from chainfft.reps.cells import _cell_matrix_of_diagram, brauer_semisimple, cell_matrix
 from chainfft.reps.core import sn_permutation
-from chainfft.transform import _routing
 from oracle import _rational_roots, oracle_irreps, oracle_matrix, solve
 from reference import (
     character,
@@ -43,6 +42,7 @@ from reference import (
     naive_transform_matrix,
     rank,
     rho,
+    spelled_routes,
     word_of,
 )
 
@@ -255,13 +255,14 @@ def test_integer_kernel_scales(kind, n, rep_cache):
     def route_scale(key, level):
         if level <= 1:
             return 1
-        tokens, sub = route_table(kind, level)[key]
+        tokens, sub = spelled_routes(kind, level)[key]
         return math.prod(rep.token_scale(i) for _, i in tokens) * route_scale(sub, level - 1)
 
     total = math.prod(rep.token_scale(i) for L in range(2, n + 1) for i in range(1, L))
     assert rep.scale(n) == total
     prescale, index = rep.prescale(n), _routing(kind, n).index
-    assert len(prescale) == len(index) and list(index) == list(route_table(kind, n))
+    assert len(prescale) == len(index)
+    assert list(index) == [d.key() for d in all_diagrams(kind, n)]
     for key, j in index.items():
         assert prescale[j] * route_scale(key, n) == total
 
@@ -272,10 +273,10 @@ def test_prescale_by_position_is_the_route_formula(kind, n, rep_cache):
     of D(i) over the indices 1..L-1 that the route's level-L tokens leave as identity."""
     rep = rep_cache(kind, n)
     prescale, index = rep.prescale(n), _routing(kind, n).index
-    for key in route_table(kind, n):
+    for key in index:
         want, sub = 1, key
         for level in range(n, 0, -1):
-            tokens, sub = route_table(kind, level)[sub]
+            tokens, sub = spelled_routes(kind, level)[sub]
             moved = {i for _, i in tokens}
             want *= math.prod(rep.token_scale(i) for i in range(1, level) if i not in moved)
         assert prescale[index[key]] == want, key
@@ -335,7 +336,7 @@ def test_rho_builds_a_spelled_key_once(monkeypatch):
     from chainfft.reps.core import adapted_rep
 
     rep = adapted_rep.__wrapped__(TL, 4, Q)
-    d = next(d for d in all_diagrams(TL, 4) if route_table(TL, 4)[d.key()][0])
+    d = next(d for d in all_diagrams(TL, 4) if spelled_routes(TL, 4)[d.key()][0])
     spelled = ",".join(f"{b}-{a}" for a, b in reversed(d.pairs))
     calls = []
     original = T._apply_token
@@ -400,7 +401,7 @@ def test_gram_dual_delta_property(kind, n, rep_cache):
     are dual bases of their trace forms."""
     rep = rep_cache(kind, n)
     keys, duals, den = dual_table(rep)
-    assert keys == sorted(route_table(kind, n))
+    assert keys == sorted(_routing(kind, n).index)
     assert all(type(c) is int for dual in duals for c in dual.values())
     basis = {key: diagram_from_key(kind, n, key) for key in keys}
     tau = _weighted_trace_form(rep)
@@ -439,7 +440,7 @@ def test_sn_gram_dual_equals_gram_inverse(n):
     duals = [{keys[k]: ginv[k][j].numerator * (den // ginv[k][j].denominator)
               for k in range(len(keys)) if ginv[k][j]}
              for j in range(len(keys))]
-    assert keys == ([""] if n == 0 else sorted(route_table(SN, n)))
+    assert keys == sorted(_routing(SN, n).index)
     assert rep.gram_dual() == (keys, duals, den)
 
 
@@ -629,6 +630,36 @@ def test_float_or_bool_q_refused(n, q):
             build(TL, n, q)
 
 
+@pytest.mark.parametrize("q", ["abc", "1/0", None])
+def test_unreadable_q_refused(q):
+    """A q that `Fraction` cannot read is refused with an error that names it, not
+    left to Python's ValueError, ZeroDivisionError or TypeError."""
+    for build in (adapted_rep, local_blocks):
+        with pytest.raises(ArgumentError, match=f"q={q!r} is not a rational number"):
+            build(TL, 3, q)
+
+
+@pytest.mark.parametrize("n", [True, False, "3", -1, 2.0, None])
+def test_builders_refuse_a_size_that_is_not_a_non_negative_int(n):
+    """adapted_rep, local_blocks and sov_plan refuse an n that is not a non-negative
+    int, a bool included, as image_layout and AlgebraElement do."""
+    from chainfft.transform import sov_plan
+
+    for build in (adapted_rep, local_blocks, sov_plan):
+        with pytest.raises(ArgumentError, match=f"n={n!r} is not a non-negative int"):
+            build(TL, n)
+
+
+def test_rho_row_refuses_a_key_outside_the_basis():
+    """rho_row names a key that is not a canonical basis key when it would compile its
+    row; a spelling of a basis key is no basis key either."""
+    rep = adapted_rep.__wrapped__(TL, 3, Q)
+    for key in ("x", "3-1,2-4,5-6", "1-2,3-4"):
+        with pytest.raises(ArgumentError, match=f"{key!r} is not a basis key of tl n=3"):
+            rep.rho_row(key)
+    assert rep._rows == {}
+
+
 def test_chebyshev_values():
     assert chebyshev_u(0, Q) == 1
     assert chebyshev_u(1, Q) == Q
@@ -647,7 +678,7 @@ def test_rho_tables_pinned(rep_cache):
     for kind, n_max in ((TL, 7), (SN, 5), (BR, 4)):
         for n in range(1, n_max + 1):
             rep = rep_cache(kind, n)
-            for key in route_table(kind, n):
+            for key in _routing(kind, n).index:
                 blocks = []
                 for lam, block in rep.rho_blocks(key).items():
                     cols: dict = {}

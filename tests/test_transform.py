@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainfft.combinat import ChainKind, cached_bratteli, hom_count_closed, paper_bounds
-from chainfft.diagrams import all_diagrams, factor_set, generator, identity_diagram, route_table
+from chainfft.diagrams import (_basis_pairs, _route, _routing, _schedule, all_diagrams, basis_key,
+                               factor_set, generator, identity_diagram)
 from chainfft.errors import ArgumentError, CapabilityError, FactorizationError
 from chainfft.reps import DEFAULT_Q, adapted_rep
 from chainfft.reps.core import dense_matrix, image_layout, sn_permutation
@@ -19,7 +20,6 @@ from chainfft.transform import (
     AlgebraElement,
     FourierImage,
     OpCounter,
-    _schedule,
     element_from_json,
     element_to_json,
     fft_naive,
@@ -38,6 +38,7 @@ from reference import (
     multiply_elements,
     naive_transform_matrix,
     rho,
+    spelled_routes,
 )
 
 BR = ChainKind.BRAUER
@@ -136,7 +137,7 @@ def _route_tokens(kind, n, key):
     """([tokens at level L for L = n, ..., 1], [key at level L for L = n, ..., 0])."""
     tokens, keys = [], [key]
     for level in range(n, 0, -1):
-        head, key = route_table(kind, level)[key]
+        head, key = spelled_routes(kind, level)[key]
         tokens.append(head)
         keys.append(key)
     return tokens, keys
@@ -145,7 +146,7 @@ def _route_tokens(kind, n, key):
 def _cancelling_pair(kind, n, rng, rep_cache):
     """Two keys whose routes agree down to a level m < n and split there into two
     streams, weighted so that one entry of their level-m fiber sums to zero."""
-    routes = {key: _route_tokens(kind, n, key) for key in sorted(route_table(kind, n))}
+    routes = {key: _route_tokens(kind, n, key) for key in _routing(kind, n).index}
     while True:
         m, k1 = rng.randint(2, n - 1), rng.choice(sorted(routes))
         top = n - m  # routes[k][0][top] is the level-m head of k
@@ -176,7 +177,7 @@ def test_sov_sparse_counts_pinned(kind, n, rep_cache):
     supports of 1..8 keys, deltas, and pairs that cancel in a merge below the top,
     where only the level-end zero pass keeps the zero out of the levels above."""
     rep, rng = rep_cache(kind, n), random.Random(7)
-    keys = sorted(route_table(kind, n))
+    keys = list(_routing(kind, n).index)
     values = [-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3)]
     elements = [AlgebraElement.from_dict(kind, n, {k: rng.choice(values)
                                                    for k in rng.sample(keys, size)})
@@ -215,7 +216,7 @@ def test_warm_sov_builds_no_routing(rep_cache, monkeypatch):
     assert calls == {"_route": 0, "__new__": 0}
     assert img == fft_naive(f, rep)[0]
     # the counter sees a routing build, which checks no Diagram
-    D.route_table.__wrapped__(TL, 3)
+    D._routing.__wrapped__(TL, 3)
     assert calls == {"_route": 5, "__new__": 0}
 
 
@@ -303,7 +304,7 @@ def test_naive_rows_equal_the_nested_dict_sum(kind, n, rep_cache):
     """On dense, sparse (supports 1..8, deltas among them) and fractional inputs, the
     row scatter gives the image and the counts of the nested-dict sum."""
     rep = rep_cache(kind, n)
-    keys = sorted(route_table(kind, n)) if n else [""]
+    keys = list(_routing(kind, n).index)
     rng = random.Random(f"{kind.value} {n}")
     dense = random_element(kind, n, 0)
     tables = [dense.table(), {k: v / 7 for k, v in dense.coeffs}, {rng.choice(keys): 1}]
@@ -329,7 +330,7 @@ def test_level_n_rho_is_kept_only_as_rows(kind, n, entry):
     one, an inverse or the S_n trace rows, which fold in the dual table of
     `gram_dual`, keep none."""
     rep = adapted_rep.__wrapped__(kind, n, Q)
-    keys = sorted(route_table(kind, n))
+    keys = list(_routing(kind, n).index)
     if entry == "sparse_fft_naive":
         f = AlgebraElement.from_dict(kind, n, {keys[0]: 1, keys[-1]: Fraction(-2, 3)})
         fft_naive(f, rep)
@@ -350,7 +351,7 @@ def test_level_n_rho_is_kept_only_as_rows(kind, n, entry):
 
 def test_cold_sparse_naive_compiles_only_its_support():
     rep = adapted_rep.__wrapped__(TL, 6, Q)
-    keys = sorted(route_table(TL, 6))
+    keys = list(_routing(TL, 6).index)
     f = AlgebraElement.from_dict(TL, 6, {keys[0]: 1, keys[50]: Fraction(2, 3), keys[-1]: -4})
     assert fft_naive(f, rep) == _nested_dict_naive(f, rep)
     assert set(rep._rows) == {keys[0], keys[50], keys[-1]}
@@ -371,7 +372,7 @@ def test_warm_naive_applies_no_token(rep_cache, monkeypatch):
     from chainfft.reps.core import adapted_rep
 
     rep = rep_cache(TL, 6)
-    fft_naive(AlgebraElement.from_dict(TL, 6, dict.fromkeys(route_table(TL, 6), 1)), rep)
+    fft_naive(AlgebraElement.from_dict(TL, 6, dict.fromkeys(_routing(TL, 6).index, 1)), rep)
     f = random_element(TL, 6, 1)
     calls = []
     original = T._apply_token
@@ -459,7 +460,7 @@ def test_sov_level_matches_block_data_at_every_level(kind, n, rep_cache):
 
     rep = rep_cache(kind, n)
     for level in range(1, n + 1):
-        for j in range(len(T._routing(kind, level).routes)):
+        for j in range(len(_routing(kind, level).routes)):
             sov = T._sov_level(rep, level, {j: 1}, OpCounter())
             assert sov == rep._block_data(j, level), (level, j)
 
@@ -494,15 +495,13 @@ def _run_level_outputs(f, rep):
 def test_level_routine_output_has_no_zero_or_empty_entry(case, data):
     """On random sparse supports the level routine's output holds no zero entry and
     no empty row, with several live streams and with one."""
-    import chainfft.transform as T
-
     kind, n = case
     rep = adapted_rep(kind, n, Q)
-    support = data.draw(st.lists(st.sampled_from(sorted(route_table(kind, n))),
+    support = data.draw(st.lists(st.sampled_from(list(_routing(kind, n).index)),
                                  min_size=1, max_size=8, unique=True))
     values = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]),
                                 min_size=len(support), max_size=len(support)))
-    routing = T._routing(kind, n)
+    routing = _routing(kind, n)
     stream_of = {key: routing.routes[routing.index[key]][0] for key in support}
     table = dict(zip(support, values))
     one_stream = {k: v for k, v in table.items() if stream_of[k] == stream_of[support[0]]}
@@ -526,15 +525,13 @@ def _route_down(kind, level, coeffs, dims):
     """(level-1 row, split widths from level 2 up) of {position: coefficient}, routed
     down on every call as `_sov_level` once did: a coefficient of fiber F at level
     L >= 2 moves to fiber F + s . K_L, and level 1 keys it at fiber . M."""
-    import chainfft.transform as T
-
     entries = [(0, j, c) for j, c in coeffs.items()]
     spans, span = [], 1
     for lvl in range(level, 1, -1):
-        routes = T._routing(kind, lvl).routes
+        routes = _routing(kind, lvl).routes
         entries = [(f + s * span, sub, c) for f, j, c in entries for s, sub in (routes[j],)]
         spans.append(span)
-        span *= len(T._schedule(kind, lvl).streams)
+        span *= len(_schedule(kind, lvl).streams)
     stride = max(max(d) for d in dims[: level + 1])
     return {f * stride: c for f, _, c in entries if c}, [k * stride for k in reversed(spans)]
 
@@ -546,11 +543,9 @@ def test_descent_seeds_equal_the_route_down(kind, top):
     split spans whose level-1 keys (fiber . M) and split widths (span . M) are what
     routing each coefficient down on every call gives, with the vertex bound M read
     from the largest diagram."""
-    import chainfft.transform as T
-
     dims = cached_bratteli(kind, top).dims
     for level in range(top + 1):
-        routing, stride = T._routing(kind, level), max(max(d) for d in dims[: level + 1])
+        routing, stride = _routing(kind, level), max(max(d) for d in dims[: level + 1])
         size = len(routing.fibers)
         row, widths = _route_down(kind, level, {j: j + 1 for j in range(size)}, dims)
         assert [span * stride for span in routing.spans] == widths
@@ -569,7 +564,7 @@ def test_split_streams_equals_split_then_embed(kind, level, fibers, data):
 
     B = cached_bratteli(kind, level)
     rep = SimpleNamespace(kind=kind, B=B)
-    count = len(T._schedule(kind, level).streams)
+    count = len(_schedule(kind, level).streams)
     stride = max(max(d) for d in B.dims)
     width = fibers * stride
     rows = sum(B.dims[level - 1])
@@ -812,10 +807,12 @@ def test_w_sizes_are_factor_set_tails(kind, n_max):
 
 @pytest.mark.parametrize("kind,n_max", [(TL, 8), (SN, 5), (BR, 5)])
 def test_schedule_streams_are_the_routed_words(kind, n_max):
-    """The streams of each level's schedule are the distinct pending tuples of its route table."""
+    """The streams of each level's schedule are the distinct pending tuples of the
+    words that `_route` factors the level's basis diagrams by."""
     for level in range(1, n_max + 1):
         routed = set()
-        for tokens, _ in route_table(kind, level).values():
+        for _, pairs in _basis_pairs(kind, level):
+            tokens, _ = _route(kind, level, pairs)
             pending = [None] * (level - 1)
             for sym, i in tokens:
                 pending[i - 1] = sym
@@ -827,9 +824,8 @@ def test_schedule_streams_are_the_routed_words(kind, n_max):
 def test_route_outside_the_factor_set_is_refused(monkeypatch):
     """A compiled route must be a factor-set word: e1 alone is none at TL level 3."""
     import chainfft.diagrams as D
-    import chainfft.transform as T
 
-    T._routing(TL, 2)
+    _routing(TL, 2)
     original = D._route
 
     def short(kind, n, pairs):
@@ -837,9 +833,8 @@ def test_route_outside_the_factor_set_is_refused(monkeypatch):
         return ((("e", 1),) if tokens == (("e", 1), ("e", 2)) else tokens), sub
 
     monkeypatch.setattr(D, "_route", short)
-    monkeypatch.setattr(T, "route_table", D.route_table.__wrapped__)
     with pytest.raises(FactorizationError, match="not a factor-set word"):
-        T._routing.__wrapped__(TL, 3)
+        D._routing.__wrapped__(TL, 3)
 
 
 def test_fft_sov_refuses_a_plan_of_another_algebra(rep_cache):
@@ -940,12 +935,16 @@ def test_bmw_rejected(rep_cache):
 
 
 def test_bmw_refused_by_routing():
-    with pytest.raises(ArgumentError):
-        route_table(BMW, 3)
-    with pytest.raises(ArgumentError):
-        all_diagrams(BMW, 3)
-    with pytest.raises(ArgumentError):
-        AlgebraElement.from_dict(BMW, 3, {"1-4,2-5,3-6": 1})
+    """BMW has no routing at any size, the empty diagram of n = 0 included, so no
+    element, basis key or random element of it is made."""
+    for n, key in ((0, ""), (3, "1-4,2-5,3-6")):
+        refusals = [lambda: _routing(BMW, n), lambda: all_diagrams(BMW, n),
+                    lambda: AlgebraElement.from_dict(BMW, n, {key: 1}),
+                    lambda: AlgebraElement(BMW, n, ((key, 1),)),
+                    lambda: random_element(BMW, n, 0), lambda: basis_key(BMW, n, key)]
+        for refused in refusals:
+            with pytest.raises(ArgumentError, match="BMW"):
+                refused()
 
 
 def test_kind_mismatch(rep_cache):
@@ -1316,7 +1315,7 @@ def test_warm_inverse_builds_no_table(monkeypatch):
             monkeypatch.setattr(AdaptedRep, name,
                                 lambda self, *a, _name=name: calls.append(_name))
         assert inverse_ft(img, rep) == f
-        keys = sorted(route_table(kind, n))
+        keys = list(_routing(kind, n).index)
         g = AlgebraElement.from_dict(kind, n, {keys[3]: 1, keys[other]: Fraction(-5, 2)})
         img_g = fft_sov(g, rep)[0]
         assert inverse_ft(img_g, rep) == g
